@@ -68,7 +68,6 @@ from .protocol import (
     run,
     run_analytic,
     run_dynamic,
-    telenot_check,
 )
 from .config import ConfigError, load_config, parse_config_text
 

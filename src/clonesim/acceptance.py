@@ -5,8 +5,10 @@ details dict of formatted figures.  Heavy artifacts (the default dynamic run,
 the dark-state tracking sweep) are computed once per suite pass and shared;
 the criterion that triggers the computation owns its wall time.
 
-The serialized suite (``suite_bytes``) deliberately excludes durations so
-two identical passes are byte-identical; the printed table includes them.
+Some criteria also carry a wall-clock budget.  Its verdict is kept apart from
+the physics verdict and details: ``suite_bytes`` serializes physics content
+only, so two same-seed passes are byte-identical even when one of them
+overruns a budget.  An overrun still fails ``clonesim verify``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from . import adiabatic, cloner, optics, protocol
 from .adiabatic import PulseSchedule, Side, SystemParams
 from .cloner import InputQubit
+from .protocol import fmt
 from .qstate import Space, StateVector, inner, normalize, operator_to_dense, tensor
 
 __all__ = [
@@ -39,20 +42,25 @@ __all__ = [
 @dataclass(frozen=True)
 class CriterionResult:
     name: str
-    passed: bool
+    passed: bool                  # physics verdict
     duration: float
-    details: dict   # str -> str, deterministic
+    details: dict                 # str -> str, deterministic
+    budget_s: float | None = None
+
+    @property
+    def within_budget(self) -> bool:
+        return self.budget_s is None or self.duration < self.budget_s
 
 
 @dataclass(frozen=True)
 class SuiteResult:
     seed: int
     criteria: tuple
-    passed: bool
+    passed: bool                  # every physics verdict
 
-
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+    @property
+    def within_budget(self) -> bool:
+        return all(c.within_budget for c in self.criteria)
 
 
 def _analytic_report(q: InputQubit) -> protocol.CloneReport:
@@ -81,13 +89,9 @@ def _literal_expected(q: InputQubit) -> StateVector:
     full = Space(space.subsystems + atom.subsystems)
 
     def lab(p3: str, p4: str, atom_lv: str):
-        return full.label({
-            optics.mode_id(optics.OUT_3, "H"): "1" if p3 == "H" else "0",
-            optics.mode_id(optics.OUT_3, "V"): "1" if p3 == "V" else "0",
-            optics.mode_id(optics.OUT_4, "H"): "1" if p4 == "H" else "0",
-            optics.mode_id(optics.OUT_4, "V"): "1" if p4 == "V" else "0",
-            protocol.ATOM_B: atom_lv,
-        })
+        return full.label({protocol.ATOM_B: atom_lv, **{
+            optics.mode_id(path, pol): "1" if pol == want else "0"
+            for path, want in ((optics.OUT_3, p3), (optics.OUT_4, p4)) for pol in optics.POLS}})
 
     r = math.sqrt(2.0 / 3.0)
     a, b = q.a, q.b
@@ -110,7 +114,7 @@ def _crit_output_reproduction(seed: int, cache: dict):
         ov = abs(inner(_literal_expected(q), rep.post_state))
         worst = min(worst, ov)
     passed = worst > 1.0 - 1e-12
-    return passed, {"min_overlap": _fmt(worst), "inputs": str(len(inputs))}
+    return passed, {"min_overlap": fmt(worst), "inputs": str(len(inputs))}
 
 
 def _crit_fidelity_constants(seed: int, cache: dict):
@@ -126,9 +130,9 @@ def _crit_fidelity_constants(seed: int, cache: dict):
     var = max(f1s.var(), f2s.var(), fts.var())
     passed = dev_clone <= 1e-9 and dev_tele <= 1e-9 and var < 1e-20
     return passed, {
-        "max_dev_clone": _fmt(dev_clone),
-        "max_dev_telenot": _fmt(dev_tele),
-        "variance": _fmt(var),
+        "max_dev_clone": fmt(dev_clone),
+        "max_dev_telenot": fmt(dev_tele),
+        "variance": fmt(var),
         "samples": "100",
     }
 
@@ -161,7 +165,7 @@ def _crit_projector_equivalence(seed: int, cache: dict):
     max_entry = np.abs(lifted - mat_cloner).max()
     passed = tables_ok and max_entry <= 1e-12
     return passed, {
-        "max_entry_diff": _fmt(max_entry),
+        "max_entry_diff": fmt(max_entry),
         "basis_table_exact": str(tables_ok),
     }
 
@@ -181,12 +185,12 @@ def _crit_success_probability(seed: int, cache: dict):
     arm2 = rep.count_distribution.get((0, 0, 1, 1), 0.0)
     passed = worst <= 1e-12 and mc_dev <= 3.0 * sigma
     return passed, {
-        "max_dev_p_symmetric": _fmt(worst),
-        "p_symmetric": _fmt(rep.p_symmetric),
-        "p_operational_coincidence": _fmt(rep.p_operational),
-        "per_arm": f"{_fmt(arm1)} + {_fmt(arm2)}",
-        "mc_estimate": _fmt(mc.mc_p_detected),
-        "mc_sigma": _fmt(sigma),
+        "max_dev_p_symmetric": fmt(worst),
+        "p_symmetric": fmt(rep.p_symmetric),
+        "p_operational_coincidence": fmt(rep.p_operational),
+        "per_arm": f"{fmt(arm1)} + {fmt(arm2)}",
+        "mc_estimate": fmt(mc.mc_p_detected),
+        "mc_sigma": fmt(sigma),
         "stated_reference_value": "0.25",
         "note": ("operational two-fold coincidence bookkeeping gives 3/8, not "
                  "the referenced 1/4; both figures reported, agreement not forced"),
@@ -242,11 +246,11 @@ def _crit_dark_state_tracking(seed: int, cache: dict):
     exc = runs[-1][2]
     passed = monotone and final_overlap > 0.999 and exc < 1e-2
     return passed, {
-        "overlaps": " ".join(_fmt(v) for v in overlaps),
-        "t_totals": " ".join(_fmt(r[0]) for r in runs),
+        "overlaps": " ".join(fmt(v) for v in overlaps),
+        "t_totals": " ".join(fmt(r[0]) for r in runs),
         "monotone": str(monotone),
-        "final_overlap": _fmt(final_overlap),
-        "excited_pop_max": _fmt(exc),
+        "final_overlap": fmt(final_overlap),
+        "excited_pop_max": fmt(exc),
     }
 
 
@@ -270,8 +274,8 @@ def _crit_pulse_identity(seed: int, cache: dict):
                                      dyn.t_grid, analytic)
         lhs, rhs = adiabatic.emission_identity_check(
             dyn.params, dyn.omega, np.linspace(0.0, dyn.omega.t_total, 8001))
-        details[f"{name}_numeric_vs_analytic"] = _fmt(ov)
-        details[f"{name}_norm_identity_diff"] = _fmt(abs(lhs - rhs))
+        details[f"{name}_numeric_vs_analytic"] = fmt(ov)
+        details[f"{name}_norm_identity_diff"] = fmt(abs(lhs - rhs))
         ok = ok and ov > 0.995 and abs(lhs - rhs) <= 1e-6
     return ok, details
 
@@ -290,9 +294,9 @@ def _crit_interference_sanity(seed: int, cache: dict):
     singlet_coinc = optics.detection_bookkeeping(optics.polarization_singlet()).p_coincidence
     passed = cross < 1e-12 and singlet_out.probability < 1e-24
     return passed, {
-        "hom_cross_port_amp": _fmt(cross),
-        "singlet_projection_prob": _fmt(singlet_out.probability),
-        "singlet_coincidence_prob": _fmt(singlet_coinc),
+        "hom_cross_port_amp": fmt(cross),
+        "singlet_projection_prob": fmt(singlet_out.probability),
+        "singlet_coincidence_prob": fmt(singlet_coinc),
     }
 
 
@@ -307,7 +311,7 @@ def _crit_probability_closure(seed: int, cache: dict):
         worst = max(worst, dyn.closure_error)
         sources.append(f"protocol_{name}")
     passed = worst <= 1e-8
-    return passed, {"max_closure_error": _fmt(worst), "runs": str(len(sources))}
+    return passed, {"max_closure_error": fmt(worst), "runs": str(len(sources))}
 
 
 _CRITERIA = (
@@ -331,32 +335,38 @@ def run_all(seed: int = 0) -> SuiteResult:
         start = time.perf_counter()
         passed, details = fn(seed, cache)
         duration = time.perf_counter() - start
-        if budget is not None:
-            details["runtime_budget_s"] = _fmt(budget)
-            if duration >= budget:
-                passed = False
-                details["runtime_exceeded"] = "true"
-        results.append(CriterionResult(name, bool(passed), duration, details))
+        results.append(CriterionResult(name, bool(passed), duration, details, budget))
     return SuiteResult(seed=seed, criteria=tuple(results),
                        passed=all(r.passed for r in results))
 
 
 def criterion_dict(c: CriterionResult) -> dict:
+    """Physics content of one criterion: name, verdict, details."""
     return {"name": c.name, "passed": c.passed,
             "details": dict(sorted(c.details.items()))}
 
 
+def _budget_dict(c: CriterionResult) -> dict:
+    if c.budget_s is None:
+        return {}
+    return {"runtime_budget_s": fmt(c.budget_s), "within_budget": c.within_budget}
+
+
 def suite_dict(suite: SuiteResult) -> dict:
-    """Serializable form without wall times (those vary run to run)."""
+    """Serializable form: physics content plus each budget verdict, no wall times."""
     return {
         "seed": suite.seed,
         "passed": suite.passed,
-        "criteria": [criterion_dict(c) for c in suite.criteria],
+        "within_budget": suite.within_budget,
+        "criteria": [{**criterion_dict(c), **_budget_dict(c)} for c in suite.criteria],
     }
 
 
 def suite_bytes(suite: SuiteResult) -> bytes:
-    return (json.dumps(suite_dict(suite), indent=2, sort_keys=True) + "\n").encode()
+    """Physics content only, so wall-clock overruns cannot change it."""
+    doc = {"seed": suite.seed, "passed": suite.passed,
+           "criteria": [criterion_dict(c) for c in suite.criteria]}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def reproducibility_criterion(b1: bytes, b2: bytes) -> CriterionResult:
@@ -374,10 +384,11 @@ def format_table(rows) -> str:
     lines = []
     width = max(len(r.name) for r in rows) + 2
     for i, r in enumerate(rows, start=1):
-        verdict = "PASS" if r.passed else "FAIL"
+        verdict = "PASS" if r.passed and r.within_budget else "FAIL"
+        over = "" if r.within_budget else f" (over its {fmt(r.budget_s)}s budget)"
         key_detail = next(iter(r.details.items()), ("", ""))
         lines.append(f"{verdict}  {i:>2}  {r.name:<{width}}  "
-                     f"{r.duration:7.2f}s  {key_detail[0]}={key_detail[1]}")
-    overall = all(r.passed for r in rows)
+                     f"{r.duration:7.2f}s  {key_detail[0]}={key_detail[1]}{over}")
+    overall = all(r.passed and r.within_budget for r in rows)
     lines.append("overall: " + ("PASS" if overall else "FAIL"))
     return "\n".join(lines)

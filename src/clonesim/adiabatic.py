@@ -39,17 +39,17 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .qstate import (
+    BasisLabel,
     LinearOperator,
     Space,
     StateVector,
-    basis_state,
     from_dense,
-    operator_to_dense,
     to_dense,
 )
 
@@ -59,17 +59,16 @@ __all__ = [
     "PulseSchedule",
     "MixingAngle",
     "PULSE_SHAPES",
-    "alice_space",
-    "bob_space",
+    "MAX_STEPS",
+    "node_space",
     "alice_initial",
     "bob_initial",
-    "hamiltonian_alice",
-    "hamiltonian_bob",
     "hamiltonian",
     "dark_states",
     "mixing_angle",
     "coupling_modulation",
     "DynamicsReport",
+    "step_count",
     "evolve",
     "emission_channels",
     "pulse_shape_analytic",
@@ -79,8 +78,6 @@ __all__ = [
 ]
 
 OCC = ("0", "1")
-ALICE_LEVELS = ("gL", "gR", "g0", "eL", "eR")
-BOB_LEVELS = ("gp0", "gL", "gR", "e0")
 
 PULSE_SHAPES = ("sin2", "tanh", "linear")
 
@@ -88,6 +85,14 @@ PULSE_SHAPES = ("sin2", "tanh", "linear")
 _RATE_RESOLUTION = 50.0
 EXCITED_POP_WARN = 1e-2
 NORM_INCREASE_TOL = 1e-10
+
+# A passage keeps about this many bytes per step alive: time and drive grids,
+# two complex channel records, the monitors, the envelope temporaries and the
+# text of its pulse CSV.  MAX_STEPS holds that to 512 MiB per node.
+_BYTES_PER_STEP = 256
+MAX_STEPS = (512 << 20) // _BYTES_PER_STEP
+# RK4 steps whose one-step propagators ``evolve`` builds together
+_CHUNK = 256
 
 
 class Side(str, Enum):
@@ -187,147 +192,142 @@ class MixingAngle:
         return math.sin(self.theta)
 
     @classmethod
-    def for_source(cls, g: float, omega: float) -> "MixingAngle":
-        # cos(theta) = g / sqrt(g^2 + Omega^2)
-        return cls(math.atan2(omega, g))
-
-    @classmethod
-    def for_remote(cls, g: float, omega: float) -> "MixingAngle":
-        # cos(theta) = sqrt(2) g / sqrt(2 g^2 + Omega^2)
-        return cls(math.atan2(omega, math.sqrt(2.0) * g))
+    def for_side(cls, side: Side, g: float, omega: float) -> "MixingAngle":
+        """cos(theta) = sqrt(f) g / sqrt(f g^2 + Omega^2), f the node's fanout."""
+        return cls(math.atan2(omega, math.sqrt(_NODES[Side(side)].fanout) * g))
 
 
 def mixing_angle(p: SystemParams, omega: PulseSchedule, t: float) -> MixingAngle:
-    g = float(p.g_at(t))
-    om = float(omega.value(t))
-    if p.side is Side.ALICE:
-        return MixingAngle.for_source(g, om)
-    return MixingAngle.for_remote(g, om)
+    return MixingAngle.for_side(p.side, float(p.g_at(t)), float(omega.value(t)))
+
+
+def _dark_norm_sq(p: SystemParams, g, om):
+    """f g^2 + Omega^2: sin(theta)^2 = Omega^2 / this (vectorized)."""
+    return _NODES[p.side].fanout * g ** 2 + om ** 2
 
 
 # ---------------------------------------------------------------------------
-# spaces, initial states, Hamiltonians
+# coupling table: spaces, initial states, Hamiltonians, dark states
 # ---------------------------------------------------------------------------
 
 
-def alice_space() -> Space:
-    return Space((("atomA", ALICE_LEVELS), ("cavA:L", OCC), ("cavA:R", OCC)))
+@dataclass(frozen=True)
+class _Node:
+    """Which atomic levels and cavity modes of one node couple."""
+
+    atom: str                 # atom subsystem id
+    cavity: str               # cavity mode ids are "<cavity>:L" and "<cavity>:R"
+    levels: tuple[str, ...]
+    excited: tuple[str, ...]
+    drives: tuple             # (ground, excited): Omega |e><g| + h.c.
+    couplings: tuple          # (ground, excited, mode): g a_mode |e><g| + h.c.
+
+    @property
+    def fanout(self) -> float:
+        """Cavity couplings per excited level: the dark state weighs Omega
+        against sqrt(fanout) g (1 at the source node, 2 at the remote one)."""
+        return len(self.couplings) / len(self.excited)
 
 
-def bob_space() -> Space:
-    return Space((("atomB", BOB_LEVELS), ("cavB:L", OCC), ("cavB:R", OCC)))
+_NODES = {
+    Side.ALICE: _Node("atomA", "cavA", ("gL", "gR", "g0", "eL", "eR"), ("eL", "eR"),
+                      (("gL", "eL"), ("gR", "eR")),
+                      (("g0", "eL", "L"), ("g0", "eR", "R"))),
+    Side.BOB: _Node("atomB", "cavB", ("gp0", "gL", "gR", "e0"), ("e0",),
+                    (("gp0", "e0"),),
+                    (("gL", "e0", "R"), ("gR", "e0", "L"))),
+}
+_MODES = ("L", "R")
+
+
+def node_space(side: Side) -> Space:
+    """Atom plus its two cavity modes, occupations 0/1."""
+    n = _NODES[Side(side)]
+    return Space(((n.atom, n.levels),) + tuple((f"{n.cavity}:{m}", OCC) for m in _MODES))
+
+
+def _label(side: Side, atom: str, photon: str | None = None) -> BasisLabel:
+    """Atom level with one cavity photon in mode ``photon`` (None: empty cavity)."""
+    n = _NODES[side]
+    return node_space(side).label(
+        {n.atom: atom, **{f"{n.cavity}:{m}": "1" if m == photon else "0" for m in _MODES}})
 
 
 def alice_initial(a: complex, b: complex) -> StateVector:
     """(a|gL> + b|gR>) with both cavity modes empty."""
-    space = alice_space()
-    return StateVector(space, {
-        space.label({"atomA": "gL", "cavA:L": "0", "cavA:R": "0"}): a,
-        space.label({"atomA": "gR", "cavA:L": "0", "cavA:R": "0"}): b,
+    return StateVector(node_space(Side.ALICE), {
+        _label(Side.ALICE, "gL"): a,
+        _label(Side.ALICE, "gR"): b,
     })
 
 
 def bob_initial() -> StateVector:
-    space = bob_space()
-    return basis_state(space, {"atomB": "gp0", "cavB:L": "0", "cavB:R": "0"})
+    return StateVector(node_space(Side.BOB), {_label(Side.BOB, "gp0"): 1.0})
 
 
-def _add_hc(entries: dict, row, col, val):
-    entries[(row, col)] = entries.get((row, col), 0.0) + val
-    entries[(col, row)] = entries.get((col, row), 0.0) + np.conjugate(val)
+class _Matrices(NamedTuple):
+    """Dense pieces of H(t) = static + Omega(t) drive + g(t) cavity."""
+
+    index: dict               # basis label -> dense index
+    static: np.ndarray        # -(Delta + i gamma/2) on the excited levels
+    drive: np.ndarray         # unit-Omega coupling
+    cavity: np.ndarray        # unit-g coupling
+    excited: np.ndarray       # 1.0 on excited-level labels
+    photons: np.ndarray       # cavity photon number per label
 
 
-def hamiltonian_alice(p: SystemParams, omega: PulseSchedule, t: float) -> LinearOperator:
-    """Source-node Hamiltonian at time t (gamma included, cavity decay not)."""
-    space = alice_space()
-    om = float(omega.value(t))
-    g = float(p.g_at(t))
-    entries: dict = {}
-    diag = -(p.delta + 0.5j * p.gamma)
-    for e_lv in ("eL", "eR"):
-        for nl in OCC:
-            for nr in OCC:
-                lab = space.label({"atomA": e_lv, "cavA:L": nl, "cavA:R": nr})
-                entries[(lab, lab)] = entries.get((lab, lab), 0.0) + diag
-    for g_lv, e_lv in (("gL", "eL"), ("gR", "eR")):
-        for nl in OCC:
-            for nr in OCC:
-                row = space.label({"atomA": e_lv, "cavA:L": nl, "cavA:R": nr})
-                col = space.label({"atomA": g_lv, "cavA:L": nl, "cavA:R": nr})
-                _add_hc(entries, row, col, om)
-    # g a_L |eL><g0|  : photon absorbed, atom promoted (plus h.c.)
-    for nr in OCC:
-        row = space.label({"atomA": "eL", "cavA:L": "0", "cavA:R": nr})
-        col = space.label({"atomA": "g0", "cavA:L": "1", "cavA:R": nr})
-        _add_hc(entries, row, col, g)
-    for nl in OCC:
-        row = space.label({"atomA": "eR", "cavA:L": nl, "cavA:R": "0"})
-        col = space.label({"atomA": "g0", "cavA:L": nl, "cavA:R": "1"})
-        _add_hc(entries, row, col, g)
-    return LinearOperator(space, {k: v for k, v in entries.items() if v != 0.0})
-
-
-def hamiltonian_bob(p: SystemParams, omega: PulseSchedule, t: float) -> LinearOperator:
-    """Remote-node Hamiltonian at time t."""
-    space = bob_space()
-    om = float(omega.value(t))
-    g = float(p.g_at(t))
-    entries: dict = {}
-    diag = -(p.delta + 0.5j * p.gamma)
-    for nl in OCC:
-        for nr in OCC:
-            lab = space.label({"atomB": "e0", "cavB:L": nl, "cavB:R": nr})
-            entries[(lab, lab)] = entries.get((lab, lab), 0.0) + diag
-            row = space.label({"atomB": "e0", "cavB:L": nl, "cavB:R": nr})
-            col = space.label({"atomB": "gp0", "cavB:L": nl, "cavB:R": nr})
-            _add_hc(entries, row, col, om)
-    # g a_R |e0><gL| + g a_L |e0><gR|  (plus h.c.)
-    for nl in OCC:
-        row = space.label({"atomB": "e0", "cavB:L": nl, "cavB:R": "0"})
-        col = space.label({"atomB": "gL", "cavB:L": nl, "cavB:R": "1"})
-        _add_hc(entries, row, col, g)
-    for nr in OCC:
-        row = space.label({"atomB": "e0", "cavB:L": "0", "cavB:R": nr})
-        col = space.label({"atomB": "gR", "cavB:L": "1", "cavB:R": nr})
-        _add_hc(entries, row, col, g)
-    return LinearOperator(space, {k: v for k, v in entries.items() if v != 0.0})
+def _matrices(p: SystemParams) -> _Matrices:
+    n = _NODES[p.side]
+    labels = list(node_space(p.side).labels())
+    index = {label: i for i, label in enumerate(labels)}
+    drive = np.zeros((len(labels), len(labels)), dtype=complex)
+    cavity = np.zeros_like(drive)
+    for i, label in enumerate(labels):
+        atom = label.level(n.atom)
+        for g_lv, e_lv in n.drives:
+            if atom == g_lv:
+                j = index[label.replaced({n.atom: e_lv})]
+                drive[i, j] = drive[j, i] = 1.0
+        for g_lv, e_lv, mode in n.couplings:
+            mid = f"{n.cavity}:{mode}"
+            if atom == g_lv and label.level(mid) == "1":
+                j = index[label.replaced({n.atom: e_lv, mid: "0"})]
+                cavity[i, j] = cavity[j, i] = 1.0
+    excited = np.array([float(label.level(n.atom) in n.excited) for label in labels])
+    photons = np.array([sum(int(label.level(f"{n.cavity}:{m}")) for m in _MODES)
+                        for label in labels], dtype=float)
+    static = np.diag(np.where(excited > 0, -(p.delta + 0.5j * p.gamma), 0.0))
+    return _Matrices(index, static, drive, cavity, excited, photons)
 
 
 def hamiltonian(p: SystemParams, omega: PulseSchedule, t: float) -> LinearOperator:
-    if p.side is Side.ALICE:
-        return hamiltonian_alice(p, omega, t)
-    return hamiltonian_bob(p, omega, t)
+    """Node Hamiltonian at time t (gamma included, cavity decay not)."""
+    m = _matrices(p)
+    dense = m.static + float(omega.value(t)) * m.drive + float(p.g_at(t)) * m.cavity
+    return LinearOperator.from_dense(node_space(p.side), dense)
 
 
-def dark_states(p: SystemParams, omega: PulseSchedule, t: float):
-    """Analytic dark state(s) at time t.
+def dark_states(p: SystemParams, omega: PulseSchedule, t: float) -> tuple[StateVector, ...]:
+    """Analytic dark states at time t, one per excited level e:
 
-    Source node: a pair (one per qubit branch),
-        D1 = cos(th)|gL>|0,0> - sin(th)|g0>|1,0>
-        D2 = cos(th)|gR>|0,0> - sin(th)|g0>|0,1>
-    Remote node: a single state,
-        D  = cos(th)|gp0>|0,0> - sin(th)/sqrt(2) (|gL>|0,1> + |gR>|1,0>)
+        D_e = cos(th)|g_e>|0,0> - sin(th)/sqrt(fanout) sum_(g', e, m) |g'>|1_m>
+
+    with g_e the level the drive couples to e and the sum over e's cavity
+    couplings.  Source node: D1 = cos|gL> - sin|g0>|1,0>,
+    D2 = cos|gR> - sin|g0>|0,1>.  Remote node: the single state
+    D = cos|gp0> - sin/sqrt(2) (|gL>|0,1> + |gR>|1,0>).
     """
     ang = mixing_angle(p, omega, t)
-    c, s = ang.cos, ang.sin
-    if p.side is Side.ALICE:
-        space = alice_space()
-        d1 = StateVector(space, {
-            space.label({"atomA": "gL", "cavA:L": "0", "cavA:R": "0"}): c,
-            space.label({"atomA": "g0", "cavA:L": "1", "cavA:R": "0"}): -s,
-        })
-        d2 = StateVector(space, {
-            space.label({"atomA": "gR", "cavA:L": "0", "cavA:R": "0"}): c,
-            space.label({"atomA": "g0", "cavA:L": "0", "cavA:R": "1"}): -s,
-        })
-        return d1, d2
-    space = bob_space()
-    r = s / math.sqrt(2.0)
-    return StateVector(space, {
-        space.label({"atomB": "gp0", "cavB:L": "0", "cavB:R": "0"}): c,
-        space.label({"atomB": "gL", "cavB:L": "0", "cavB:R": "1"}): -r,
-        space.label({"atomB": "gR", "cavB:L": "1", "cavB:R": "0"}): -r,
-    })
+    n = _NODES[p.side]
+    r = ang.sin / math.sqrt(n.fanout)
+    out = []
+    for g_lv, e_lv in n.drives:
+        amps = {_label(p.side, g_lv): ang.cos}
+        for g_c, e_c, mode in n.couplings:
+            if e_c == e_lv:
+                amps[_label(p.side, g_c, mode)] = -r
+        out.append(StateVector(node_space(p.side), amps))
+    return tuple(out)
 
 
 def emission_channels(p: SystemParams) -> dict:
@@ -336,17 +336,7 @@ def emission_channels(p: SystemParams) -> dict:
     Keys are cavity polarizations 'L'/'R'; the associated label pins the atom
     to the state it is left in once that photon leaks out.
     """
-    if p.side is Side.ALICE:
-        space = alice_space()
-        return {
-            "L": space.label({"atomA": "g0", "cavA:L": "1", "cavA:R": "0"}),
-            "R": space.label({"atomA": "g0", "cavA:L": "0", "cavA:R": "1"}),
-        }
-    space = bob_space()
-    return {
-        "L": space.label({"atomB": "gR", "cavB:L": "1", "cavB:R": "0"}),
-        "R": space.label({"atomB": "gL", "cavB:L": "0", "cavB:R": "1"}),
-    }
+    return {mode: _label(p.side, g_lv, mode) for g_lv, _, mode in _NODES[p.side].couplings}
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +361,6 @@ class DynamicsReport:
     omega: PulseSchedule
 
 
-def _space_for(p: SystemParams) -> Space:
-    return alice_space() if p.side is Side.ALICE else bob_space()
-
-
 def _reachable(h_pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
     """Indices reachable from the seed support under the coupling pattern."""
     active = seed.copy()
@@ -385,51 +371,50 @@ def _reachable(h_pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
         active = grown
 
 
+def step_count(p: SystemParams, omega: PulseSchedule, dt: float) -> float:
+    """RK4 steps ``evolve`` takes over [0, t_total].
+
+    The requested step is clamped to resolve the fastest rate,
+    h = min(dt, 1 / (50 max(g, omega_max, kappa, |Delta|))), and at least
+    1000 steps are taken, so the step used never exceeds t_total/1000.  A
+    float, so that rates too large to count read as inf.
+    """
+    fastest = max(p.g * (1.0 + p.epsilon), omega.omega_max, p.kappa, abs(p.delta))
+    h_req = min(dt, 1.0 / (_RATE_RESOLUTION * fastest))
+    n = omega.t_total / h_req if h_req > 0 else math.inf
+    return float(max(1000, math.ceil(n))) if math.isfinite(n) else math.inf
+
+
 def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
            dt: float) -> DynamicsReport:
     """Fixed-step RK4 integration of one node over [0, t_total].
 
-    The requested step is clamped to resolve the fastest rate:
-    h = min(dt, 1 / (50 max(g, omega_max, kappa, |Delta|))), then rounded so
-    the grid lands exactly on t_total.  Cavity emission is recorded as the
-    amplitude density sqrt(kappa) x (one-photon amplitude) per polarization
-    channel at every grid point.
+    The grid has ``step_count(p, omega, dt)`` equal steps landing exactly on
+    t_total.  H_eff is linear in psi, so each RK4 step is a matrix: the
+    propagators of ``_CHUNK`` steps are built together with batched products
+    and then applied in turn, one matrix-vector product per step.  The flux
+    quadratures use the same RK4 stage states.  Cavity emission is recorded
+    as the amplitude density sqrt(kappa) x (one-photon amplitude) per
+    polarization channel at every grid point.
 
-    Raises on a step too coarse (dt > t_total/1000) and on integrator norm
-    growth; warns when the excited-state population exceeds the adiabaticity
-    monitor threshold or the requested evolution is non-adiabatic enough to
-    matter.
+    Raises on more steps than MAX_STEPS and on integrator norm growth; warns
+    when the excited-state population exceeds the adiabaticity monitor
+    threshold.
     """
-    space = _space_for(p)
+    space = node_space(p.side)
     if initial.space != space:
         raise ValueError("initial state lives on the wrong node space")
     if abs(initial.norm() - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > omega.t_total / 1000.0:
-        raise ValueError(
-            f"step size too large: dt = {dt:.6g} exceeds t_total/1000 = "
-            f"{omega.t_total / 1000.0:.6g} (adiabaticity monitor)")
-
-    fastest = max(p.g * (1.0 + p.epsilon), omega.omega_max, p.kappa, abs(p.delta))
-    h_req = min(dt, 1.0 / (_RATE_RESOLUTION * fastest))
-    n_steps = max(1000, int(math.ceil(omega.t_total / h_req)))
+    n_steps = step_count(p, omega, dt)
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"{n_steps:.6g} RK4 steps exceed the budget of {MAX_STEPS}")
+    n_steps = int(n_steps)
     h = omega.t_total / n_steps
 
-    index = {label: i for i, label in enumerate(space.labels())}
-    # H(t) = diag + Omega(t) * drive + g(t) * cav; parts built once, dense
-    h_drive = _coupling_part(p, space, drive=True)
-    h_cav = _coupling_part(p, space, drive=False)
-    h_diag = _static_diag(p, space)
-
-    n_vec = np.array([
-        sum(int(label.level(sid)) for sid in space.ids if sid.startswith("cav"))
-        for label in space.labels()], dtype=float)
-    exc_names = {"eL", "eR", "e0"}
-    atom_id = "atomA" if p.side is Side.ALICE else "atomB"
-    exc_vec = np.array([1.0 if label.level(atom_id) in exc_names else 0.0
-                        for label in space.labels()])
+    index, h_diag, h_drive, h_cav, exc_vec, n_vec = _matrices(p)
 
     psi0 = to_dense(initial, index)
     pattern = (np.abs(h_diag) + np.abs(h_drive) + np.abs(h_cav)) > 0
@@ -457,54 +442,71 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
 
     channels = emission_channels(p)
     ch_names = sorted(channels)
-    ch_idx = []
     keep_pos = {int(km): i for i, km in enumerate(keep)}
-    for name in ch_names:
-        full_i = index[channels[name]]
-        ch_idx.append(keep_pos.get(full_i, -1))
+    ch_idx = [keep_pos.get(index[channels[name]], -1) for name in ch_names]
     sqrt_kappa = math.sqrt(p.kappa)
 
     ch_samples = np.zeros((len(ch_names), n_steps + 1), dtype=complex)
     exc_pop = np.zeros(n_steps + 1)
     norm_sq = np.zeros(n_steps + 1)
+    flux_w = np.stack([w_emit, w_spont], axis=1)          # (dim, 2)
+    eye = np.eye(len(keep))
 
-    def record(i, vec):
-        p2 = vec.real ** 2 + vec.imag ** 2
-        norm_sq[i] = p2.sum()
-        exc_pop[i] = exc @ p2
+    def record(lo, vecs):
+        """Monitors and channel samples for grid points lo .. lo + len(vecs) - 1."""
+        p2 = vecs.real ** 2 + vecs.imag ** 2
+        hi = lo + len(vecs)
+        norm_sq[lo:hi] = p2.sum(axis=1)
+        exc_pop[lo:hi] = p2 @ exc
         for c, j in enumerate(ch_idx):
-            ch_samples[c, i] = sqrt_kappa * vec[j] if j >= 0 else 0.0
+            if j >= 0:
+                ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
 
-    def rhs(psi_v, om, g_t):
+    def generator(om, g_t):
+        """-i H_eff at each of the given times, shape (len(om), dim, dim)."""
+        hh = h_base + om[:, None, None] * h_drv
         if modulated:
-            hp = h_base @ psi_v + om * (h_drv @ psi_v) + g_t * (h_cv @ psi_v)
-        else:
-            hp = h_base @ psi_v + om * (h_drv @ psi_v)
-        p2 = psi_v.real ** 2 + psi_v.imag ** 2
-        return -1j * hp, w_emit @ p2, w_spont @ p2
+            hh = hh + g_t[:, None, None] * h_cv
+        return -1j * hh
 
-    e_emit = 0.0
-    e_spont = 0.0
-    record(0, psi)
+    e_flux = np.zeros(2)                                   # emission, spontaneous
+    record(0, psi[None, :])
     n2_init = norm_sq[0]
-    for i in range(n_steps):
-        om0, omh, om1 = om_grid[i], om_half[i], om_grid[i + 1]
+    for lo in range(0, n_steps, _CHUNK):
+        hi = min(lo + _CHUNK, n_steps)
+        g0 = gh = g1 = None
         if modulated:
-            g0, gh, g1 = g_grid[i], g_half[i], g_grid[i + 1]
-        else:
-            g0 = gh = g1 = p.g
-        k1, f1e, f1s = rhs(psi, om0, g0)
-        k2, f2e, f2s = rhs(psi + 0.5 * h * k1, omh, gh)
-        k3, f3e, f3s = rhs(psi + 0.5 * h * k2, omh, gh)
-        k4, f4e, f4s = rhs(psi + h * k3, om1, g1)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        e_emit += (h / 6.0) * (f1e + 2.0 * f2e + 2.0 * f3e + f4e)
-        e_spont += (h / 6.0) * (f1s + 2.0 * f2s + 2.0 * f3s + f4s)
-        record(i + 1, psi)
-        if norm_sq[i + 1] > n2_init + NORM_INCREASE_TOL:
+            g0, gh, g1 = g_grid[lo:hi], g_half[lo:hi], g_grid[lo + 1:hi + 1]
+        a0 = generator(om_grid[lo:hi], g0)
+        ah = generator(om_half[lo:hi], gh)
+        a1 = generator(om_grid[lo + 1:hi + 1], g1)
+        # the RK4 stages are linear in psi: stage s starts from y_s @ psi
+        y2 = eye + (0.5 * h) * a0
+        b2 = ah @ y2
+        y3 = eye + (0.5 * h) * b2
+        b3 = ah @ y3
+        y4 = eye + h * b3
+        step = eye + (h / 6.0) * (a0 + 2.0 * b2 + 2.0 * b3 + a1 @ y4)
+
+        vecs = np.empty((hi - lo + 1, len(keep)), dtype=complex)
+        vecs[0] = psi
+        for j in range(hi - lo):
+            vecs[j + 1] = step[j] @ vecs[j]
+        psi = vecs[-1]
+
+        starts = vecs[:-1]
+        stages = (starts, *(np.einsum("mij,mj->mi", y, starts) for y in (y2, y3, y4)))
+        f1, f2, f3, f4 = ((v.real ** 2 + v.imag ** 2) @ flux_w for v in stages)
+        e_flux += (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4).sum(axis=0)
+
+        record(lo + 1, vecs[1:])
+        grown = np.flatnonzero(norm_sq[lo + 1:hi + 1] > n2_init + NORM_INCREASE_TOL)
+        if grown.size:
+            i = lo + 1 + int(grown[0])
             raise RuntimeError(
-                f"integrator fault: norm^2 grew to {norm_sq[i + 1]:.12g} at "
-                f"t = {t_grid[i + 1]:.6g}")
+                f"integrator fault: norm^2 grew to {norm_sq[i]:.12g} at "
+                f"t = {t_grid[i]:.6g}")
+    e_emit, e_spont = e_flux
 
     excited_pop_max = float(exc_pop.max())
     if excited_pop_max > EXCITED_POP_WARN:
@@ -547,26 +549,6 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     )
 
 
-def _static_diag(p: SystemParams, space: Space) -> np.ndarray:
-    """Diagonal detuning/linewidth part of H as a dense matrix."""
-    exc_names = {"eL", "eR", "e0"}
-    atom_id = "atomA" if p.side is Side.ALICE else "atomB"
-    diag = np.array([
-        -(p.delta + 0.5j * p.gamma) if label.level(atom_id) in exc_names else 0.0
-        for label in space.labels()], dtype=complex)
-    return np.diag(diag)
-
-
-def _coupling_part(p: SystemParams, space: Space, drive: bool) -> np.ndarray:
-    """Unit-coefficient coupling matrices: drive (Omega) or cavity (g) part."""
-    ref = replace(p, gamma=0.0, delta=0.0, epsilon=0.0, g=1.0)
-    sched_unit = PulseSchedule(omega_max=1.0, t_total=1.0, hold_fraction=0.0, shape="linear")
-    # H(g=1, Omega=1) = drive_part + cav_part; isolate by switching one off
-    h_both = operator_to_dense(hamiltonian(ref, sched_unit, 1.0), space)
-    h_cav_only = operator_to_dense(hamiltonian(ref, sched_unit, 0.0), space)
-    return (h_both - h_cav_only) if drive else h_cav_only
-
-
 def pulse_shape_analytic(p: SystemParams, omega: PulseSchedule,
                          grid: np.ndarray) -> np.ndarray:
     """Adiabatic-limit emission envelope on the given grid.
@@ -582,11 +564,7 @@ def pulse_shape_analytic(p: SystemParams, omega: PulseSchedule,
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must increase strictly from 0")
     om = omega.value(grid)
-    g = p.g_at(grid)
-    if p.side is Side.ALICE:
-        sin_th = om / np.sqrt(g ** 2 + om ** 2)
-    else:
-        sin_th = om / np.sqrt(2.0 * g ** 2 + om ** 2)
+    sin_th = om / np.sqrt(_dark_norm_sq(p, p.g_at(grid), om))
     s2 = sin_th ** 2
     cum = cumulative_simpson(s2, x=grid, initial=0.0)
     return np.sqrt(p.kappa) * sin_th * np.exp(-0.5 * p.kappa * cum)
@@ -629,11 +607,7 @@ def emission_identity_check(p: SystemParams, omega: PulseSchedule,
     grid = np.asarray(grid, dtype=float)
     f = pulse_shape_analytic(p, omega, grid)
     om = omega.value(grid)
-    g = p.g_at(grid)
-    if p.side is Side.ALICE:
-        s2 = om ** 2 / (g ** 2 + om ** 2)
-    else:
-        s2 = om ** 2 / (2.0 * g ** 2 + om ** 2)
+    s2 = om ** 2 / _dark_norm_sq(p, p.g_at(grid), om)
     lhs = float(simpson(np.abs(f) ** 2, x=grid))
     rhs = 1.0 - math.exp(-p.kappa * float(simpson(s2, x=grid)))
     return lhs, rhs

@@ -37,8 +37,10 @@ from .config import (
     values_from_text,
 )
 from .protocol import (
+    RESULT_FIELDS,
     SUMMARY_COLUMNS,
     Mode,
+    fmt,
     pulse_csv,
     report_json,
     run,
@@ -60,17 +62,6 @@ SWEEP_ALIASES = {
     "epsilon": ("alice.epsilon", "bob.epsilon"),
 }
 
-_RESULT_FIELDS = (
-    "clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity",
-    "p_symmetric", "p_operational", "p_detected", "overlap_visibility",
-    "emission_prob_alice", "emission_prob_bob", "false_herald_fraction",
-)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
 def _resolve_seed(fallback: int) -> int:
     env = os.environ.get("CLONESIM_SEED")
     if env is None:
@@ -90,7 +81,7 @@ def _with_seed(settings: RunSettings, seed: int) -> RunSettings:
 
 def _fmt_amp(z: complex) -> str:
     if complex(z).imag == 0.0:
-        return _fmt(complex(z).real)
+        return fmt(complex(z).real)
     return format(complex(z), ".12g")
 
 
@@ -99,7 +90,7 @@ def _warn_renormalized(settings: RunSettings):
     if dev > 1e-6:
         q = settings.config.input
         print(f"warning: input amplitudes renormalized "
-              f"(|a|^2+|b|^2 was {_fmt(settings.input_norm_sq)}); using "
+              f"(|a|^2+|b|^2 was {fmt(settings.input_norm_sq)}); using "
               f"a = {_fmt_amp(q.a)}, b = {_fmt_amp(q.b)}", file=sys.stderr)
 
 
@@ -112,7 +103,8 @@ def _write(out_dir: Path, name: str, text: str) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, settings: RunSettings | None,
-                    seed: int, outputs: list, config_path: str | None) -> str:
+                    seed: int, outputs: list, config_path: str | None):
+    """Write manifest.json beside ``outputs`` and print every file written."""
     doc = {
         "command": command,
         "config_path": config_path,
@@ -122,16 +114,17 @@ def _write_manifest(out_dir: Path, command: str, settings: RunSettings | None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    return _write(out_dir, "manifest.json",
-                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    outputs = outputs + [_write(out_dir, "manifest.json",
+                                json.dumps(doc, indent=2, sort_keys=True) + "\n")]
+    print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
 
 
 def _print_results(report):
-    for name in _RESULT_FIELDS:
-        print(f"{name} = {_fmt(getattr(report, name))}")
+    for name in RESULT_FIELDS:
+        print(f"{name} = {fmt(getattr(report, name))}")
     if report.mc_trials > 0:
-        print(f"mc_p_detected = {_fmt(report.mc_p_detected)} "
-              f"(trials = {report.mc_trials}, sigma = {_fmt(report.mc_sigma)})")
+        print(f"mc_p_detected = {fmt(report.mc_p_detected)} "
+              f"(trials = {report.mc_trials}, sigma = {fmt(report.mc_sigma)})")
     for note in report.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
 
@@ -148,10 +141,8 @@ def cmd_ideal(args) -> int:
         _write(out, "report.json", report_json(report)),
         _write(out, "summary.csv", summary_csv(report)),
     ]
-    outputs.append(_write_manifest(out, "ideal", settings, settings.config.seed,
-                                   outputs, None))
     _print_results(report)
-    print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
+    _write_manifest(out, "ideal", settings, settings.config.seed, outputs, None)
     return EXIT_OK
 
 
@@ -174,16 +165,14 @@ def cmd_dynamics(args) -> int:
         _write(out, "pulse_alice.csv", pulse_csv(rep_a)),
         _write(out, "pulse_bob.csv", pulse_csv(rep_b)),
     ]
-    outputs.append(_write_manifest(out, "dynamics", settings,
-                                   settings.config.seed, outputs, args.config))
     _print_results(report)
-    print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
+    _write_manifest(out, "dynamics", settings, settings.config.seed, outputs, args.config)
 
     worst = max(rep_a.excited_pop_max, rep_b.excited_pop_max)
     if worst > settings.max_excited:
         print(f"adiabaticity violation: excited population peaked at "
-              f"{_fmt(worst)} > adiabaticity.max_excited = "
-              f"{_fmt(settings.max_excited)}", file=sys.stderr)
+              f"{fmt(worst)} > adiabaticity.max_excited = "
+              f"{fmt(settings.max_excited)}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
     return EXIT_OK
 
@@ -225,21 +214,19 @@ def cmd_sweep(args) -> int:
         try:
             report = run(settings.config)
         except (ValueError, RuntimeError) as exc:
-            print(f"sweep aborted at {args.param} = {_fmt(value)}: {exc}",
+            print(f"sweep aborted at {args.param} = {fmt(value)}: {exc}",
                   file=sys.stderr)
             return EXIT_DIAGNOSTIC
         summary_lines = summary_csv(report).splitlines()
-        rows.append(f"{args.param},{_fmt(value)},{summary_lines[1]}")
-        print(f"{args.param} = {_fmt(value)}: "
-              f"clone_fidelity_1 = {_fmt(report.clone_fidelity_1)}, "
-              f"p_detected = {_fmt(report.p_detected)}, "
-              f"overlap_visibility = {_fmt(report.overlap_visibility)}")
+        rows.append(f"{args.param},{fmt(value)},{summary_lines[1]}")
+        print(f"{args.param} = {fmt(value)}: "
+              f"clone_fidelity_1 = {fmt(report.clone_fidelity_1)}, "
+              f"p_detected = {fmt(report.p_detected)}, "
+              f"overlap_visibility = {fmt(report.overlap_visibility)}")
 
     out = Path(args.out)
     outputs = [_write(out, "sweep.csv", ",".join(header) + "\n" + "\n".join(rows) + "\n")]
-    outputs.append(_write_manifest(out, "sweep", settings,
-                                   settings.config.seed, outputs, args.config))
-    print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
+    _write_manifest(out, "sweep", settings, settings.config.seed, outputs, args.config)
     return EXIT_OK
 
 
@@ -261,9 +248,9 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     outputs = [_write(out, "verify_report.json",
                       json.dumps(doc, indent=2, sort_keys=True) + "\n")]
-    outputs.append(_write_manifest(out, "verify", None, seed, outputs, None))
-    print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
-    return EXIT_OK if doc["passed"] else EXIT_VERIFY
+    _write_manifest(out, "verify", None, seed, outputs, None)
+    # a budget overrun fails the run without touching the physics verdicts
+    return EXIT_OK if doc["passed"] and first.within_budget else EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adiabatic import PULSE_SHAPES, PulseSchedule, Side, SystemParams
+from .adiabatic import PULSE_SHAPES, Side
 from .cloner import InputQubit
 from .protocol import (
-    MATCHED_DRIVE_RATIO,
     DetectorParams,
     Mode,
     NodeConfig,
     ProtocolConfig,
+    default_node,
 )
 
 __all__ = [
@@ -70,31 +70,21 @@ def _parse_shape(s: str) -> str:
     return s
 
 
-def _node_keys(prefix: str, omega_max_default: float) -> dict:
-    return {
-        f"{prefix}.g": (_parse_float, 1.0),
-        f"{prefix}.kappa": (_parse_float, 1.0),
-        f"{prefix}.gamma": (_parse_float, 0.1),
-        f"{prefix}.delta": (_parse_float, 0.0),
-        f"{prefix}.epsilon": (_parse_float, 0.0),
-        f"{prefix}.nu": (_parse_float, 0.0),
-        f"{prefix}.omega_max": (_parse_float, omega_max_default),
-        f"{prefix}.t_total": (_parse_float, 200.0),
-        f"{prefix}.hold_fraction": (_parse_float, 0.25),
-        f"{prefix}.shape": (_parse_shape, "sin2"),
-    }
+def _node_keys(side: Side) -> dict:
+    """``<side>.<field>`` for every NodeConfig field, defaulting to default_node."""
+    return {f"{side.value}.{name}": (_parse_shape if name == "shape" else _parse_float, value)
+            for name, value in default_node(side).values().items()}
 
 
 # key -> (parser, default); None default marks a required key.
-# bob's drive default is sqrt(2) x alice's so the two emitted envelopes match.
 KEY_TABLE: dict = {
     "seed": (_parse_int, None),
     "input.a": (_parse_complex, None),
     "input.b": (_parse_complex, None),
     "dt": (_parse_float, 0.05),
     "emission_floor": (_parse_float, 0.5),
-    **_node_keys("alice", 20.0),
-    **_node_keys("bob", 20.0 * MATCHED_DRIVE_RATIO),
+    **_node_keys(Side.ALICE),
+    **_node_keys(Side.BOB),
     "detector.eta": (_parse_float, 1.0),
     "detector.dark_rate": (_parse_float, 0.0),
     "detector.window": (_parse_float, 10.0),
@@ -146,30 +136,16 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
-    def node(prefix: str, side: Side) -> NodeConfig:
-        return NodeConfig(
-            SystemParams(
-                side=side,
-                g=parsed[f"{prefix}.g"],
-                kappa=parsed[f"{prefix}.kappa"],
-                gamma=parsed[f"{prefix}.gamma"],
-                delta=parsed[f"{prefix}.delta"],
-                epsilon=parsed[f"{prefix}.epsilon"],
-                nu=parsed[f"{prefix}.nu"],
-            ),
-            PulseSchedule(
-                omega_max=parsed[f"{prefix}.omega_max"],
-                t_total=parsed[f"{prefix}.t_total"],
-                hold_fraction=parsed[f"{prefix}.hold_fraction"],
-                shape=parsed[f"{prefix}.shape"],
-            ),
-        )
+    def node(side: Side) -> NodeConfig:
+        prefix = side.value + "."
+        return NodeConfig.from_values(side, {k[len(prefix):]: v for k, v in parsed.items()
+                                             if k.startswith(prefix)})
 
     try:
         cfg = ProtocolConfig(
             input=InputQubit.normalized(parsed["input.a"], parsed["input.b"]),
-            alice=node("alice", Side.ALICE),
-            bob=node("bob", Side.BOB),
+            alice=node(Side.ALICE),
+            bob=node(Side.BOB),
             mode=Mode(mode),
             detector=DetectorParams(
                 eta=parsed["detector.eta"],
@@ -183,6 +159,8 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except OverflowError:
+        raise ConfigError("input amplitudes too large to normalize") from None
 
     raw_norm_sq = abs(parsed["input.a"]) ** 2 + abs(parsed["input.b"]) ** 2
     return RunSettings(

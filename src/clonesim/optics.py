@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .qstate import (
     BasisLabel,
@@ -63,15 +63,12 @@ __all__ = [
     "beamsplitter",
     "symmetric_project",
     "detection_bookkeeping",
-    "coincidence_probability_detailed",
-    "dualrail_to_polqubits",
     "polarization_singlet",
 ]
 
 OCC_PROTOCOL = ("0", "1")
 OCC_TRANSIENT = ("0", "1", "2")
 POLS = ("H", "V")
-CIRCULAR = ("L", "R")
 
 PATH_A = "A"
 PATH_B = "B"
@@ -188,6 +185,35 @@ def _extend_occupation(space: Space, mode_ids: set) -> Space:
     return Space(tuple(subs))
 
 
+def _split(amps: dict, mode_pairs: Sequence[tuple[str, str]]) -> dict:
+    """50:50 splitter on sparse amplitudes keyed by sorted factor tuples.
+
+    Every (slot 1, slot 2) mode pair mixes by :func:`_bs_pair_terms`; other
+    factors ride along.  Returns the new amplitudes, zeros dropped.
+    """
+    out: dict = {}
+    for factors, amp in amps.items():
+        branches = [(dict(factors), amp)]
+        for m1, m2 in mode_pairs:
+            nxt = []
+            for levels, a in branches:
+                n1, n2 = int(levels[m1]), int(levels[m2])
+                if n1 == 0 and n2 == 0:
+                    nxt.append((levels, a))
+                    continue
+                for o1, o2, coeff in _bs_pair_terms(n1, n2):
+                    if o1 > 2 or o2 > 2:
+                        raise ValueError("occupation beyond 2 unsupported (more than two photons per channel)")
+                    lv = dict(levels)
+                    lv[m1], lv[m2] = str(o1), str(o2)
+                    nxt.append((lv, a * coeff))
+            branches = nxt
+        for levels, a in branches:
+            key = tuple(sorted(levels.items()))
+            out[key] = out.get(key, 0.0) + a
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
 def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
     """50:50 beam splitter between two paths, per polarization channel.
 
@@ -210,31 +236,10 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
         raise ValueError(f"polarization channels differ between {in1!r} and {in2!r}")
     channels = sorted(found[in1])
 
-    touched = {mode_id(p, c) for p in (in1, in2) for c in channels}
-    space = _extend_occupation(s.space, touched)
-    amps: dict = {}
-    for label, amp in s.amps.items():
-        # migrate the label into the occupation-extended space
-        branches = [(dict(label.factors), amp)]
-        for c in channels:
-            m1, m2 = mode_id(in1, c), mode_id(in2, c)
-            nxt = []
-            for levels, a in branches:
-                n1, n2 = int(levels[m1]), int(levels[m2])
-                if n1 == 0 and n2 == 0:
-                    nxt.append((levels, a))
-                    continue
-                for o1, o2, coeff in _bs_pair_terms(n1, n2):
-                    if o1 > 2 or o2 > 2:
-                        raise ValueError("occupation beyond 2 unsupported (more than two photons per channel)")
-                    lv = dict(levels)
-                    lv[m1], lv[m2] = str(o1), str(o2)
-                    nxt.append((lv, a * coeff))
-            branches = nxt
-        for levels, a in branches:
-            key = BasisLabel(tuple(sorted(levels.items())))
-            amps[key] = amps.get(key, 0.0) + a
-    return StateVector(space, {k: v for k, v in amps.items() if v != 0.0})
+    pairs = [(mode_id(in1, c), mode_id(in2, c)) for c in channels]
+    space = _extend_occupation(s.space, {m for pair in pairs for m in pair})
+    out = _split({label.factors: amp for label, amp in s.amps.items()}, pairs)
+    return StateVector(space, {BasisLabel(k): v for k, v in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +287,8 @@ def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     _check_one_photon_per_path(s, (PATH_A, PATH_B))
 
     def relabel(label: BasisLabel, p: str, q: str) -> BasisLabel:
-        updates = {
-            mode_id(PATH_A, "H"): "1" if p == "H" else "0",
-            mode_id(PATH_A, "V"): "1" if p == "V" else "0",
-            mode_id(PATH_B, "H"): "1" if q == "H" else "0",
-            mode_id(PATH_B, "V"): "1" if q == "V" else "0",
-        }
-        return label.replaced(updates)
+        return label.replaced({mode_id(path, pol): "1" if pol == want else "0"
+                               for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS})
 
     raw: dict = {}
     for label, amp in s.amps.items():
@@ -331,13 +331,11 @@ class DetectionReport:
     are traced out.
     """
 
-    p_sym_weight: float
     p_arm_primary: float
     p_arm_mirror: float
     p_coincidence: float
     count_distribution: dict
     rho_conditional: DensityMatrix | None
-    overlap_c: complex
     visibility: float
 
 
@@ -345,34 +343,9 @@ _TAGS = ("t0", "t1")
 _DET_PATHS = ("d1", "d2", "d1x", "d2x")
 
 
-def _tagged_vacuum_space(paths: Iterable[str]) -> Space:
-    return Space(tuple((f"{p}:{pol}:{tag}", OCC_TRANSIENT)
-                       for p in paths for pol in POLS for tag in _TAGS))
-
-
-def _bs_tagged(state_amps: dict, path1: str, path2: str) -> dict:
-    """50:50 splitter across all (pol, tag) channels of two tagged paths."""
-    out: dict = {}
-    for factors, amp in state_amps.items():
-        branches = [(dict(factors), amp)]
-        for pol in POLS:
-            for tag in _TAGS:
-                m1, m2 = f"{path1}:{pol}:{tag}", f"{path2}:{pol}:{tag}"
-                nxt = []
-                for levels, a in branches:
-                    n1, n2 = int(levels[m1]), int(levels[m2])
-                    if n1 == 0 and n2 == 0:
-                        nxt.append((levels, a))
-                        continue
-                    for o1, o2, coeff in _bs_pair_terms(n1, n2):
-                        lv = dict(levels)
-                        lv[m1], lv[m2] = str(o1), str(o2)
-                        nxt.append((lv, a * coeff))
-                branches = nxt
-        for levels, a in branches:
-            key = tuple(sorted(levels.items()))
-            out[key] = out.get(key, 0.0) + a
-    return {k: v for k, v in out.items() if v != 0.0}
+def _tagged_pairs(path1: str, path2: str) -> list:
+    """(slot 1, slot 2) mode pairs over every (pol, tag) channel of two paths."""
+    return [(f"{path1}:{pol}:{tag}", f"{path2}:{pol}:{tag}") for pol in POLS for tag in _TAGS]
 
 
 def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:
@@ -402,10 +375,7 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
         if ":" in sid:
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")
 
-    # p_sym via the algebraic projector (input may be sub-normalized)
-    total_w = s.norm_sq()
-    sym = symmetric_project(s)
-    p_sym_weight = sym.probability / total_w if total_w > 0 else 0.0
+    norm_in = s.norm_sq()
 
     # --- lift into the tagged mode algebra -------------------------------
     # photon A rides tag t0; photon B splits c|t0> + s_perp|t1>
@@ -426,51 +396,35 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
 
     # --- splitter network -------------------------------------------------
     # tagged keys are plain sorted tuples (mode factors + extras); extras have
-    # no ':'-structured ids so the splitter helpers never touch them
-    def run_network(amp_map: dict) -> dict:
-        m = _bs_tagged(amp_map, "A", "B")          # outputs: arm in A slot / arm in B slot
-        m = _bs_tagged(m, "B", "vac2")             # primary arm (B slot): detectors d1 (B), d2 (vac2)
-        m = _bs_tagged(m, "A", "vac1")             # mirror arm (A slot): detectors d1x (A), d2x (vac1)
-        renames = {}
-        for pol in POLS:
-            for tag in _TAGS:
-                renames[f"B:{pol}:{tag}"] = f"d1:{pol}:{tag}"
-                renames[f"vac2:{pol}:{tag}"] = f"d2:{pol}:{tag}"
-                renames[f"A:{pol}:{tag}"] = f"d1x:{pol}:{tag}"
-                renames[f"vac1:{pol}:{tag}"] = f"d2x:{pol}:{tag}"
-        out = {}
-        for key, amp in m.items():
-            nk = tuple(sorted((renames.get(sid, sid), lv) for sid, lv in key))
-            out[nk] = out.get(nk, 0.0) + amp
-        return out
+    # no ':'-structured ids so the splitter never touches them
+    m = _split(tagged, _tagged_pairs("A", "B"))   # outputs: arm in A slot / arm in B slot
+    m = _split(m, _tagged_pairs("B", "vac2"))     # primary arm (B slot): detectors d1 (B), d2 (vac2)
+    m = _split(m, _tagged_pairs("A", "vac1"))     # mirror arm (A slot): detectors d1x (A), d2x (vac1)
+    renames = {f"{path}:{pol}:{tag}": f"{det}:{pol}:{tag}"
+               for path, det in (("B", "d1"), ("vac2", "d2"), ("A", "d1x"), ("vac1", "d2x"))
+               for pol in POLS for tag in _TAGS}
+    final: dict = {}
+    for key, amp in m.items():
+        nk = tuple(sorted((renames.get(sid, sid), lv) for sid, lv in key))
+        final[nk] = final.get(nk, 0.0) + amp
 
-    final = run_network(tagged)
-
-    # --- photon-count patterns over the four detectors ---------------------
-    def counts(key) -> tuple[int, int, int, int]:
+    # --- photon-count patterns and the coincidence herald ------------------
+    # heralded amplitudes over (pol3, pol4, extras) plus the arm and the two
+    # temporal tags, which are traced out
+    extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
+    cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras_space)
+    herald_space = Space(cond_space.subsystems + (
+        ("herald:arm", ("d1", "d1x")), ("herald:tag3", _TAGS), ("herald:tag4", _TAGS)))
+    dist: dict = {}
+    herald: dict = {}
+    for key, amp in final.items():
         tally = dict.fromkeys(_DET_PATHS, 0)
         for sid, lv in key:
             parts = sid.split(":")
             if len(parts) == 3 and parts[0] in tally:
                 tally[parts[0]] += int(lv)
-        return tuple(tally[p] for p in _DET_PATHS)
-
-    dist: dict = {}
-    for key, amp in final.items():
-        pat = counts(key)
+        pat = tuple(tally[p] for p in _DET_PATHS)
         dist[pat] = dist.get(pat, 0.0) + abs(amp) ** 2
-
-    norm_in = total_w
-    p_primary = dist.get((1, 1, 0, 0), 0.0)
-    p_mirror = dist.get((0, 0, 1, 1), 0.0)
-
-    # --- conditional state for the coincidence herald ----------------------
-    # amplitude -> (pol3, pol4, tag3, tag4, extras); tags traced afterwards
-    extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
-    cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras_space)
-    groups: dict = {}
-    for key, amp in final.items():
-        pat = counts(key)
         if pat == (1, 1, 0, 0):
             det_a, det_b = "d1", "d2"
         elif pat == (0, 0, 1, 1):
@@ -487,71 +441,29 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
             else:
                 extras.append((sid, lv))
         (p3, t3), (p4, t4) = pol_tag[det_a], pol_tag[det_b]
-        cond_label = BasisLabel(tuple(sorted([("ph3", p3), ("ph4", p4)] + extras)))
-        groups.setdefault((det_a, t3, t4), {})[cond_label] = \
-            groups.get((det_a, t3, t4), {}).get(cond_label, 0.0) + amp
+        label = BasisLabel(tuple(sorted(
+            [("ph3", p3), ("ph4", p4), ("herald:arm", det_a),
+             ("herald:tag3", t3), ("herald:tag4", t4)] + extras)))
+        herald[label] = herald.get(label, 0.0) + amp
 
-    entries: dict = {}
-    for members in groups.values():
-        for r, ar in members.items():
-            for cc, ac in members.items():
-                entries[(r, cc)] = entries.get((r, cc), 0.0) + ar * ac.conjugate()
-
+    p_primary = dist.get((1, 1, 0, 0), 0.0)
+    p_mirror = dist.get((0, 0, 1, 1), 0.0)
     p_coincidence = p_primary + p_mirror
     rho = None
     if p_coincidence / max(norm_in, 1e-300) > 1e-30:
         # normalize the heralded state to unit trace
-        rho = DensityMatrix(cond_space, {k: v / p_coincidence for k, v in entries.items()})
+        traced = partial_trace(StateVector(herald_space, herald), keep=cond_space.ids)
+        rho = DensityMatrix(cond_space, {k: v / p_coincidence
+                                         for k, v in traced.entries.items()})
 
     return DetectionReport(
-        p_sym_weight=p_sym_weight,
         p_arm_primary=p_primary / norm_in,
         p_arm_mirror=p_mirror / norm_in,
         p_coincidence=p_coincidence / norm_in,
         count_distribution={k: v / norm_in for k, v in dist.items()},
         rho_conditional=rho,
-        overlap_c=c,
         visibility=abs(c) ** 2,
     )
-
-
-def coincidence_probability_detailed(s: StateVector) -> DetectionReport:
-    """Operational coincidence probability for indistinguishable photons.
-
-    Full second-quantized bookkeeping through the splitter network; returns
-    the per-arm and total two-fold coincidence probabilities together with the
-    algebraic symmetric-projection weight <P_sym> so callers can print both
-    figures side by side.
-    """
-    return detection_bookkeeping(s, overlap_c=1.0)
-
-
-# ---------------------------------------------------------------------------
-# representation helpers
-# ---------------------------------------------------------------------------
-
-
-def dualrail_to_polqubits(s: StateVector, path_to_qubit: Mapping[str, str]) -> StateVector:
-    """Collapse one-photon-per-path dual-rail modes into polarization qubits.
-
-    Each named path must hold exactly one photon in every amplitude; the
-    photon's polarization becomes the level of the new qubit subsystem.
-    Non-photonic subsystems are carried over.
-    """
-    paths = tuple(path_to_qubit)
-    _check_one_photon_per_path(s, paths)
-    mode_ids = {mode_id(p, pol) for p in paths for pol in POLS}
-    extra_ids = [sid for sid in s.space.ids if sid not in mode_ids]
-    extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
-    space = Space(tuple((q, POLS) for q in path_to_qubit.values()) + extras_space)
-    amps: dict = {}
-    for label, amp in s.amps.items():
-        factors = list(label.project(extra_ids))
-        for path, qubit in path_to_qubit.items():
-            factors.append((qubit, _pol_of(label, path)))
-        key = BasisLabel(tuple(sorted(factors)))
-        amps[key] = amps.get(key, 0.0) + amp
-    return StateVector(space, amps)
 
 
 def polarization_singlet(path1: str = PATH_A, path2: str = PATH_B) -> StateVector:

@@ -27,12 +27,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .adiabatic import (
+    MAX_STEPS,
     DynamicsReport,
     PulseSchedule,
     Side,
@@ -41,6 +42,7 @@ from .adiabatic import (
     bob_initial,
     evolve,
     pulse_overlap_complex,
+    step_count,
 )
 from .cloner import InputQubit
 from .optics import (
@@ -71,14 +73,16 @@ __all__ = [
     "CloneReport",
     "ATOM_B",
     "MATCHED_DRIVE_RATIO",
+    "default_node",
     "assemble_joint",
     "run_analytic",
     "run_dynamic",
     "run",
     "detector_model",
-    "telenot_check",
+    "fmt",
     "report_to_dict",
     "report_json",
+    "RESULT_FIELDS",
     "SUMMARY_COLUMNS",
     "summary_csv",
     "pulse_csv",
@@ -124,6 +128,10 @@ class DetectorParams:
         return 1.0 - math.exp(-self.dark_rate * self.window)
 
 
+def _tunable(kind) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind) if f.name != "side")
+
+
 @dataclass(frozen=True)
 class NodeConfig:
     """One atom-cavity node: physical rates plus its drive schedule."""
@@ -131,22 +139,31 @@ class NodeConfig:
     params: SystemParams
     omega: PulseSchedule
 
+    def values(self) -> dict:
+        """Every tunable rate and schedule field by name, in declaration order."""
+        return {name: getattr(part, name)
+                for part in (self.params, self.omega) for name in _tunable(type(part))}
 
-def _default_alice() -> NodeConfig:
-    return NodeConfig(SystemParams(side=Side.ALICE), PulseSchedule())
+    @classmethod
+    def from_values(cls, side: Side, values: dict) -> "NodeConfig":
+        """Inverse of :meth:`values` for the given side."""
+        return cls(SystemParams(side=side, **{k: values[k] for k in _tunable(SystemParams)}),
+                   PulseSchedule(**{k: values[k] for k in _tunable(PulseSchedule)}))
 
 
-def _default_bob() -> NodeConfig:
-    return NodeConfig(
-        SystemParams(side=Side.BOB),
-        PulseSchedule(omega_max=20.0 * MATCHED_DRIVE_RATIO))
+def default_node(side: Side) -> NodeConfig:
+    """Default node; bob's drive is MATCHED_DRIVE_RATIO x alice's."""
+    omega = PulseSchedule()
+    if side is Side.BOB:
+        omega = PulseSchedule(omega_max=omega.omega_max * MATCHED_DRIVE_RATIO)
+    return NodeConfig(SystemParams(side=side), omega)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     input: InputQubit
-    alice: NodeConfig = field(default_factory=_default_alice)
-    bob: NodeConfig = field(default_factory=_default_bob)
+    alice: NodeConfig = field(default_factory=lambda: default_node(Side.ALICE))
+    bob: NodeConfig = field(default_factory=lambda: default_node(Side.BOB))
     mode: Mode = Mode.ANALYTIC
     detector: DetectorParams = field(default_factory=DetectorParams)
     seed: int = 0
@@ -166,6 +183,12 @@ class ProtocolConfig:
             raise ValueError("emission_floor must lie in [0, 1]")
         if self.mc_trials < 0:
             raise ValueError("mc_trials must be non-negative")
+        if self.mode is Mode.DYNAMIC:
+            for name, node in (("alice", self.alice), ("bob", self.bob)):
+                n = step_count(node.params, node.omega, self.dt)
+                if n > MAX_STEPS:
+                    raise ValueError(f"{name} passage needs {n:.6g} RK4 steps, above "
+                                     f"the budget of {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +299,7 @@ def _finish(cfg: ProtocolConfig, joint: StateVector, overlap_c: complex,
         clone_fidelity_1=f1,
         clone_fidelity_2=f2,
         telenot_fidelity=ft,
-        p_symmetric=detection.p_sym_weight,
+        p_symmetric=sym.probability / joint.norm_sq(),   # joint may be sub-normalized
         p_operational=p_op,
         p_detected=p_op,
         overlap_visibility=detection.visibility,
@@ -372,12 +395,6 @@ def run(cfg: ProtocolConfig) -> CloneReport:
     if Mode(cfg.mode) is Mode.ANALYTIC:
         return run_analytic(cfg)
     return run_dynamic(cfg)
-
-
-def telenot_check(report: CloneReport, q: InputQubit) -> float:
-    """Fidelity of the remote atom's heralded state against b*|gL> - a*|gR>."""
-    return fidelity_pure(partial_trace(report.rho_post, keep={ATOM_B}),
-                         _telenot_target(q))
 
 
 # ---------------------------------------------------------------------------
@@ -494,33 +511,27 @@ def _detection_mc(branches: list, eta: float, p_dark: float,
 # serialization
 # ---------------------------------------------------------------------------
 
-SUMMARY_COLUMNS = (
-    "mode", "a_re", "a_im", "b_re", "b_im",
+# scalar CloneReport fields, in the order every output lists them
+RESULT_FIELDS = (
     "clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity",
     "p_symmetric", "p_operational", "p_detected",
     "overlap_visibility", "emission_prob_alice", "emission_prob_bob",
-    "false_herald_fraction", "eta", "dark_rate", "window", "seed",
+    "false_herald_fraction",
 )
+_DETECTOR_FIELDS = tuple(f.name for f in fields(DetectorParams))
+
+SUMMARY_COLUMNS = (("mode", "a_re", "a_im", "b_re", "b_im") + RESULT_FIELDS
+                   + _DETECTOR_FIELDS + ("seed",))
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
+    """A number as printed everywhere: 12 significant digits."""
     return format(float(x), ".12g")
 
 
 def _complex_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _node_dict(node: NodeConfig) -> dict:
-    p, om = node.params, node.omega
-    return {
-        "side": p.side.value,
-        "g": p.g, "kappa": p.kappa, "gamma": p.gamma, "delta": p.delta,
-        "epsilon": p.epsilon, "nu": p.nu,
-        "omega_max": om.omega_max, "t_total": om.t_total,
-        "hold_fraction": om.hold_fraction, "shape": om.shape,
-    }
 
 
 def report_to_dict(report: CloneReport) -> dict:
@@ -531,25 +542,13 @@ def report_to_dict(report: CloneReport) -> dict:
             "mode": cfg.mode.value,
             "seed": cfg.seed,
             "input": {"a": _complex_pair(cfg.input.a), "b": _complex_pair(cfg.input.b)},
-            "alice": _node_dict(cfg.alice),
-            "bob": _node_dict(cfg.bob),
-            "detector": {"eta": cfg.detector.eta, "dark_rate": cfg.detector.dark_rate,
-                         "window": cfg.detector.window},
+            "alice": {"side": "alice", **cfg.alice.values()},
+            "bob": {"side": "bob", **cfg.bob.values()},
+            "detector": {name: getattr(cfg.detector, name) for name in _DETECTOR_FIELDS},
             "dt": cfg.dt,
             "emission_floor": cfg.emission_floor,
         },
-        "results": {
-            "clone_fidelity_1": report.clone_fidelity_1,
-            "clone_fidelity_2": report.clone_fidelity_2,
-            "telenot_fidelity": report.telenot_fidelity,
-            "p_symmetric": report.p_symmetric,
-            "p_operational": report.p_operational,
-            "p_detected": report.p_detected,
-            "overlap_visibility": report.overlap_visibility,
-            "emission_prob_alice": report.emission_prob_alice,
-            "emission_prob_bob": report.emission_prob_bob,
-            "false_herald_fraction": report.false_herald_fraction,
-        },
+        "results": {name: getattr(report, name) for name in RESULT_FIELDS},
         "count_distribution": {
             ",".join(map(str, pat)): p
             for pat, p in sorted(report.count_distribution.items())
@@ -594,33 +593,17 @@ def report_json(report: CloneReport) -> str:
 def summary_csv(report: CloneReport) -> str:
     """Flat one-row scalar summary with a pinned header."""
     cfg = report.config
-    values = {
-        "mode": cfg.mode.value,
-        "a_re": _fmt(cfg.input.a.real), "a_im": _fmt(cfg.input.a.imag),
-        "b_re": _fmt(cfg.input.b.real), "b_im": _fmt(cfg.input.b.imag),
-        "clone_fidelity_1": _fmt(report.clone_fidelity_1),
-        "clone_fidelity_2": _fmt(report.clone_fidelity_2),
-        "telenot_fidelity": _fmt(report.telenot_fidelity),
-        "p_symmetric": _fmt(report.p_symmetric),
-        "p_operational": _fmt(report.p_operational),
-        "p_detected": _fmt(report.p_detected),
-        "overlap_visibility": _fmt(report.overlap_visibility),
-        "emission_prob_alice": _fmt(report.emission_prob_alice),
-        "emission_prob_bob": _fmt(report.emission_prob_bob),
-        "false_herald_fraction": _fmt(report.false_herald_fraction),
-        "eta": _fmt(cfg.detector.eta),
-        "dark_rate": _fmt(cfg.detector.dark_rate),
-        "window": _fmt(cfg.detector.window),
-        "seed": str(cfg.seed),
-    }
-    header = ",".join(SUMMARY_COLUMNS)
-    row = ",".join(values[c] for c in SUMMARY_COLUMNS)
-    return header + "\n" + row + "\n"
+    a, b = cfg.input.a, cfg.input.b
+    row = [cfg.mode.value, *map(fmt, (a.real, a.imag, b.real, b.imag)),
+           *(fmt(getattr(report, name)) for name in RESULT_FIELDS),
+           *(fmt(getattr(cfg.detector, name)) for name in _DETECTOR_FIELDS),
+           str(cfg.seed)]
+    return ",".join(SUMMARY_COLUMNS) + "\n" + ",".join(row) + "\n"
 
 
 def pulse_csv(rep: DynamicsReport) -> str:
     """Emission envelope on the integration grid: t, Re f, Im f."""
     lines = ["t,re_f,im_f"]
     for t, f in zip(rep.t_grid, rep.pulse_shape):
-        lines.append(f"{_fmt(t)},{_fmt(f.real)},{_fmt(f.imag)}")
+        lines.append(f"{fmt(t)},{fmt(f.real)},{fmt(f.imag)}")
     return "\n".join(lines) + "\n"

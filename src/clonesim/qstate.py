@@ -171,6 +171,16 @@ def _clean(amps: dict) -> dict:
     return {k: v for k, v in amps.items() if v != 0.0}
 
 
+def _coerce_entries(self) -> None:
+    """__post_init__ of the (row, col)-keyed matrices: label keys, complex values."""
+    coerced = {}
+    for (r, c), v in self.entries.items():
+        if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
+            raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
+        coerced[(r, c)] = complex(v)
+    object.__setattr__(self, "entries", coerced)
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -235,13 +245,7 @@ class DensityMatrix:
     space: Space
     entries: dict
 
-    def __post_init__(self):
-        coerced = {}
-        for (r, c), v in self.entries.items():
-            if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
-                raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
-            coerced[(r, c)] = complex(v)
-        object.__setattr__(self, "entries", coerced)
+    __post_init__ = _coerce_entries
 
     @classmethod
     def from_pure(cls, s: StateVector) -> "DensityMatrix":
@@ -258,12 +262,6 @@ class DensityMatrix:
     def entry(self, r: BasisLabel, c: BasisLabel) -> complex:
         return self.entries.get((r, c), 0.0 + 0.0j)
 
-    def hermiticity_defect(self) -> float:
-        worst = 0.0
-        for (r, c), v in self.entries.items():
-            worst = max(worst, abs(v - self.entries.get((c, r), 0.0).conjugate()))
-        return worst
-
     def __add__(self, other: "DensityMatrix") -> "DensityMatrix":
         if self.space != other.space:
             raise SpaceMismatchError("cannot add density matrices on different spaces")
@@ -277,13 +275,6 @@ class DensityMatrix:
         return DensityMatrix(self.space, _clean({k: c * v for k, v in self.entries.items()}))
 
     __rmul__ = __mul__
-
-    def to_dense(self) -> np.ndarray:
-        idx = {label: i for i, label in enumerate(self.space.labels())}
-        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for (r, c), v in self.entries.items():
-            out[idx[r], idx[c]] = v
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +294,7 @@ class LinearOperator:
     space: Space
     entries: dict
 
-    def __post_init__(self):
-        coerced = {}
-        for (r, c), v in self.entries.items():
-            if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
-                raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
-            coerced[(r, c)] = complex(v)
-        object.__setattr__(self, "entries", coerced)
-
-    def columns(self) -> dict:
-        """Group entries by column: {col factors: [(row factors, value), ...]}."""
-        cols: dict = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c.factors, []).append((r.factors, v))
-        return cols
+    __post_init__ = _coerce_entries
 
     @classmethod
     def from_dense(cls, space: Space, mat: np.ndarray, tol: float = 0.0) -> "LinearOperator":
@@ -354,18 +332,10 @@ def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.space != b.space:
         raise SpaceMismatchError("inner product between states on different spaces")
-    small, big = (a, b) if len(a.amps) <= len(b.amps) else (b, a)
     total = 0.0 + 0.0j
-    if small is a:
-        for label, va in a.amps.items():
-            vb = b.amps.get(label)
-            if vb is not None:
-                total += va.conjugate() * vb
-    else:
-        for label, vb in b.amps.items():
-            va = a.amps.get(label)
-            if va is not None:
-                total += va.conjugate() * vb
+    for label in (a.amps if len(a.amps) <= len(b.amps) else b.amps):
+        if label in a.amps and label in b.amps:
+            total += a.amps[label].conjugate() * b.amps[label]
     return total
 
 
@@ -377,7 +347,9 @@ def apply(op: LinearOperator, s: StateVector) -> StateVector:
             raise SpaceMismatchError(f"operator subsystem {sid!r} absent from state space")
         if s.space.alphabet(sid) != alpha:
             raise SpaceMismatchError(f"alphabet mismatch on subsystem {sid!r}")
-    cols = op.columns()
+    cols: dict = {}   # column factors -> [(row factors, value), ...]
+    for (r, c), v in op.entries.items():
+        cols.setdefault(c.factors, []).append((r.factors, v))
     out: dict = {}
     for label, amp in s.amps.items():
         col = label.project(op_ids)
@@ -536,12 +508,9 @@ def operator_to_dense(op: LinearOperator, space: Space) -> np.ndarray:
     """
     if space.dim > 4096:
         raise ValueError(f"refusing dense conversion of dim-{space.dim} space")
-    op_ids = op.space.ids
-    cols = op.columns()
     index = {label: i for i, label in enumerate(space.labels())}
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for label, j in index.items():
-        col = label.project(op_ids)
-        for row, val in cols.get(col, ()):
-            mat[index[label.replaced(dict(row))], j] += val
+        for row, val in apply(op, StateVector(space, {label: 1.0})).amps.items():
+            mat[index[row], j] = val
     return mat

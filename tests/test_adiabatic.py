@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from clonesim.adiabatic import (
+    MAX_STEPS,
     DynamicsReport,
     MixingAngle,
     PulseSchedule,
     Side,
     SystemParams,
     alice_initial,
-    alice_space,
     bob_initial,
     coupling_modulation,
     dark_states,
@@ -29,8 +29,10 @@ from clonesim.adiabatic import (
     pulse_overlap,
     pulse_overlap_complex,
     pulse_shape_analytic,
+    step_count,
 )
-from clonesim.qstate import apply, basis_state, inner, normalize
+from clonesim.config import ConfigError, settings_from_values
+from clonesim.qstate import apply, inner
 
 FAST = PulseSchedule(omega_max=2.0, t_total=25.0)
 
@@ -78,13 +80,13 @@ def test_unknown_pulse_shape_rejected():
 def test_mixing_angle_conventions():
     g = 1.3
     om = 2.0
-    src = MixingAngle.for_source(g, om)
-    rem = MixingAngle.for_remote(g, om)
+    src = MixingAngle.for_side(Side.ALICE, g, om)
+    rem = MixingAngle.for_side(Side.BOB, g, om)
     assert src.cos == pytest.approx(g / math.hypot(g, om))
     assert rem.cos == pytest.approx(math.sqrt(2) * g / math.sqrt(2 * g * g + om * om))
     assert src.cos ** 2 + src.sin ** 2 == pytest.approx(1.0)
     # driving the remote node sqrt(2) harder matches the source angle
-    matched = MixingAngle.for_remote(g, om * math.sqrt(2))
+    matched = MixingAngle.for_side(Side.BOB, g, om * math.sqrt(2))
     assert matched.cos == pytest.approx(src.cos, abs=1e-15)
 
 
@@ -113,7 +115,7 @@ def test_source_dark_states_are_null(delta, t):
 @pytest.mark.parametrize("delta", [0.0, 1.5])
 def test_remote_dark_state_is_null(delta):
     p = SystemParams(side=Side.BOB, gamma=0.0, delta=delta)
-    d = dark_states(p, FAST, 10.0)
+    (d,) = dark_states(p, FAST, 10.0)
     assert apply(hamiltonian(p, FAST, 10.0), d).norm_sq() < 1e-24
 
 
@@ -126,10 +128,27 @@ def test_dark_state_at_zero_drive_is_bare_atom():
 # --- evolution guards ---------------------------------------------------------
 
 
-def test_evolve_rejects_coarse_step():
+def test_evolve_clamps_coarse_requested_step():
+    # the requested dt only caps the step; the grid never has fewer than 1000
     p = SystemParams(side=Side.ALICE)
-    with pytest.raises(ValueError):
-        evolve(alice_initial(1.0, 0.0), p, FAST, dt=FAST.t_total / 999)
+    coarse = FAST.t_total / 999
+    with pytest.warns(RuntimeWarning, match="adiabaticity"):    # FAST is brisk
+        rep = evolve(alice_initial(1.0, 0.0), p, FAST, dt=coarse)
+    assert len(rep.t_grid) - 1 == step_count(p, FAST, coarse) >= 1000
+    assert rep.t_grid[1] <= FAST.t_total / 1000
+    assert rep.closure_error < 1e-8
+
+
+def test_step_budget_is_a_config_error():
+    # counted, never run: alice.delta = 1e6 would ask for ~1e10 steps
+    p = SystemParams(side=Side.ALICE, delta=1e6)
+    assert step_count(p, PulseSchedule(), 0.05) > MAX_STEPS
+    assert step_count(SystemParams(side=Side.ALICE, kappa=1e308), PulseSchedule(), 0.05) == math.inf
+    values = {"seed": "1", "input.a": "1", "input.b": "0", "alice.delta": "1e6"}
+    with pytest.raises(ConfigError, match="budget"):
+        settings_from_values(values, mode="dynamic")
+    assert step_count(SystemParams(side=Side.BOB), PulseSchedule(omega_max=20 * math.sqrt(2)),
+                      0.05) < MAX_STEPS    # the default passage fits
 
 
 def test_evolve_rejects_unnormalized_initial():

@@ -159,6 +159,20 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):
     assert doc["passed"] is False
 
 
+def test_verify_budget_overrun_fails_without_touching_physics(tmp_path, monkeypatch):
+    def suite(duration):
+        crit = acceptance.CriterionResult("slow-check", True, duration, {"k": "1"}, 1.0)
+        return acceptance.SuiteResult(seed=0, criteria=(crit,), passed=True)
+
+    # an overrun leaves the serialized physics content byte-identical
+    assert acceptance.suite_bytes(suite(5.0)) == acceptance.suite_bytes(suite(0.5))
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: suite(5.0))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == cli.EXIT_VERIFY
+    doc = json.loads((tmp_path / "verify_report.json").read_text())
+    assert doc["passed"] is True and doc["within_budget"] is False
+    assert doc["criteria"][0]["details"] == {"k": "1"}
+
+
 def test_manifest_lists_outputs_and_version(tmp_path):
     cli.main(["ideal", "--a", "1", "--b", "0", "--out", str(tmp_path)])
     manifest = json.loads((tmp_path / "manifest.json").read_text())

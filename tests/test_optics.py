@@ -1,6 +1,7 @@
 """Linear optics: waveplates, splitter algebra, symmetric post-selection."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from clonesim.optics import (
     POLS,
     beamsplitter,
     detection_bookkeeping,
-    dualrail_to_polqubits,
     hwp0,
     mode_id,
     one_photon,
@@ -194,12 +194,18 @@ def test_arm_split_is_symmetric():
 
 
 def test_dualrail_collapse_roundtrip():
-    s = tensor(one_photon(PATH_A, {"H": 0.6, "V": 0.8}),
-               one_photon(PATH_B, {"V": 1.0}))
-    q = dualrail_to_polqubits(s, {PATH_A: "ph1", PATH_B: "ph2"})
-    assert set(q.space.ids) == {"ph1", "ph2"}
-    lab = q.space.label({"ph1": "V", "ph2": "V"})
-    assert q.amp(lab) == pytest.approx(0.8)
+    # a symmetric pair passes the herald unchanged, collapsed from dual-rail
+    # modes onto the polarization qubits ph3, ph4
+    amps = {"H": 0.6, "V": 0.8}
+    s = tensor(one_photon(PATH_A, amps), one_photon(PATH_B, amps))
+    rho = detection_bookkeeping(s).rho_conditional
+    assert set(rho.space.ids) == {"ph3", "ph4"}
+    pairs = list(product(POLS, POLS))
+    for (p3, p4), (q3, q4) in product(pairs, pairs):
+        r = rho.space.label({"ph3": p3, "ph4": p4})
+        c = rho.space.label({"ph3": q3, "ph4": q4})
+        expect = amps[p3] * amps[p4] * amps[q3] * amps[q4]
+        assert rho.entry(r, c) == pytest.approx(expect, abs=1e-12)
 
 
 def test_one_photon_rejects_unknown_polarization():
