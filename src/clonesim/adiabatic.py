@@ -42,7 +42,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .qstate import (
     BasisLabel,
@@ -490,8 +489,9 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
 
         vecs = np.empty((hi - lo + 1, len(keep)), dtype=complex)
         vecs[0] = psi
-        for j in range(hi - lo):
-            vecs[j + 1] = step[j] @ vecs[j]
+        rows = list(vecs)                                  # views: dot writes in place
+        for j, m in enumerate(step):
+            np.dot(m, rows[j], out=rows[j + 1])
         psi = vecs[-1]
 
         starts = vecs[:-1]
@@ -563,6 +563,8 @@ def pulse_shape_analytic(p: SystemParams, omega: PulseSchedule,
         raise ValueError("grid must be a 1-D array with at least 3 points")
     if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must increase strictly from 0")
+    from scipy.integrate import cumulative_simpson  # here: scipy costs ~0.7 s to import
+
     om = omega.value(grid)
     sin_th = om / np.sqrt(_dark_norm_sq(p, p.g_at(grid), om))
     s2 = sin_th ** 2
@@ -604,6 +606,8 @@ def pulse_overlap(t1: np.ndarray, f1: np.ndarray,
 def emission_identity_check(p: SystemParams, omega: PulseSchedule,
                             grid: np.ndarray) -> tuple[float, float]:
     """(int |f|^2 dt, 1 - exp(-kappa int sin^2 theta dt)) for the analytic pulse."""
+    from scipy.integrate import simpson  # here: scipy costs ~0.7 s to import
+
     grid = np.asarray(grid, dtype=float)
     f = pulse_shape_analytic(p, omega, grid)
     om = omega.value(grid)

@@ -81,8 +81,12 @@ class InputQubit:
 
     @classmethod
     def normalized(cls, a: complex, b: complex) -> "InputQubit":
-        """Build from unnormalized amplitudes; rejects the zero vector."""
-        n = math.sqrt(abs(complex(a)) ** 2 + abs(complex(b)) ** 2)
+        """Build from unnormalized amplitudes; rejects the zero vector and
+        amplitudes whose squares overflow (above ~1.3e154)."""
+        try:
+            n = math.sqrt(abs(complex(a)) ** 2 + abs(complex(b)) ** 2)
+        except OverflowError:
+            raise ValueError("input amplitudes too large to normalize") from None
         if n < 1e-12:
             raise ValueError("cannot normalize zero amplitudes")
         return cls(complex(a) / n, complex(b) / n)

@@ -159,8 +159,6 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except OverflowError:
-        raise ConfigError("input amplitudes too large to normalize") from None
 
     raw_norm_sq = abs(parsed["input.a"]) ** 2 + abs(parsed["input.b"]) ** 2
     return RunSettings(

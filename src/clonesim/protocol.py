@@ -96,6 +96,10 @@ MATCHED_DRIVE_RATIO = math.sqrt(2.0)
 
 EMISSION_DIAG_THRESHOLD = 0.99
 
+# diagnostic of a run whose heralded branch has probability 0
+ZERO_HERALD_NOTE = ("zero_herald: p_operational = 0; clone and tele-NOT "
+                    "fidelities undefined")
+
 
 class Mode(str, Enum):
     ANALYTIC = "analytic"
@@ -199,7 +203,9 @@ class CloneReport:
     branch (photons out3, out4 in dual-rail encoding plus the remote atom);
     ``rho_post`` is the actual heralded density matrix (polarization qubits
     ph3, ph4 plus the atom) including partial-visibility and, after
-    ``detector_model`` with dark counts, false-herald dilution.
+    ``detector_model`` with dark counts, false-herald dilution.  When the
+    heralded branch has probability 0 (``p_operational == 0``), the three
+    fidelities are nan and ``diagnostics`` carries ``ZERO_HERALD_NOTE``.
     """
 
     config: ProtocolConfig
@@ -289,8 +295,14 @@ def _finish(cfg: ProtocolConfig, joint: StateVector, overlap_c: complex,
     if detection.rho_conditional is None:
         raise RuntimeError("no coincidence support in the assembled state")
 
-    f1, f2, ft = _score(detection.rho_conditional, cfg.input)
     p_op = emit_a * emit_b * detection.p_coincidence
+    if p_op == 0.0:
+        # nothing heralds: the scored state would come from an arbitrary
+        # channel vector, so the fidelities are undefined
+        f1 = f2 = ft = math.nan
+        notes = notes + (ZERO_HERALD_NOTE,)
+    else:
+        f1, f2, ft = _score(detection.rho_conditional, cfg.input)
 
     report = CloneReport(
         config=cfg,
@@ -534,6 +546,11 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _null_if_nan(x):
+    """An undefined (nan) result serializes as JSON null."""
+    return None if math.isnan(x) else x
+
+
 def report_to_dict(report: CloneReport) -> dict:
     """Plain nested dict of one report; deterministic, no timestamps."""
     cfg = report.config
@@ -548,7 +565,7 @@ def report_to_dict(report: CloneReport) -> dict:
             "dt": cfg.dt,
             "emission_floor": cfg.emission_floor,
         },
-        "results": {name: getattr(report, name) for name in RESULT_FIELDS},
+        "results": {name: _null_if_nan(getattr(report, name)) for name in RESULT_FIELDS},
         "count_distribution": {
             ",".join(map(str, pat)): p
             for pat, p in sorted(report.count_distribution.items())
@@ -602,8 +619,11 @@ def summary_csv(report: CloneReport) -> str:
 
 
 def pulse_csv(rep: DynamicsReport) -> str:
-    """Emission envelope on the integration grid: t, Re f, Im f."""
-    lines = ["t,re_f,im_f"]
-    for t, f in zip(rep.t_grid, rep.pulse_shape):
-        lines.append(f"{fmt(t)},{fmt(f.real)},{fmt(f.imag)}")
-    return "\n".join(lines) + "\n"
+    """Emission envelope on the integration grid: t, Re f, Im f.
+
+    Each row is formatted once, with the same 12 significant digits as
+    :func:`fmt`.
+    """
+    f = rep.pulse_shape
+    rows = zip(rep.t_grid.tolist(), f.real.tolist(), f.imag.tolist())
+    return "t,re_f,im_f\n" + "".join(["%.12g,%.12g,%.12g\n" % row for row in rows])

@@ -1,10 +1,17 @@
 """Command-line front end: exit codes, artifacts, seed plumbing."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clonesim
 from clonesim import acceptance, cli
+from clonesim.protocol import ZERO_HERALD_NOTE
 
 FAST_CFG = """\
 seed = 9
@@ -90,6 +97,54 @@ def test_dynamics_adiabaticity_threshold_fails_run(tmp_path, capsys):
         code = cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DIAGNOSTIC
     assert "adiabaticity" in capsys.readouterr().err
+
+
+ZERO_HERALD_CFG = """\
+seed = 1
+input.a = 0.6
+input.b = 0.8
+alice.kappa = 0
+alice.t_total = 40
+bob.t_total = 40
+dt = 0.01
+"""
+
+
+def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, capsys):
+    # alice has no cavity decay, emits nothing, and nothing heralds
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_HERALD_CFG)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    undefined = ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity")
+
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["p_operational"] == 0.0
+    assert ZERO_HERALD_NOTE in report["diagnostics"]
+    for name, value in report["results"].items():
+        if name in undefined:
+            assert value is None
+        else:
+            assert math.isfinite(value)
+
+    header, row = (out / "summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert [summary[name] for name in undefined] == ["nan"] * 3
+    for name in undefined:
+        assert f"{name} = nan" in captured.out
+    assert f"diagnostic: {ZERO_HERALD_NOTE}" in captured.err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the two helpers that use it, never by the CLI
+    env = dict(os.environ, PYTHONPATH=str(Path(clonesim.__file__).resolve().parents[1]))
+    code = ("import clonesim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dynamics_missing_config_file(tmp_path, capsys):

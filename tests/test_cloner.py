@@ -93,6 +93,12 @@ def test_input_validation():
     assert abs(q.a) == pytest.approx(0.6)
 
 
+def test_normalizing_huge_amplitudes_is_a_value_error():
+    # squaring 1e308 overflows; that is a bad input, not an arithmetic crash
+    with pytest.raises(ValueError, match="too large"):
+        InputQubit.normalized(1e308, 0.0)
+
+
 def test_haar_sampling_is_seeded_and_normalized():
     shared = np.random.default_rng(5)
     qs1 = [haar_qubit(shared) for _ in range(3)]

@@ -87,6 +87,11 @@ def test_zero_input_rejected():
         parse_config_text("seed=0\ninput.a = 0\ninput.b = 0\n", Mode.ANALYTIC)
 
 
+def test_huge_input_amplitude_is_config_error():
+    with pytest.raises(ConfigError, match="too large"):
+        parse_config_text("seed=0\ninput.a = 1e308\ninput.b = 0\n", Mode.ANALYTIC)
+
+
 def test_out_of_range_value_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL + "detector.eta = 1.5\n", Mode.ANALYTIC)

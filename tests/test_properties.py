@@ -1,8 +1,10 @@
 """Property tests: invariants over generated inputs rather than fixed examples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clonesim.adiabatic import (
@@ -13,8 +15,10 @@ from clonesim.adiabatic import (
     hamiltonian,
     node_space,
 )
+from clonesim.cloner import InputQubit
 from clonesim.config import KEY_TABLE, ConfigError, settings_from_values, values_from_text
 from clonesim.optics import PATH_A, PATH_B, POLS, beamsplitter, detection_bookkeeping, one_photon
+from clonesim.protocol import ProtocolConfig, detector_model, run_analytic
 from clonesim.qstate import (
     DensityMatrix,
     Space,
@@ -123,3 +127,35 @@ _value = st.one_of(
 def test_config_values_fail_only_with_config_error(values, mode):
     # settings are built and checked, never run
     _settle({"seed": "1", "input.a": "0.6", "input.b": "0.8", **values}, mode)
+
+
+@given(amplitude, amplitude)
+def test_analytic_route_gives_the_optimal_constants(a, b):
+    assume(abs(a) ** 2 + abs(b) ** 2 > 1e-6)
+    rep = run_analytic(ProtocolConfig(input=InputQubit.normalized(a, b)))
+    assert rep.clone_fidelity_1 == pytest.approx(5.0 / 6.0, abs=1e-9)
+    assert rep.clone_fidelity_2 == pytest.approx(5.0 / 6.0, abs=1e-9)
+    assert rep.telenot_fidelity == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+_ANALYTIC = run_analytic(ProtocolConfig(input=InputQubit(0.6, 0.8)))
+_unit = st.floats(0.0, 1.0)
+
+
+@given(_unit, _unit, _unit, _unit, st.floats(0.0, 0.02))
+def test_detector_model_is_a_monotone_probability(pa, pb, eta1, eta2, dark_rate):
+    # any emission probabilities, p_operational built as the protocol does
+    # (coincidence 3/8); dark_rate * window stays below the 0.2 warning
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     p_operational=pa * pb * 0.375)
+    lo, hi = sorted((eta1, eta2))
+    p_lo = detector_model(report, lo, dark_rate, 10.0, seed=0).p_detected
+    p_hi = detector_model(report, hi, dark_rate, 10.0, seed=0).p_detected
+    assert 0.0 <= p_lo <= 1.0 and 0.0 <= p_hi <= 1.0
+    # the herald sum p1 p2 + p3 p4 - p1 p2 p3 p4 is rounded: allow a few ulps
+    assert p_lo <= p_hi + 1e-15
+    for eta in (lo, hi):
+        # the law holds bit for bit in this association; p_op * eta ** 2 can
+        # differ in the last bit
+        clean = detector_model(report, eta, 0.0, 10.0, seed=0)
+        assert clean.p_detected == report.p_operational * eta * eta

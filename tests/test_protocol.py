@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from clonesim.protocol import (
     ProtocolConfig,
     SUMMARY_COLUMNS,
     detector_model,
+    fmt,
     pulse_csv,
     report_json,
     report_to_dict,
@@ -210,6 +212,25 @@ def test_report_dict_covers_counts_and_state():
     doc = report_to_dict(_report(0.6, 0.8))
     assert "1,1,0,0" in doc["count_distribution"]
     assert doc["config"]["mode"] == "analytic"
+
+
+def _pulse_csv_per_cell(rep) -> str:
+    """pulse_csv as it was first written: one fmt call per cell."""
+    lines = ["t,re_f,im_f"]
+    for t, f in zip(rep.t_grid, rep.pulse_shape):
+        lines.append(f"{fmt(t)},{fmt(f.real)},{fmt(f.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_pulse_csv_matches_per_cell_reference(dynamic_report):
+    rep = dynamic_report.dynamics_diags[0]
+    assert pulse_csv(rep) == _pulse_csv_per_cell(rep)
+    edge = np.array([0.0, -0.0, 1e-300, 1e300, np.nan, -np.inf, 1.0 / 3.0, 5e-324])
+    shape = np.empty(len(edge), dtype=complex)
+    shape.real, shape.imag = edge[::-1], edge
+    odd = replace(rep, t_grid=edge, pulse_shape=shape)
+    assert pulse_csv(odd) == _pulse_csv_per_cell(odd)
+    assert "-0," in pulse_csv(odd) and "nan" in pulse_csv(odd)
 
 
 def test_pulse_csv_shape(dynamic_report):
