@@ -25,9 +25,11 @@ releases the photon with the analytic envelope
 
     f(t) = sqrt(kappa) sin(theta(t)) exp(-(kappa/2) int_0^t sin^2(theta)) .
 
-Time evolution is a fixed-step RK4 integration of the non-Hermitian
-Schrodinger equation i d|psi>/dt = H_eff |psi| with
-H_eff = H(t) - i(kappa/2)(n_L + n_R).  Probability bookkeeping (cavity
+Time evolution is an error-controlled uniform-step RK4 integration of the
+non-Hermitian Schrodinger equation i d|psi>/dt = H_eff |psi| with
+H_eff = H(t) - i(kappa/2)(n_L + n_R).  A step-doubling (Richardson) estimate
+of the local error bounds the error of every grid state; the grid is refined
+until that bound is below ``STEP_TOL``.  Probability bookkeeping (cavity
 emission flux and spontaneous-emission flux) is integrated as extra RK4
 components so that  emission + spontaneous loss + final norm^2  closes to the
 initial norm at integrator order.
@@ -59,6 +61,7 @@ __all__ = [
     "MixingAngle",
     "PULSE_SHAPES",
     "MAX_STEPS",
+    "STEP_TOL",
     "node_space",
     "alice_initial",
     "bob_initial",
@@ -80,8 +83,12 @@ OCC = ("0", "1")
 
 PULSE_SHAPES = ("sin2", "tanh", "linear")
 
-# integrator: steps per unit of the fastest rate in the problem
-_RATE_RESOLUTION = 50.0
+# integrator: first-guess steps per unit of the fastest rate in the problem
+_RATE_RESOLUTION = 10.0
+# the summed step-doubling error estimate an accepted grid stays under
+STEP_TOL = 1e-7
+# refinement aims this far below STEP_TOL so one rerun usually suffices
+_STEP_SAFETY = 0.9
 EXCITED_POP_WARN = 1e-2
 NORM_INCREASE_TOL = 1e-10
 
@@ -352,6 +359,7 @@ class DynamicsReport:
     spont_loss: float             # integral of the spontaneous-emission flux
     excited_pop_max: float
     closure_error: float          # |emission + loss + final norm^2 - initial norm^2|
+    error_bound: float            # summed step-doubling estimate, <= STEP_TOL
     t_grid: np.ndarray
     pulse_shape: np.ndarray       # complex envelope f(t), common to both channels
     channel_pulses: dict          # 'L'/'R' -> sqrt(kappa) * cavity amplitude samples
@@ -371,34 +379,75 @@ def _reachable(h_pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
 
 
 def step_count(p: SystemParams, omega: PulseSchedule, dt: float) -> float:
-    """RK4 steps ``evolve`` takes over [0, t_total].
+    """First guess of the RK4 steps ``evolve`` takes over [0, t_total].
 
     The requested step is clamped to resolve the fastest rate,
-    h = min(dt, 1 / (50 max(g, omega_max, kappa, |Delta|))), and at least
-    1000 steps are taken, so the step used never exceeds t_total/1000.  A
-    float, so that rates too large to count read as inf.
+    h = min(dt, 1 / (10 fastest)) with fastest = max(g (1 + epsilon),
+    omega_max, kappa, |Delta|), plus the modulation rate |nu| when epsilon is
+    non-zero, and at least 1000 steps are taken, so the step used never
+    exceeds t_total/1000.  ``evolve`` refines this grid when its error
+    estimate is above ``STEP_TOL``.  A float, so that rates too large to
+    count read as inf.
     """
     fastest = max(p.g * (1.0 + p.epsilon), omega.omega_max, p.kappa, abs(p.delta))
+    if p.epsilon != 0.0:
+        fastest += abs(p.nu)
     h_req = min(dt, 1.0 / (_RATE_RESOLUTION * fastest))
     n = omega.t_total / h_req if h_req > 0 else math.inf
     return float(max(1000, math.ceil(n))) if math.isfinite(n) else math.inf
 
 
+def _rk4(a0: np.ndarray, ah: np.ndarray, a1: np.ndarray, h: float):
+    """RK4 propagators of steps of size h, batched over the leading axis.
+
+    ``a0``, ``ah``, ``a1`` hold -i H_eff at the start, middle and end of each
+    step.  The stages are linear in psi: stage s starts from y_s @ psi.
+    Returns (step matrices, (y2, y3, y4)).
+    """
+    eye = np.eye(a0.shape[-1])
+    y2 = eye + (0.5 * h) * a0
+    b2 = ah @ y2
+    y3 = eye + (0.5 * h) * b2
+    b3 = ah @ y3
+    y4 = eye + h * b3
+    step = eye + (h / 6.0) * (a0 + 2.0 * b2 + 2.0 * b3 + a1 @ y4)
+    return step, (y2, y3, y4)
+
+
+def _chunks(n_steps: int) -> list[tuple[int, int]]:
+    """[lo, hi) step ranges of ``_CHUNK`` steps over n_steps >= 2 steps; a
+    lone last step joins the range before it, so every step has a neighbour
+    in its own range."""
+    bounds = list(range(0, n_steps, _CHUNK)) + [n_steps]
+    if bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
            dt: float) -> DynamicsReport:
-    """Fixed-step RK4 integration of one node over [0, t_total].
+    """Error-controlled uniform-step RK4 integration of one node over [0, t_total].
 
-    The grid has ``step_count(p, omega, dt)`` equal steps landing exactly on
-    t_total.  H_eff is linear in psi, so each RK4 step is a matrix: the
-    propagators of ``_CHUNK`` steps are built together with batched products
-    and then applied in turn, one matrix-vector product per step.  The flux
-    quadratures use the same RK4 stage states.  Cavity emission is recorded
-    as the amplitude density sqrt(kappa) x (one-photon amplitude) per
-    polarization channel at every grid point.
+    The first grid has ``step_count(p, omega, dt)`` equal steps landing
+    exactly on t_total.  H_eff is linear in psi, so each RK4 step is a
+    matrix: the propagators of ``_CHUNK`` steps are built together with
+    batched products and then applied in turn, one matrix-vector product per
+    step.  The flux quadratures use the same RK4 stage states.  Cavity
+    emission is recorded as the amplitude density sqrt(kappa) x (one-photon
+    amplitude) per polarization channel at every grid point.
+
+    Error control: over each pair of steps the two h-step result is compared
+    with one RK4 step of size 2h built from the same grid generators; the
+    local error of the pair is estimated as |psi_(2k+2) - M_2h psi_(2k)| / 15
+    (an odd last step is paired with the one before it).  H_eff only removes
+    norm, so the propagators are contractions and the summed estimate,
+    ``DynamicsReport.error_bound``, bounds the error of every grid state.
+    While it is above ``STEP_TOL`` the grid is refined to
+    n / (0.9 (STEP_TOL / bound)^(1/4)) steps and the passage is run again.
 
     Raises on more steps than MAX_STEPS and on integrator norm growth; warns
-    when the excited-state population exceeds the adiabaticity monitor
-    threshold.
+    once, for the accepted grid, when the excited-state population exceeds
+    the adiabaticity monitor threshold.
     """
     space = node_space(p.side)
     if initial.space != space:
@@ -407,11 +456,6 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         raise ValueError("initial state must be normalized")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = step_count(p, omega, dt)
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"{n_steps:.6g} RK4 steps exceed the budget of {MAX_STEPS}")
-    n_steps = int(n_steps)
-    h = omega.t_total / n_steps
 
     index, h_diag, h_drive, h_cav, exc_vec, n_vec = _matrices(p)
 
@@ -420,7 +464,6 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     np.fill_diagonal(pattern, True)
     keep = _reachable(pattern, np.abs(psi0) > 0)
 
-    psi = psi0[keep]
     h_base = (h_diag - 0.5j * p.kappa * np.diag(n_vec))[np.ix_(keep, keep)]
     h_drv = h_drive[np.ix_(keep, keep)]
     h_cv = h_cav[np.ix_(keep, keep)]
@@ -432,34 +475,12 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     if not modulated:
         h_base = h_base + p.g * h_cv
 
-    t_grid = np.linspace(0.0, omega.t_total, n_steps + 1)
-    om_grid = omega.value(t_grid)
-    om_half = omega.value(t_grid[:-1] + 0.5 * h)
-    if modulated:
-        g_grid = p.g_at(t_grid)
-        g_half = p.g_at(t_grid[:-1] + 0.5 * h)
-
     channels = emission_channels(p)
     ch_names = sorted(channels)
     keep_pos = {int(km): i for i, km in enumerate(keep)}
     ch_idx = [keep_pos.get(index[channels[name]], -1) for name in ch_names]
     sqrt_kappa = math.sqrt(p.kappa)
-
-    ch_samples = np.zeros((len(ch_names), n_steps + 1), dtype=complex)
-    exc_pop = np.zeros(n_steps + 1)
-    norm_sq = np.zeros(n_steps + 1)
     flux_w = np.stack([w_emit, w_spont], axis=1)          # (dim, 2)
-    eye = np.eye(len(keep))
-
-    def record(lo, vecs):
-        """Monitors and channel samples for grid points lo .. lo + len(vecs) - 1."""
-        p2 = vecs.real ** 2 + vecs.imag ** 2
-        hi = lo + len(vecs)
-        norm_sq[lo:hi] = p2.sum(axis=1)
-        exc_pop[lo:hi] = p2 @ exc
-        for c, j in enumerate(ch_idx):
-            if j >= 0:
-                ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
 
     def generator(om, g_t):
         """-i H_eff at each of the given times, shape (len(om), dim, dim)."""
@@ -468,45 +489,81 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
             hh = hh + g_t[:, None, None] * h_cv
         return -1j * hh
 
-    e_flux = np.zeros(2)                                   # emission, spontaneous
-    record(0, psi[None, :])
-    n2_init = norm_sq[0]
-    for lo in range(0, n_steps, _CHUNK):
-        hi = min(lo + _CHUNK, n_steps)
-        g0 = gh = g1 = None
+    def integrate(n_steps: int):
+        """One pass over an n_steps grid; returns its records and error bound."""
+        h = omega.t_total / n_steps
+        t_grid = np.linspace(0.0, omega.t_total, n_steps + 1)
+        om_grid = omega.value(t_grid)
+        om_half = omega.value(t_grid[:-1] + 0.5 * h)
+        g_grid = g_half = None
         if modulated:
-            g0, gh, g1 = g_grid[lo:hi], g_half[lo:hi], g_grid[lo + 1:hi + 1]
-        a0 = generator(om_grid[lo:hi], g0)
-        ah = generator(om_half[lo:hi], gh)
-        a1 = generator(om_grid[lo + 1:hi + 1], g1)
-        # the RK4 stages are linear in psi: stage s starts from y_s @ psi
-        y2 = eye + (0.5 * h) * a0
-        b2 = ah @ y2
-        y3 = eye + (0.5 * h) * b2
-        b3 = ah @ y3
-        y4 = eye + h * b3
-        step = eye + (h / 6.0) * (a0 + 2.0 * b2 + 2.0 * b3 + a1 @ y4)
+            g_grid = p.g_at(t_grid)
+            g_half = p.g_at(t_grid[:-1] + 0.5 * h)
+        ch_samples = np.zeros((len(ch_names), n_steps + 1), dtype=complex)
+        exc_pop = np.zeros(n_steps + 1)
+        norm_sq = np.zeros(n_steps + 1)
 
-        vecs = np.empty((hi - lo + 1, len(keep)), dtype=complex)
-        vecs[0] = psi
-        rows = list(vecs)                                  # views: dot writes in place
-        for j, m in enumerate(step):
-            np.dot(m, rows[j], out=rows[j + 1])
-        psi = vecs[-1]
+        def record(lo, vecs):
+            """Monitors and channel samples for grid points lo .. lo + len(vecs) - 1."""
+            p2 = vecs.real ** 2 + vecs.imag ** 2
+            hi = lo + len(vecs)
+            norm_sq[lo:hi] = p2.sum(axis=1)
+            exc_pop[lo:hi] = p2 @ exc
+            for c, j in enumerate(ch_idx):
+                if j >= 0:
+                    ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
 
-        starts = vecs[:-1]
-        stages = (starts, *(np.einsum("mij,mj->mi", y, starts) for y in (y2, y3, y4)))
-        f1, f2, f3, f4 = ((v.real ** 2 + v.imag ** 2) @ flux_w for v in stages)
-        e_flux += (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4).sum(axis=0)
+        psi = psi0[keep]
+        e_flux = np.zeros(2)                               # emission, spontaneous
+        bound = 0.0
+        record(0, psi[None, :])
+        n2_init = norm_sq[0]
+        for lo, hi in _chunks(n_steps):
+            g0 = gh = g1 = None
+            if modulated:
+                g0, gh, g1 = g_grid[lo:hi], g_half[lo:hi], g_grid[lo + 1:hi + 1]
+            a0 = generator(om_grid[lo:hi], g0)
+            a1 = generator(om_grid[lo + 1:hi + 1], g1)
+            step, ys = _rk4(a0, generator(om_half[lo:hi], gh), a1, h)
 
-        record(lo + 1, vecs[1:])
-        grown = np.flatnonzero(norm_sq[lo + 1:hi + 1] > n2_init + NORM_INCREASE_TOL)
-        if grown.size:
-            i = lo + 1 + int(grown[0])
-            raise RuntimeError(
-                f"integrator fault: norm^2 grew to {norm_sq[i]:.12g} at "
-                f"t = {t_grid[i]:.6g}")
-    e_emit, e_spont = e_flux
+            vecs = np.empty((hi - lo + 1, len(keep)), dtype=complex)
+            vecs[0] = psi
+            rows = list(vecs)                              # views: dot writes in place
+            for j, m in enumerate(step):
+                np.dot(m, rows[j], out=rows[j + 1])
+            psi = vecs[-1]
+
+            starts = vecs[:-1]
+            stages = (starts, *(np.einsum("mij,mj->mi", y, starts) for y in ys))
+            f1, f2, f3, f4 = ((v.real ** 2 + v.imag ** 2) @ flux_w for v in stages)
+            e_flux += (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4).sum(axis=0)
+
+            # step doubling: one 2h step over each pair, generators from the grid
+            pairs = np.arange(0, hi - lo - 1, 2)
+            if (hi - lo) % 2:
+                pairs = np.append(pairs, hi - lo - 2)
+            double, _ = _rk4(a0[pairs], a1[pairs], a1[pairs + 1], 2.0 * h)
+            miss = vecs[pairs + 2] - np.einsum("mij,mj->mi", double, vecs[pairs])
+            bound += np.sqrt((miss.real ** 2 + miss.imag ** 2).sum(axis=1)).sum() / 15.0
+
+            record(lo + 1, vecs[1:])
+            grown = np.flatnonzero(norm_sq[lo + 1:hi + 1] > n2_init + NORM_INCREASE_TOL)
+            if grown.size:
+                i = lo + 1 + int(grown[0])
+                raise RuntimeError(
+                    f"integrator fault: norm^2 grew to {norm_sq[i]:.12g} at "
+                    f"t = {t_grid[i]:.6g}")
+        return t_grid, psi, ch_samples, exc_pop, norm_sq, e_flux, float(bound)
+
+    n_steps = step_count(p, omega, dt)
+    while True:
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"{n_steps:.6g} RK4 steps exceed the budget of {MAX_STEPS}")
+        (t_grid, psi, ch_samples, exc_pop, norm_sq, (e_emit, e_spont),
+         bound) = integrate(int(n_steps))
+        if bound <= STEP_TOL:
+            break
+        n_steps = math.ceil(n_steps / (_STEP_SAFETY * (STEP_TOL / bound) ** 0.25))
 
     excited_pop_max = float(exc_pop.max())
     if excited_pop_max > EXCITED_POP_WARN:
@@ -515,7 +572,7 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
             f"{excited_pop_max:.3e} (> {EXCITED_POP_WARN:g}); ramp is too fast",
             RuntimeWarning, stacklevel=2)
 
-    closure = abs(e_emit + e_spont + norm_sq[-1] - n2_init)
+    closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
 
     # common emission envelope: root-sum-square magnitude, phase of the
     # dominant channel (channels share their time-dependent phase; a constant
@@ -540,6 +597,7 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         spont_loss=float(e_spont),
         excited_pop_max=excited_pop_max,
         closure_error=float(closure),
+        error_bound=bound,
         t_grid=t_grid,
         pulse_shape=envelope,
         channel_pulses={name: ch_samples[c].copy() for c, name in enumerate(ch_names)},

@@ -206,11 +206,14 @@ class CloneReport:
     ``detector_model`` with dark counts, false-herald dilution.  When the
     heralded branch has probability 0 (``p_operational == 0``), the three
     fidelities are nan and ``diagnostics`` carries ``ZERO_HERALD_NOTE``.
+    When a node emitted nothing there is no photon pair at all:
+    ``post_state`` and ``rho_post`` are None, ``p_symmetric`` is nan and
+    ``count_distribution`` is empty.
     """
 
     config: ProtocolConfig
-    post_state: StateVector
-    rho_post: DensityMatrix
+    post_state: StateVector | None
+    rho_post: DensityMatrix | None
     clone_fidelity_1: float
     clone_fidelity_2: float
     telenot_fidelity: float
@@ -285,39 +288,51 @@ def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
     return f1, f2, ft
 
 
-def _finish(cfg: ProtocolConfig, joint: StateVector, overlap_c: complex,
+def _finish(cfg: ProtocolConfig, joint: StateVector | None, overlap_c: complex,
             emit_a: float, emit_b: float,
             diags: tuple[DynamicsReport, DynamicsReport] | None,
             notes: tuple[str, ...]) -> CloneReport:
-    """Common tail: project, herald, score, apply the configured detectors."""
-    sym = symmetric_project(joint)
-    detection: DetectionReport = detection_bookkeeping(joint, overlap_c)
-    if detection.rho_conditional is None:
-        raise RuntimeError("no coincidence support in the assembled state")
+    """Common tail: project, herald, score, apply the configured detectors.
 
-    p_op = emit_a * emit_b * detection.p_coincidence
+    ``joint`` is None when a node emitted no photon: nothing enters the
+    interference stage, so nothing heralds and the heralded state is
+    undefined.
+    """
+    if joint is None:
+        post, rho, p_sym, p_op, dist = None, None, math.nan, 0.0, {}
+        visibility = abs(complex(overlap_c)) ** 2
+    else:
+        sym = symmetric_project(joint)
+        detection: DetectionReport = detection_bookkeeping(joint, overlap_c)
+        if detection.rho_conditional is None:
+            raise RuntimeError("no coincidence support in the assembled state")
+        post, rho = sym.projected_state, detection.rho_conditional
+        p_sym = sym.probability / joint.norm_sq()     # joint may be sub-normalized
+        p_op = emit_a * emit_b * detection.p_coincidence
+        dist, visibility = dict(detection.count_distribution), detection.visibility
+
     if p_op == 0.0:
         # nothing heralds: the scored state would come from an arbitrary
         # channel vector, so the fidelities are undefined
         f1 = f2 = ft = math.nan
         notes = notes + (ZERO_HERALD_NOTE,)
     else:
-        f1, f2, ft = _score(detection.rho_conditional, cfg.input)
+        f1, f2, ft = _score(rho, cfg.input)
 
     report = CloneReport(
         config=cfg,
-        post_state=sym.projected_state,
-        rho_post=detection.rho_conditional,
+        post_state=post,
+        rho_post=rho,
         clone_fidelity_1=f1,
         clone_fidelity_2=f2,
         telenot_fidelity=ft,
-        p_symmetric=sym.probability / joint.norm_sq(),   # joint may be sub-normalized
+        p_symmetric=p_sym,
         p_operational=p_op,
         p_detected=p_op,
-        overlap_visibility=detection.visibility,
+        overlap_visibility=visibility,
         emission_prob_alice=emit_a,
         emission_prob_bob=emit_b,
-        count_distribution=dict(detection.count_distribution),
+        count_distribution=dist,
         dynamics_diags=diags,
         diagnostics=notes,
     )
@@ -335,13 +350,15 @@ def run_analytic(cfg: ProtocolConfig) -> CloneReport:
     return _finish(cfg, joint, 1.0, 1.0, 1.0, None, ())
 
 
-def _channel_vector(rep: DynamicsReport) -> tuple[np.ndarray, float]:
+def _channel_vector(rep: DynamicsReport) -> tuple[np.ndarray, float] | None:
     """Polarization amplitudes of the emitted photon from the channel records.
 
     The emission factorizes as (channel vector) x (scalar envelope); the
     vector is the dominant eigenvector of the channel Gram matrix, gauged so
     the dominant channel's component is real positive, matching the phase
-    convention of ``DynamicsReport.pulse_shape``.  Returns (vector, purity).
+    convention of ``DynamicsReport.pulse_shape``.  Returns (vector, purity),
+    or None when the Gram matrix is zero: a node that emitted nothing has no
+    photon to describe.
     """
     names = sorted(rep.channel_pulses)
     f = np.vstack([rep.channel_pulses[n] for n in names])
@@ -349,9 +366,11 @@ def _channel_vector(rep: DynamicsReport) -> tuple[np.ndarray, float]:
     for i in range(len(names)):
         for j in range(len(names)):
             gram[i, j] = np.trapezoid(f[i] * np.conj(f[j]), rep.t_grid)
+    if not np.trace(gram).real > 0.0:
+        return None
     evals, evecs = np.linalg.eigh(gram)
     v = evecs[:, -1]
-    purity = float(evals[-1] / evals.sum()) if evals.sum() > 0 else 0.0
+    purity = float(evals[-1] / evals.sum())
     dom = max(range(len(names)), key=lambda i: rep.channel_weights[names[i]])
     if abs(v[dom]) > 0:
         v = v * (v[dom].conjugate() / abs(v[dom]))
@@ -388,17 +407,18 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
             notes.append(f"{name} excited population peaked at "
                          f"{rep.excited_pop_max:.3e}")
 
-    alpha, pur_a = _channel_vector(rep_a)
-    beta, pur_b = _channel_vector(rep_b)
-    for name, pur in (("alice", pur_a), ("bob", pur_b)):
-        if 1.0 - pur > 1e-6:
-            notes.append(f"{name} emission not rank-one: purity {pur:.9f}")
+    alpha, beta = _channel_vector(rep_a), _channel_vector(rep_b)
+    for name, emitted in (("alice", alpha), ("bob", beta)):
+        if emitted is not None and 1.0 - emitted[1] > 1e-6:
+            notes.append(f"{name} emission not rank-one: purity {emitted[1]:.9f}")
             warnings.warn(f"{name} channel Gram matrix far from rank one "
-                          f"(purity {pur:.9f})", RuntimeWarning, stacklevel=2)
+                          f"(purity {emitted[1]:.9f})", RuntimeWarning, stacklevel=2)
 
     c = pulse_overlap_complex(rep_a.t_grid, rep_a.pulse_shape,
                               rep_b.t_grid, rep_b.pulse_shape)
-    joint = assemble_joint((alpha[0], alpha[1]), (beta[0], beta[1]))
+    joint = None
+    if alpha is not None and beta is not None:
+        joint = assemble_joint(tuple(alpha[0]), tuple(beta[0]))
     return _finish(cfg, joint, c, rep_a.emission_prob, rep_b.emission_prob,
                    (rep_a, rep_b), tuple(notes))
 
@@ -475,8 +495,9 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
                       false_herald_fraction=0.0)
     else:
         w_false = 1.0 - p_true / p_detected if p_detected > 0 else 0.0
-        mixed = _uniform_mixed(report.rho_post.space)
-        rho = report.rho_post * (1.0 - w_false) + mixed * w_false
+        rho = report.rho_post
+        if rho is not None:
+            rho = rho * (1.0 - w_false) + _uniform_mixed(rho.space) * w_false
         new = replace(
             report,
             p_detected=p_detected,
@@ -570,12 +591,12 @@ def report_to_dict(report: CloneReport) -> dict:
             ",".join(map(str, pat)): p
             for pat, p in sorted(report.count_distribution.items())
         },
-        "post_state": {
+        "post_state": None if report.post_state is None else {
             str(lab): _complex_pair(amp)
             for lab, amp in sorted(report.post_state.amps.items(),
                                    key=lambda kv: kv[0].factors)
         },
-        "rho_post": {
+        "rho_post": None if report.rho_post is None else {
             f"{r} {c}": _complex_pair(v)
             for (r, c), v in sorted(report.rho_post.entries.items(),
                                     key=lambda kv: (kv[0][0].factors, kv[0][1].factors))

@@ -6,12 +6,16 @@ acceptance suite.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from clonesim import adiabatic
 from clonesim.adiabatic import (
+    _chunks,
     MAX_STEPS,
+    STEP_TOL,
     DynamicsReport,
     MixingAngle,
     PulseSchedule,
@@ -139,6 +143,60 @@ def test_evolve_clamps_coarse_requested_step():
     assert rep.closure_error < 1e-8
 
 
+def test_step_count_resolves_coupling_modulation():
+    # the modulation rate nu counts only when the coupling is modulated
+    bench = PulseSchedule(omega_max=2.0, t_total=100.0)
+    still = step_count(SystemParams(side=Side.ALICE), bench, 0.05)
+    assert step_count(SystemParams(side=Side.ALICE, nu=10.0), bench, 0.05) == still
+    counts = [step_count(SystemParams(side=Side.ALICE, epsilon=0.3, nu=nu), bench, 0.05)
+              for nu in (0.0, 2.0, 10.0)]
+    assert counts[0] < counts[1] < counts[2]
+
+
+def test_error_bound_covers_the_channel_samples(emitted):
+    # against a 4x finer nested grid, the samples deviate by no more than the bound
+    n = len(emitted.t_grid) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # FAST is brisk
+        fine = evolve(alice_initial(0.6, 0.8), emitted.params, FAST,
+                      dt=FAST.t_total / (4 * n) * (1.0 + 1e-12))
+    assert len(fine.t_grid) - 1 == 4 * n
+    deviation = max(np.abs(emitted.channel_pulses[ch] - fine.channel_pulses[ch][::4]).max()
+                    for ch in emitted.channel_pulses)
+    assert 0.0 < deviation <= emitted.error_bound <= STEP_TOL
+
+
+def test_chunks_give_every_step_a_partner():
+    # step doubling pairs steps inside one chunk, so no chunk may hold one step
+    for n in (1000, 1024, 1025, 1281):
+        spans = _chunks(n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert min(hi - lo for lo, hi in spans) >= 2
+
+
+def test_evolve_refines_until_the_bound_holds():
+    # a closed passage at Omega = 20 needs a finer grid than its first guess
+    p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
+    track = PulseSchedule(t_total=25.0)
+    dt = track.t_total / 1000
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = evolve(alice_initial(0.6, 0.8), p, track, dt=dt)
+    assert len(rep.t_grid) - 1 > step_count(p, track, dt)
+    assert rep.error_bound <= STEP_TOL
+    assert rep.closure_error <= 1e-8
+    assert sum("adiabaticity" in str(w.message) for w in caught) == 1
+
+
+def test_refinement_past_the_step_budget_raises(monkeypatch):
+    # the tracking run above refines from 5000 to ~30k steps
+    monkeypatch.setattr(adiabatic, "MAX_STEPS", 6000)
+    p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
+    with pytest.raises(ValueError, match="budget"):
+        evolve(alice_initial(0.6, 0.8), p, PulseSchedule(t_total=25.0), dt=0.025)
+
+
 def test_step_budget_is_a_config_error():
     # counted, never run: alice.delta = 1e6 would ask for ~1e10 steps
     p = SystemParams(side=Side.ALICE, delta=1e6)
@@ -176,7 +234,6 @@ def test_fast_ramp_warns_about_excited_population():
 
 @pytest.fixture(scope="module")
 def emitted():
-    import warnings
     p = SystemParams(side=Side.ALICE)
     # the short schedule is deliberately brisk; silence the adiabaticity monitor
     with warnings.catch_warnings():
@@ -209,7 +266,6 @@ def test_remote_channels_pin_atom_state():
 
 
 def test_remote_passage_splits_evenly():
-    import warnings
     p = SystemParams(side=Side.BOB)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -111,30 +111,47 @@ dt = 0.01
 
 
 def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, capsys):
-    # alice has no cavity decay, emits nothing, and nothing heralds
+    # alice has no cavity decay, emits nothing, and nothing heralds: no photon
+    # pair exists, so nothing conditioned on one is reported as a number
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ZERO_HERALD_CFG)
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning):
         cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
-    undefined = ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity")
+    undefined = ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity", "p_symmetric")
 
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["p_operational"] == 0.0
     assert ZERO_HERALD_NOTE in report["diagnostics"]
+    assert not any("rank-one" in note for note in report["diagnostics"])
     for name, value in report["results"].items():
         if name in undefined:
             assert value is None
         else:
             assert math.isfinite(value)
+    assert report["post_state"] is None and report["rho_post"] is None
+    assert report["count_distribution"] == {}
 
     header, row = (out / "summary.csv").read_text().splitlines()
     summary = dict(zip(header.split(","), row.split(",")))
-    assert [summary[name] for name in undefined] == ["nan"] * 3
+    assert [summary[name] for name in undefined] == ["nan"] * 4
     for name in undefined:
         assert f"{name} = nan" in captured.out
     assert f"diagnostic: {ZERO_HERALD_NOTE}" in captured.err
+    assert "rank" not in captured.err
+
+    # dark counts still herald (falsely) on such a run; the state stays undefined
+    cfg.write_text(ZERO_HERALD_CFG + "detector.dark_rate = 0.001\ndetector.mc_trials = 100\n")
+    dark = tmp_path / "dark"
+    with pytest.warns(RuntimeWarning):
+        cli.main(["dynamics", "--config", str(cfg), "--out", str(dark)])
+    report = json.loads((dark / "report.json").read_text())
+    assert 0.0 < report["results"]["p_detected"] < 1.0
+    assert report["results"]["false_herald_fraction"] == 1.0
+    assert report["monte_carlo"]["trials"] == 100
+    assert report["rho_post"] is None
+    assert all(report["results"][name] is None for name in undefined)
 
 
 def test_cli_import_loads_no_scipy():
