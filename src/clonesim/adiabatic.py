@@ -25,6 +25,13 @@ releases the photon with the analytic envelope
 
     f(t) = sqrt(kappa) sin(theta(t)) exp(-(kappa/2) int_0^t sin^2(theta)) .
 
+A passage moves exactly one excitation, so H only ever acts on the node's
+one-excitation basis: the driven and excited levels with an empty cavity,
+plus each cavity coupling's ground level holding that coupling's photon (6
+states at the source node, 4 at the remote one).  The emitted photon
+factorizes into a polarization vector times one scalar envelope, and
+``evolve`` returns both.
+
 Time evolution is an error-controlled uniform-step RK4 integration of the
 non-Hermitian Schrodinger equation i d|psi>/dt = H_eff |psi| with
 H_eff = H(t) - i(kappa/2)(n_L + n_R).  A step-doubling (Richardson) estimate
@@ -50,7 +57,6 @@ from .qstate import (
     LinearOperator,
     Space,
     StateVector,
-    from_dense,
     to_dense,
 )
 
@@ -274,7 +280,7 @@ def bob_initial() -> StateVector:
 class _Matrices(NamedTuple):
     """Dense pieces of H(t) = static + Omega(t) drive + g(t) cavity."""
 
-    index: dict               # basis label -> dense index
+    index: dict               # basis label -> dense index, in canonical label order
     static: np.ndarray        # -(Delta + i gamma/2) on the excited levels
     drive: np.ndarray         # unit-Omega coupling
     cavity: np.ndarray        # unit-g coupling
@@ -283,22 +289,23 @@ class _Matrices(NamedTuple):
 
 
 def _matrices(p: SystemParams) -> _Matrices:
+    """The pieces of H(t) on the one-excitation basis, in canonical label
+    order; the other 14/12 labels of the 20/16-label node space never enter
+    a passage."""
     n = _NODES[p.side]
-    labels = list(node_space(p.side).labels())
+    levels = {lv for pair in n.drives for lv in pair} | set(n.excited)
+    members = {_label(p.side, lv) for lv in levels}
+    members |= {_label(p.side, g_lv, mode) for g_lv, _, mode in n.couplings}
+    labels = [label for label in node_space(p.side).labels() if label in members]
     index = {label: i for i, label in enumerate(labels)}
     drive = np.zeros((len(labels), len(labels)), dtype=complex)
     cavity = np.zeros_like(drive)
-    for i, label in enumerate(labels):
-        atom = label.level(n.atom)
-        for g_lv, e_lv in n.drives:
-            if atom == g_lv:
-                j = index[label.replaced({n.atom: e_lv})]
-                drive[i, j] = drive[j, i] = 1.0
-        for g_lv, e_lv, mode in n.couplings:
-            mid = f"{n.cavity}:{mode}"
-            if atom == g_lv and label.level(mid) == "1":
-                j = index[label.replaced({n.atom: e_lv, mid: "0"})]
-                cavity[i, j] = cavity[j, i] = 1.0
+    for g_lv, e_lv in n.drives:
+        i, j = index[_label(p.side, g_lv)], index[_label(p.side, e_lv)]
+        drive[i, j] = drive[j, i] = 1.0
+    for g_lv, e_lv, mode in n.couplings:
+        i, j = index[_label(p.side, g_lv, mode)], index[_label(p.side, e_lv)]
+        cavity[i, j] = cavity[j, i] = 1.0
     excited = np.array([float(label.level(n.atom) in n.excited) for label in labels])
     photons = np.array([sum(int(label.level(f"{n.cavity}:{m}")) for m in _MODES)
                         for label in labels], dtype=float)
@@ -307,10 +314,13 @@ def _matrices(p: SystemParams) -> _Matrices:
 
 
 def hamiltonian(p: SystemParams, omega: PulseSchedule, t: float) -> LinearOperator:
-    """Node Hamiltonian at time t (gamma included, cavity decay not)."""
+    """Node Hamiltonian at time t (gamma included, cavity decay not); it has
+    entries on the one-excitation basis only."""
     m = _matrices(p)
     dense = m.static + float(omega.value(t)) * m.drive + float(p.g_at(t)) * m.cavity
-    return LinearOperator.from_dense(node_space(p.side), dense)
+    return LinearOperator(node_space(p.side), {
+        (r, c): dense[i, j] for i, r in enumerate(m.index)
+        for j, c in enumerate(m.index) if dense[i, j] != 0})
 
 
 def dark_states(p: SystemParams, omega: PulseSchedule, t: float) -> tuple[StateVector, ...]:
@@ -352,7 +362,13 @@ def emission_channels(p: SystemParams) -> dict:
 
 @dataclass(frozen=True)
 class DynamicsReport:
-    """Everything one passage produces, on the integration grid."""
+    """Everything one passage produces, on the integration grid.
+
+    The emitted photon is ``polarization`` (L, R) times the envelope
+    ``pulse_shape``, up to the purity defect.  The dominant channel (the
+    larger of ``channel_weights``) sets the phase of both: its polarization
+    component is real positive and the envelope carries its phase in time.
+    """
 
     final_state: StateVector
     emission_prob: float          # integral of the cavity output flux
@@ -364,18 +380,10 @@ class DynamicsReport:
     pulse_shape: np.ndarray       # complex envelope f(t), common to both channels
     channel_pulses: dict          # 'L'/'R' -> sqrt(kappa) * cavity amplitude samples
     channel_weights: dict         # 'L'/'R' -> integrated |f_ch|^2
+    polarization: tuple | None    # (L, R) amplitudes of the photon; None: nothing emitted
+    purity: float                 # top channel Gram eigenvalue / trace; nan: nothing emitted
     params: SystemParams
     omega: PulseSchedule
-
-
-def _reachable(h_pattern: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Indices reachable from the seed support under the coupling pattern."""
-    active = seed.copy()
-    while True:
-        grown = active | (h_pattern @ active)
-        if np.array_equal(grown, active):
-            return np.flatnonzero(active)
-        active = grown
 
 
 def step_count(p: SystemParams, omega: PulseSchedule, dt: float) -> float:
@@ -428,13 +436,17 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
            dt: float) -> DynamicsReport:
     """Error-controlled uniform-step RK4 integration of one node over [0, t_total].
 
+    The state lives on the node's one-excitation basis (see the module
+    docstring); an initial state with support outside it raises ValueError.
     The first grid has ``step_count(p, omega, dt)`` equal steps landing
     exactly on t_total.  H_eff is linear in psi, so each RK4 step is a
     matrix: the propagators of ``_CHUNK`` steps are built together with
-    batched products and then applied in turn, one matrix-vector product per
+    batched products from the generator -i (H_base + Omega(t) H_drive +
+    g(t) H_cav) and then applied in turn, one matrix-vector product per
     step.  The flux quadratures use the same RK4 stage states.  Cavity
     emission is recorded as the amplitude density sqrt(kappa) x (one-photon
-    amplitude) per polarization channel at every grid point.
+    amplitude) per polarization channel at every grid point, and factored
+    into the photon's polarization and envelope (see ``DynamicsReport``).
 
     Error control: over each pair of steps the two h-step result is compared
     with one RK4 step of size 2h built from the same grid generators; the
@@ -457,48 +469,37 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    index, h_diag, h_drive, h_cav, exc_vec, n_vec = _matrices(p)
-
+    index, h_diag, h_drv, h_cv, exc, n_vec = _matrices(p)
+    dim = len(index)
+    if any(amp and label not in index for label, amp in initial.amps.items()):
+        raise ValueError("initial state has support outside the node's "
+                         "one-excitation basis")
     psi0 = to_dense(initial, index)
-    pattern = (np.abs(h_diag) + np.abs(h_drive) + np.abs(h_cav)) > 0
-    np.fill_diagonal(pattern, True)
-    keep = _reachable(pattern, np.abs(psi0) > 0)
 
-    h_base = (h_diag - 0.5j * p.kappa * np.diag(n_vec))[np.ix_(keep, keep)]
-    h_drv = h_drive[np.ix_(keep, keep)]
-    h_cv = h_cav[np.ix_(keep, keep)]
-    w_emit = p.kappa * n_vec[keep]
-    w_spont = p.gamma * exc_vec[keep]
-    exc = exc_vec[keep]
-
-    modulated = p.epsilon != 0.0
-    if not modulated:
-        h_base = h_base + p.g * h_cv
-
+    h_base = h_diag - 0.5j * p.kappa * np.diag(n_vec)
     channels = emission_channels(p)
     ch_names = sorted(channels)
-    keep_pos = {int(km): i for i, km in enumerate(keep)}
-    ch_idx = [keep_pos.get(index[channels[name]], -1) for name in ch_names]
+    ch_idx = [index[channels[name]] for name in ch_names]
     sqrt_kappa = math.sqrt(p.kappa)
-    flux_w = np.stack([w_emit, w_spont], axis=1)          # (dim, 2)
+    flux_w = np.stack([p.kappa * n_vec, p.gamma * exc], axis=1)    # (dim, 2)
+
+    # -i H_eff(t) = A_base + Omega(t) A_drive + g(t) A_cav as one product per
+    # batch; the three parts have disjoint supports, so each entry is a single
+    # product and matches the element-wise sum bit for bit
+    parts = (-1j * np.stack([h_base, h_drv, h_cv])).reshape(3, -1)
 
     def generator(om, g_t):
         """-i H_eff at each of the given times, shape (len(om), dim, dim)."""
-        hh = h_base + om[:, None, None] * h_drv
-        if modulated:
-            hh = hh + g_t[:, None, None] * h_cv
-        return -1j * hh
+        coef = np.stack([np.ones_like(om), om, g_t], axis=1)
+        return (coef @ parts).reshape(len(om), dim, dim)
 
     def integrate(n_steps: int):
         """One pass over an n_steps grid; returns its records and error bound."""
         h = omega.t_total / n_steps
         t_grid = np.linspace(0.0, omega.t_total, n_steps + 1)
-        om_grid = omega.value(t_grid)
-        om_half = omega.value(t_grid[:-1] + 0.5 * h)
-        g_grid = g_half = None
-        if modulated:
-            g_grid = p.g_at(t_grid)
-            g_half = p.g_at(t_grid[:-1] + 0.5 * h)
+        t_half = t_grid[:-1] + 0.5 * h
+        om_grid, om_half = omega.value(t_grid), omega.value(t_half)
+        g_grid, g_half = p.g_at(t_grid), p.g_at(t_half)
         ch_samples = np.zeros((len(ch_names), n_steps + 1), dtype=complex)
         exc_pop = np.zeros(n_steps + 1)
         norm_sq = np.zeros(n_steps + 1)
@@ -510,23 +511,19 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
             norm_sq[lo:hi] = p2.sum(axis=1)
             exc_pop[lo:hi] = p2 @ exc
             for c, j in enumerate(ch_idx):
-                if j >= 0:
-                    ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
+                ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
 
-        psi = psi0[keep]
+        psi = psi0
         e_flux = np.zeros(2)                               # emission, spontaneous
         bound = 0.0
         record(0, psi[None, :])
         n2_init = norm_sq[0]
         for lo, hi in _chunks(n_steps):
-            g0 = gh = g1 = None
-            if modulated:
-                g0, gh, g1 = g_grid[lo:hi], g_half[lo:hi], g_grid[lo + 1:hi + 1]
-            a0 = generator(om_grid[lo:hi], g0)
-            a1 = generator(om_grid[lo + 1:hi + 1], g1)
-            step, ys = _rk4(a0, generator(om_half[lo:hi], gh), a1, h)
+            a0 = generator(om_grid[lo:hi], g_grid[lo:hi])
+            a1 = generator(om_grid[lo + 1:hi + 1], g_grid[lo + 1:hi + 1])
+            step, ys = _rk4(a0, generator(om_half[lo:hi], g_half[lo:hi]), a1, h)
 
-            vecs = np.empty((hi - lo + 1, len(keep)), dtype=complex)
+            vecs = np.empty((hi - lo + 1, dim), dtype=complex)
             vecs[0] = psi
             rows = list(vecs)                              # views: dot writes in place
             for j, m in enumerate(step):
@@ -574,9 +571,9 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
 
     closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
 
-    # common emission envelope: root-sum-square magnitude, phase of the
-    # dominant channel (channels share their time-dependent phase; a constant
-    # offset is irrelevant to overlaps)
+    # the photon as (polarization) x (envelope): the top eigenvector of the
+    # channel Gram matrix times the root-sum-square magnitude with the
+    # dominant channel's phase
     weights = {name: float(np.trapezoid(np.abs(ch_samples[c]) ** 2, t_grid))
                for c, name in enumerate(ch_names)}
     dom = max(range(len(ch_names)), key=lambda c: weights[ch_names[c]])
@@ -587,12 +584,19 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
                      1.0)
     envelope = mag * phase
 
-    vec_full = np.zeros(space.dim, dtype=complex)
-    vec_full[keep] = psi
-    final = from_dense(space, vec_full, tol=0.0)
+    gram = np.array([[np.trapezoid(fi * np.conj(fj), t_grid) for fj in ch_samples]
+                     for fi in ch_samples])
+    polarization, purity = None, math.nan
+    if np.trace(gram).real > 0.0:                          # else nothing was emitted
+        evals, evecs = np.linalg.eigh(gram)
+        v = evecs[:, -1]
+        if abs(v[dom]) > 0:
+            v = v * (v[dom].conjugate() / abs(v[dom]))
+        polarization, purity = tuple(v), float(evals[-1] / evals.sum())
 
     return DynamicsReport(
-        final_state=final,
+        final_state=StateVector(space, {label: amp for label, amp in zip(index, psi)
+                                        if amp != 0}),
         emission_prob=float(e_emit),
         spont_loss=float(e_spont),
         excited_pop_max=excited_pop_max,
@@ -602,6 +606,8 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         pulse_shape=envelope,
         channel_pulses={name: ch_samples[c].copy() for c, name in enumerate(ch_names)},
         channel_weights=weights,
+        polarization=polarization,
+        purity=purity,
         params=p,
         omega=omega,
     )

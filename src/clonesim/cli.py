@@ -63,13 +63,15 @@ SWEEP_ALIASES = {
 }
 
 def _resolve_seed(fallback: int) -> int:
+    """CLONESIM_SEED if set, else ``fallback``; a negative seed is a config error."""
     env = os.environ.get("CLONESIM_SEED")
-    if env is None:
-        return fallback
     try:
-        return int(env, 0)
+        seed = fallback if env is None else int(env, 0)
     except ValueError:
         raise ConfigError(f"CLONESIM_SEED is not an integer: {env!r}") from None
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _with_seed(settings: RunSettings, seed: int) -> RunSettings:

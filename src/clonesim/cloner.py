@@ -36,7 +36,6 @@ from .qstate import (
     Space,
     StateVector,
     apply,
-    basis_state,
     fidelity_pure,
     normalize,
     partial_trace,

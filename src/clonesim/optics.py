@@ -78,8 +78,6 @@ OUT_4 = "out4"
 # amplitude weight tolerated outside the modeled occupation sector
 LEAK_TOL = 1e-12
 
-_SQRT_FACT = {0: 1.0, 1: 1.0, 2: math.sqrt(2.0)}
-
 
 def mode_id(path: str, pol: str) -> str:
     return f"{path}:{pol}"

@@ -6,8 +6,8 @@ Two execution modes share one scoring path:
   exactly (a|H> + b|V>), the remote node contributes the entangled pair
   (|gR>|H> - |gL>|V>)/sqrt(2), and both photons are perfectly
   indistinguishable.
-- dynamic: both nodes are integrated with ``adiabatic.evolve``; polarization
-  amplitudes are extracted from the recorded emission channels, and the
+- dynamic: both nodes are integrated with ``adiabatic.evolve``, which returns
+  each emitted photon as a polarization vector and an envelope; the
   temporal overlap of the two envelopes enters the coincidence bookkeeping as
   the complex visibility factor.
 
@@ -33,6 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .adiabatic import (
+    EXCITED_POP_WARN,
     MAX_STEPS,
     DynamicsReport,
     PulseSchedule,
@@ -73,6 +74,7 @@ __all__ = [
     "CloneReport",
     "ATOM_B",
     "MATCHED_DRIVE_RATIO",
+    "MAX_MC_TRIALS",
     "default_node",
     "assemble_joint",
     "run_analytic",
@@ -95,6 +97,11 @@ ATOM_B = "atomB"
 MATCHED_DRIVE_RATIO = math.sqrt(2.0)
 
 EMISSION_DIAG_THRESHOLD = 0.99
+
+# The detection Monte Carlo keeps about this many bytes per trial alive at its
+# peak (136-144 B under tracemalloc).  MAX_MC_TRIALS holds that to 512 MiB.
+_BYTES_PER_TRIAL = 144
+MAX_MC_TRIALS = (512 << 20) // _BYTES_PER_TRIAL
 
 # diagnostic of a run whose heralded branch has probability 0
 ZERO_HERALD_NOTE = ("zero_herald: p_operational = 0; clone and tele-NOT "
@@ -185,8 +192,10 @@ class ProtocolConfig:
             raise ValueError("dt must be positive")
         if not (0.0 <= self.emission_floor <= 1.0):
             raise ValueError("emission_floor must lie in [0, 1]")
-        if self.mc_trials < 0:
-            raise ValueError("mc_trials must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 0 <= self.mc_trials <= MAX_MC_TRIALS:
+            raise ValueError(f"mc_trials must lie in [0, {MAX_MC_TRIALS}] (the trial budget)")
         if self.mode is Mode.DYNAMIC:
             for name, node in (("alice", self.alice), ("bob", self.bob)):
                 n = step_count(node.params, node.omega, self.dt)
@@ -350,33 +359,6 @@ def run_analytic(cfg: ProtocolConfig) -> CloneReport:
     return _finish(cfg, joint, 1.0, 1.0, 1.0, None, ())
 
 
-def _channel_vector(rep: DynamicsReport) -> tuple[np.ndarray, float] | None:
-    """Polarization amplitudes of the emitted photon from the channel records.
-
-    The emission factorizes as (channel vector) x (scalar envelope); the
-    vector is the dominant eigenvector of the channel Gram matrix, gauged so
-    the dominant channel's component is real positive, matching the phase
-    convention of ``DynamicsReport.pulse_shape``.  Returns (vector, purity),
-    or None when the Gram matrix is zero: a node that emitted nothing has no
-    photon to describe.
-    """
-    names = sorted(rep.channel_pulses)
-    f = np.vstack([rep.channel_pulses[n] for n in names])
-    gram = np.empty((len(names), len(names)), dtype=complex)
-    for i in range(len(names)):
-        for j in range(len(names)):
-            gram[i, j] = np.trapezoid(f[i] * np.conj(f[j]), rep.t_grid)
-    if not np.trace(gram).real > 0.0:
-        return None
-    evals, evecs = np.linalg.eigh(gram)
-    v = evecs[:, -1]
-    purity = float(evals[-1] / evals.sum())
-    dom = max(range(len(names)), key=lambda i: rep.channel_weights[names[i]])
-    if abs(v[dom]) > 0:
-        v = v * (v[dom].conjugate() / abs(v[dom]))
-    return v, purity
-
-
 def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
     """Integrated-passage protocol run.
 
@@ -403,22 +385,21 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
         elif rep.emission_prob < EMISSION_DIAG_THRESHOLD:
             notes.append(f"{name} emission probability {rep.emission_prob:.6g} "
                          f"< {EMISSION_DIAG_THRESHOLD}")
-        if rep.excited_pop_max > 1e-2:
+        if rep.excited_pop_max > EXCITED_POP_WARN:
             notes.append(f"{name} excited population peaked at "
                          f"{rep.excited_pop_max:.3e}")
 
-    alpha, beta = _channel_vector(rep_a), _channel_vector(rep_b)
-    for name, emitted in (("alice", alpha), ("bob", beta)):
-        if emitted is not None and 1.0 - emitted[1] > 1e-6:
-            notes.append(f"{name} emission not rank-one: purity {emitted[1]:.9f}")
+    for name, rep in (("alice", rep_a), ("bob", rep_b)):
+        if rep.polarization is not None and 1.0 - rep.purity > 1e-6:
+            notes.append(f"{name} emission not rank-one: purity {rep.purity:.9f}")
             warnings.warn(f"{name} channel Gram matrix far from rank one "
-                          f"(purity {emitted[1]:.9f})", RuntimeWarning, stacklevel=2)
+                          f"(purity {rep.purity:.9f})", RuntimeWarning, stacklevel=2)
 
     c = pulse_overlap_complex(rep_a.t_grid, rep_a.pulse_shape,
                               rep_b.t_grid, rep_b.pulse_shape)
     joint = None
-    if alpha is not None and beta is not None:
-        joint = assemble_joint(tuple(alpha[0]), tuple(beta[0]))
+    if rep_a.polarization is not None and rep_b.polarization is not None:
+        joint = assemble_joint(rep_a.polarization, rep_b.polarization)
     return _finish(cfg, joint, c, rep_a.emission_prob, rep_b.emission_prob,
                    (rep_a, rep_b), tuple(notes))
 
@@ -470,8 +451,11 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
 
     The input must be an ideal-detector report (what run_analytic/run_dynamic
     produce under the default DetectorParams); applying dark-count dilution
-    twice would compound it.
+    twice would compound it.  More than ``MAX_MC_TRIALS`` trials raise
+    ``ValueError`` before anything is allocated.
     """
+    if trials > MAX_MC_TRIALS:
+        raise ValueError(f"{trials} Monte Carlo trials exceed the budget of {MAX_MC_TRIALS}")
     det = DetectorParams(eta=eta, dark_rate=dark_rate, window=window)
     p_dark = det.dark_click_prob
     branches = _branches(report)

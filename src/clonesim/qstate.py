@@ -296,18 +296,6 @@ class LinearOperator:
 
     __post_init__ = _coerce_entries
 
-    @classmethod
-    def from_dense(cls, space: Space, mat: np.ndarray, tol: float = 0.0) -> "LinearOperator":
-        labels = list(space.labels())
-        if mat.shape != (len(labels), len(labels)):
-            raise SpaceMismatchError("matrix shape does not match space dimension")
-        entries = {}
-        for i, r in enumerate(labels):
-            for j, c in enumerate(labels):
-                if abs(mat[i, j]) > tol:
-                    entries[(r, c)] = complex(mat[i, j])
-        return cls(space, entries)
-
 
 # ---------------------------------------------------------------------------
 # core operations

@@ -30,13 +30,14 @@ from clonesim.adiabatic import (
     evolve,
     hamiltonian,
     mixing_angle,
+    node_space,
     pulse_overlap,
     pulse_overlap_complex,
     pulse_shape_analytic,
     step_count,
 )
 from clonesim.config import ConfigError, settings_from_values
-from clonesim.qstate import apply, inner
+from clonesim.qstate import StateVector, apply, inner
 
 FAST = PulseSchedule(omega_max=2.0, t_total=25.0)
 
@@ -222,6 +223,14 @@ def test_evolve_rejects_wrong_space():
         evolve(alice_initial(1.0, 0.0), p, FAST, dt=0.025)
 
 
+def test_evolve_rejects_support_outside_the_one_excitation_basis():
+    # |eL> with an R photon holds two excitations: no passage reaches it
+    p = SystemParams(side=Side.ALICE)
+    two = StateVector(node_space(Side.ALICE), {adiabatic._label(Side.ALICE, "eL", "R"): 1.0})
+    with pytest.raises(ValueError, match="one-excitation"):
+        evolve(two, p, FAST, dt=0.025)
+
+
 def test_fast_ramp_warns_about_excited_population():
     p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
     rush = PulseSchedule(omega_max=20.0, t_total=10.0)
@@ -251,6 +260,15 @@ def test_emission_accounting_closes(emitted):
 def test_channel_split_follows_input_weights(emitted):
     w = emitted.channel_weights
     assert w["L"] / (w["L"] + w["R"]) == pytest.approx(0.36, abs=1e-9)
+    # the photon carries the input qubit: (L, R) = (a, b) up to a global phase
+    pol = np.array(emitted.polarization)
+    assert np.abs(pol * np.conj(pol[1]) / abs(pol[1]) - (0.6, 0.8)).max() < 1e-9
+    p = SystemParams(side=Side.ALICE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # FAST is brisk
+        only_l = evolve(alice_initial(1.0, 0.0), p, FAST, dt=0.025)
+    assert only_l.polarization == (1.0, 0.0)
+    assert not only_l.channel_pulses["R"].any()
 
 
 def test_envelope_carries_all_channel_weight(emitted):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import clonesim
-from clonesim import acceptance, cli
+from clonesim import acceptance, cli, protocol
 from clonesim.protocol import ZERO_HERALD_NOTE
 
 FAST_CFG = """\
@@ -75,6 +75,37 @@ def test_bad_env_seed_is_config_error(tmp_path, monkeypatch, capsys):
     assert "CLONESIM_SEED" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a config error must stop the command before it runs")
+
+
+NEGATIVE_SEED_CFG = "seed = -3\ninput.a = 0.6\ninput.b = 0.8\ndetector.mc_trials = 100\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["dynamics"],
+    ["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--steps", "2"],
+])
+def test_negative_config_seed_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # the seed used to fail only where the Monte Carlo draws (exit 1)
+    monkeypatch.setattr(cli, "run", _never)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(NEGATIVE_SEED_CFG)
+    code = cli.main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,env_seed", [(["--seed=-2"], None), ([], "-1")])
+def test_negative_verify_seed_is_config_error(tmp_path, monkeypatch, capsys, argv, env_seed):
+    # the seed used to reach numpy's generator and crash with a traceback
+    monkeypatch.setattr(acceptance, "run_all", _never)
+    if env_seed is not None:
+        monkeypatch.setenv("CLONESIM_SEED", env_seed)
+    assert cli.main(["verify", *argv, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_dynamics_fast_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CFG)
@@ -110,15 +141,25 @@ dt = 0.01
 """
 
 
-def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, capsys):
+def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, monkeypatch, capsys):
     # alice has no cavity decay, emits nothing, and nothing heralds: no photon
     # pair exists, so nothing conditioned on one is reported as a number
+    reports = []
+
+    def run_and_keep(config):
+        reports.append(protocol.run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", run_and_keep)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ZERO_HERALD_CFG)
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning):
         cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
+    rep_a, rep_b = reports[0].dynamics_diags
+    assert rep_a.polarization is None and math.isnan(rep_a.purity)
+    assert rep_b.polarization is not None
     undefined = ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity", "p_symmetric")
 
     report = json.loads((out / "report.json").read_text())

@@ -2,14 +2,18 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clonesim import protocol
 from clonesim.cloner import InputQubit, clone, clone_fidelity, haar_qubit, unot_fidelity
+from clonesim.config import ConfigError, settings_from_values
 from clonesim.protocol import (
+    MAX_MC_TRIALS,
     CloneReport,
     DetectorParams,
     Mode,
@@ -132,6 +136,37 @@ def test_config_validation():
     bad_bob = NodeConfig(SystemParams(side=Side.ALICE), PulseSchedule())
     with pytest.raises(ValueError):
         ProtocolConfig(input=InputQubit(1.0, 0.0), bob=bad_bob)
+    with pytest.raises(ValueError, match="seed"):
+        ProtocolConfig(input=InputQubit(1.0, 0.0), seed=-1)
+
+
+def test_mc_trial_budget_is_a_config_error(monkeypatch):
+    # counted, never run: 10**9 trials would ask for ~136 GB
+    assert MAX_MC_TRIALS >= 200_000                       # acceptance runs 200k
+    with pytest.raises(ValueError, match="budget"):
+        ProtocolConfig(input=InputQubit(1.0, 0.0), mc_trials=MAX_MC_TRIALS + 1)
+    values = {"seed": "1", "input.a": "1", "input.b": "0",
+              "detector.mc_trials": str(10 ** 9)}
+    with pytest.raises(ConfigError, match="budget"):
+        settings_from_values(values, mode="dynamic")
+    monkeypatch.setattr(protocol, "MAX_MC_TRIALS", 100)
+    rep = _report(0.6, 0.8)
+    with pytest.raises(ValueError, match="budget"):
+        detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=101)
+    assert detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=100).mc_trials == 100
+
+
+def test_mc_trial_budget_covers_the_measured_peak():
+    # the budget's bytes per trial bound what the Monte Carlo really holds
+    rep, trials = _report(0.6, 0.8), 20_000
+    detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=trials)   # one-time setup
+    tracemalloc.start()
+    try:
+        detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / trials <= protocol._BYTES_PER_TRIAL
 
 
 # --- dynamic route --------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Names the benchmark (perfbench/run.py) wraps or calls stay importable.
+"""Names the benchmark (perfbench/run.py) wraps, calls or reads stay in place.
 
 Its traced pass replaces each of these module attributes with a timing
-wrapper, looking them up where callers find them; a name that disappears in a
-cleanup breaks that pass with an AttributeError.  The list is kept here so
+wrapper, looking them up where callers find them, and its observers read
+fields of the reports those functions return; a name that disappears in a
+cleanup breaks that pass with an AttributeError.  The lists are kept here so
 the check runs with the unit tests and needs nothing outside ``clonesim``.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -28,3 +30,19 @@ USED_BY_BENCHMARK = {
 def test_benchmark_name_is_callable(module, name):
     mod = importlib.import_module(f"clonesim.{module}")
     assert callable(getattr(mod, name, None)), f"clonesim.{module}.{name} is gone"
+
+
+FIELDS_READ_BY_BENCHMARK = {
+    ("adiabatic", "DynamicsReport"): ("t_grid", "omega", "closure_error", "pulse_shape",
+                                      "channel_pulses"),
+    ("protocol", "CloneReport"): ("rho_post", "mc_trials"),
+    ("optics", "DetectionReport"): ("count_distribution",),
+}
+
+
+@pytest.mark.parametrize("module,report,name",
+                         [(m, r, n) for (m, r), names in FIELDS_READ_BY_BENCHMARK.items()
+                          for n in names])
+def test_benchmark_report_field_exists(module, report, name):
+    cls = getattr(importlib.import_module(f"clonesim.{module}"), report)
+    assert name in {f.name for f in dataclasses.fields(cls)}, f"{report}.{name} is gone"
