@@ -24,6 +24,7 @@ in :mod:`clonesim.protocol`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,11 +125,13 @@ def singlet(id1: str = Q2, id2: str = Q3) -> StateVector:
     })
 
 
+@functools.cache
 def projector_p123() -> LinearOperator:
     """(I_12 - |psi->_12 <psi-|_12) x I_3 as an explicit three-qubit operator.
 
     Rank 6, idempotent, Hermitian; annihilates exactly the singlet sector of
-    qubits 1, 2.
+    qubits 1, 2.  Built once per process: callers share the one operator and
+    only read it.
     """
     space = qubit_space(Q1, Q2, Q3)
     s12 = singlet(Q1, Q2)

@@ -2,8 +2,13 @@
 
 Photons are dual-rail encoded: one subsystem per (path, polarization) mode,
 id ``"<path>:<pol>"``, with occupation alphabet {0, 1} at protocol level.
-Occupation 2 appears only transiently inside beam-splitter chains (photon
-bunching) and is confined to this module.
+
+Every splitter is linear, so it acts on each photon on its own
+(:func:`_transfer`): a photon reaches each output mode with a fixed transfer
+amplitude, its polarization and temporal tag riding along.  A multi-photon
+amplitude is the product of its photons' amplitudes, summed into one Fock
+term, with sqrt(m!) for m photons sharing a mode (Hong-Ou-Mandel bunching).
+Only :func:`beamsplitter`'s output labels carry the bunched occupations.
 
 Two independent routes to the post-selected two-photon output coexist here:
 
@@ -14,11 +19,13 @@ Two independent routes to the post-selected two-photon output coexist here:
       |HH> -> |HH>        |HV> -> (|HV> + |VH>)/2
       |VV> -> |VV>        |VH> -> (|HV> + |VH>)/2
 
-- :func:`detection_bookkeeping` pushes the actual mode operators through a
-  50:50 splitter followed by one more 50:50 splitter per output arm and
-  post-selects one photon at each detector of an arm.  This is the route an
-  experiment takes; it also handles partially distinguishable photons via an
-  orthogonal temporal tag.
+- :func:`detection_bookkeeping` routes both photons through a 50:50
+  splitter and one more 50:50 splitter per output arm, which takes photon A
+  to the detectors (D1, D2, D1', D2') with amplitudes (1/2, 1/2, 1/2, 1/2)
+  and photon B with (-1/2, -1/2, 1/2, 1/2), and post-selects one photon at
+  each detector of an arm.  This is the route an experiment takes; it also
+  handles partially distinguishable photons via an orthogonal temporal tag,
+  and it never calls :func:`symmetric_project`.
 
 Tests require both routes to agree on the conditional output state for
 indistinguishable photons.  The operational coincidence probability they
@@ -30,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Iterable, Mapping
 
 from .qstate import (
     BasisLabel,
@@ -39,14 +47,13 @@ from .qstate import (
     Space,
     StateVector,
     normalize,
-    partial_trace,
+    partial_trace,  # noqa: F401  perfbench traces calls made through optics.partial_trace
     rename_subsystems,
     tensor,
 )
 
 __all__ = [
     "OCC_PROTOCOL",
-    "OCC_TRANSIENT",
     "POLS",
     "PATH_A",
     "PATH_B",
@@ -67,7 +74,6 @@ __all__ = [
 ]
 
 OCC_PROTOCOL = ("0", "1")
-OCC_TRANSIENT = ("0", "1", "2")
 POLS = ("H", "V")
 
 PATH_A = "A"
@@ -150,66 +156,41 @@ def hwp0(s: StateVector, path: str) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# beam splitter
+# beam splitters: photon-wise transfer amplitudes
 # ---------------------------------------------------------------------------
 
 
-def _bs_pair_terms(n1: int, n2: int):
-    """Expand (a1 + a2)^n1 (a1 - a2)^n2 / sqrt(2)^(n1+n2) into |m1, m2>.
-
-    Symmetric real 50:50 convention: input slot 1 maps to the '+' output
-    combination, slot 2 to the '-' combination.  Yields (m1, m2, coeff)
-    including the bosonic sqrt(m!) normalization factors.
-    """
-    base = (1.0 / math.sqrt(2.0)) ** (n1 + n2) / math.sqrt(
-        math.factorial(n1) * math.factorial(n2))
-    for k1 in range(n1 + 1):
-        for k2 in range(n2 + 1):
-            m1 = k1 + k2
-            m2 = (n1 - k1) + (n2 - k2)
-            coeff = (math.comb(n1, k1) * math.comb(n2, k2)
-                     * (-1.0) ** (n2 - k2) * base
-                     * math.sqrt(math.factorial(m1) * math.factorial(m2)))
-            yield m1, m2, coeff
+_R = 1.0 / math.sqrt(2.0)
 
 
-def _extend_occupation(space: Space, mode_ids: set) -> Space:
-    subs = []
-    for sid, alpha in space.subsystems:
-        if sid in mode_ids and len(alpha) < len(OCC_TRANSIENT):
-            subs.append((sid, OCC_TRANSIENT))
-        else:
-            subs.append((sid, alpha))
-    return Space(tuple(subs))
+def _bose(modes: tuple) -> float:
+    """sqrt(prod n!) over the occupations n of a sorted mode tuple."""
+    f = run = 1
+    for prev, mode in zip(modes, modes[1:]):
+        run = run + 1 if mode == prev else 1
+        f *= run
+    return math.sqrt(f)
 
 
-def _split(amps: dict, mode_pairs: Sequence[tuple[str, str]]) -> dict:
-    """50:50 splitter on sparse amplitudes keyed by sorted factor tuples.
+def _transfer(terms: dict, route: Mapping) -> dict:
+    """Send every photon of each Fock term through one linear stage on its own.
 
-    Every (slot 1, slot 2) mode pair mixes by :func:`_bs_pair_terms`; other
-    factors ride along.  Returns the new amplitudes, zeros dropped.
+    ``terms`` maps ``(photons, rest)`` to amplitudes: ``photons`` is the
+    sorted tuple of occupied modes ``(place, *channel)``, one entry per
+    photon, and ``rest`` rides along.  ``route[place]`` lists the ``(place,
+    amplitude)`` pairs one photon reaches; its channel (polarization,
+    temporal tag) is untouched.  The term prod(a+)|0>/sqrt(prod n!) becomes
+    the product of its routed photons, so an output mode holding m photons
+    gains sqrt(m!) (Hong-Ou-Mandel bunching).  Exact zeros are dropped.
     """
     out: dict = {}
-    for factors, amp in amps.items():
-        branches = [(dict(factors), amp)]
-        for m1, m2 in mode_pairs:
-            nxt = []
-            for levels, a in branches:
-                n1, n2 = int(levels[m1]), int(levels[m2])
-                if n1 == 0 and n2 == 0:
-                    nxt.append((levels, a))
-                    continue
-                for o1, o2, coeff in _bs_pair_terms(n1, n2):
-                    if o1 > 2 or o2 > 2:
-                        raise ValueError("occupation beyond 2 unsupported (more than two photons per channel)")
-                    lv = dict(levels)
-                    lv[m1], lv[m2] = str(o1), str(o2)
-                    nxt.append((lv, a * coeff))
-            branches = nxt
-        for levels, a in branches:
-            key = tuple(sorted(levels.items()))
-            out[key] = out.get(key, 0.0) + a
-    return {k: v for k, v in out.items() if v != 0.0}
+    for (photons, rest), amp in terms.items():
+        amp = amp / _bose(photons)
+        routes = [[((place,) + m[1:], x) for place, x in route[m[0]]] for m in photons]
+        for legs in product(*routes):
+            key = (tuple(sorted(mode for mode, _ in legs)), rest)
+            out[key] = out.get(key, 0.0) + amp * math.prod(x for _, x in legs)
+    return {k: v * _bose(k[0]) for k, v in out.items() if v != 0.0}
 
 
 def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
@@ -221,9 +202,9 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
         a_in2,p -> (a_out1,p - a_out2,p)/sqrt(2)
 
     where output 1 reuses the ``in1`` slot and output 2 the ``in2`` slot
-    (rename afterwards to taste).  Occupation-2 labels may appear in the
-    result (photon bunching); they are legal only transiently inside optics
-    chains and must be resolved before states cross back into protocol level.
+    (rename afterwards to taste).  The two paths' modes get the occupation
+    alphabet "0".."n" for the n photons they carry, so bunched labels
+    (occupation 2 for a photon pair) are legal in the result.
     """
     if in1 == in2:
         raise ValueError("beam splitter needs two distinct paths")
@@ -232,12 +213,24 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
         raise ValueError(f"paths {in1!r}, {in2!r} not both present")
     if found[in1] != found[in2]:
         raise ValueError(f"polarization channels differ between {in1!r} and {in2!r}")
-    channels = sorted(found[in1])
+    touched = [(path, pol) for path in (in1, in2) for pol in sorted(found[in1])]
+    ids = {mode_id(*mode): mode for mode in touched}
 
-    pairs = [(mode_id(in1, c), mode_id(in2, c)) for c in channels]
-    space = _extend_occupation(s.space, {m for pair in pairs for m in pair})
-    out = _split({label.factors: amp for label, amp in s.amps.items()}, pairs)
-    return StateVector(space, {BasisLabel(k): v for k, v in out.items()})
+    terms: dict = {}
+    for label, amp in s.amps.items():
+        photons = sorted(ids[sid] for sid, lv in label.factors if sid in ids for _ in range(int(lv)))
+        rest = tuple(f for f in label.factors if f[0] not in ids)
+        terms[(tuple(photons), rest)] = amp
+    out = _transfer(terms, {in1: ((in1, _R), (in2, _R)), in2: ((in1, _R), (in2, -_R))})
+
+    n_max = max((len(photons) for photons, _ in terms), default=0)
+    occ = tuple(str(n) for n in range(n_max + 1))
+    space = Space(tuple((sid, occ if sid in ids else alpha) for sid, alpha in s.space.subsystems))
+    amps = {}
+    for (photons, rest), amp in out.items():
+        levels = [(mode_id(*mode), str(photons.count(mode))) for mode in touched]
+        amps[BasisLabel(tuple(sorted(list(rest) + levels)))] = amp
+    return StateVector(space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +330,19 @@ class DetectionReport:
     visibility: float
 
 
-_TAGS = ("t0", "t1")
-_DET_PATHS = ("d1", "d2", "d1x", "d2x")
-
-
-def _tagged_pairs(path1: str, path2: str) -> list:
-    """(slot 1, slot 2) mode pairs over every (pol, tag) channel of two paths."""
-    return [(f"{path1}:{pol}:{tag}", f"{path2}:{pol}:{tag}") for pol in POLS for tag in _TAGS]
+# The coincidence network, one splitter stage at a time (arm1 holds D1, D2;
+# arm2 holds D1', D2').  Each route lists a splitter's second output first and
+# arm1 sorts before arm2: that fixes the order in which count patterns first
+# appear, and so the pattern each draw of the seeded detection Monte Carlo
+# lands on.
+_NETWORK = (
+    {PATH_A: (("arm1", _R), ("arm2", _R)), PATH_B: (("arm1", -_R), ("arm2", _R))},
+    {"arm1": (("d2", _R), ("d1", _R)), "arm2": (("d2x", _R), ("d1x", _R))},
+)
+_DETECTORS = ("d1", "d2", "d1x", "d2x")
+_PATTERNS = {(d, e): tuple((d == f) + (e == f) for f in _DETECTORS)
+             for d in _DETECTORS for e in _DETECTORS}
+_COINCIDENCES = ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:
@@ -352,7 +351,9 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     Network: paths A, B meet on a 50:50 splitter; each output arm is split
     again on its own 50:50 splitter whose two outputs are detectors (D1, D2)
     and (D1', D2').  A two-fold coincidence is one photon at each detector of
-    the same arm.
+    the same arm.  Each photon is routed on its own (:func:`_transfer`); a
+    two-photon amplitude is the product of the two photons' routes, summed
+    over both orderings into one Fock term.
 
     ``overlap_c`` is the complex temporal-mode overlap of the B photon's
     emission envelope against the A photon's.  |overlap_c| = 1 means fully
@@ -375,84 +376,45 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
 
     norm_in = s.norm_sq()
 
-    # --- lift into the tagged mode algebra -------------------------------
     # photon A rides tag t0; photon B splits c|t0> + s_perp|t1>
-    tag_paths = ("A", "B", "vac1", "vac2")
-    tagged: dict = {}
+    fock: dict = {}
     for label, amp in s.amps.items():
         p, q = _pol_of(label, PATH_A), _pol_of(label, PATH_B)
-        extras = label.project(extra_ids)
-        base = {f"{pp}:{pol}:{tag}": "0" for pp in tag_paths for pol in POLS for tag in _TAGS}
+        rest = label.project(extra_ids)
         for tag_b, w in (("t0", c), ("t1", s_perp)):
-            if w == 0:
-                continue
-            levels = dict(base)
-            levels[f"A:{p}:t0"] = "1"
-            levels[f"B:{q}:{tag_b}"] = "1"
-            key = tuple(sorted(list(levels.items()) + list(extras)))
-            tagged[key] = tagged.get(key, 0.0) + amp * w
+            if w != 0:
+                key = (((PATH_A, p, "t0"), (PATH_B, q, tag_b)), rest)
+                fock[key] = fock.get(key, 0.0) + amp * w
+    for stage in _NETWORK:
+        fock = _transfer(fock, stage)
 
-    # --- splitter network -------------------------------------------------
-    # tagged keys are plain sorted tuples (mode factors + extras); extras have
-    # no ':'-structured ids so the splitter never touches them
-    m = _split(tagged, _tagged_pairs("A", "B"))   # outputs: arm in A slot / arm in B slot
-    m = _split(m, _tagged_pairs("B", "vac2"))     # primary arm (B slot): detectors d1 (B), d2 (vac2)
-    m = _split(m, _tagged_pairs("A", "vac1"))     # mirror arm (A slot): detectors d1x (A), d2x (vac1)
-    renames = {f"{path}:{pol}:{tag}": f"{det}:{pol}:{tag}"
-               for path, det in (("B", "d1"), ("vac2", "d2"), ("A", "d1x"), ("vac1", "d2x"))
-               for pol in POLS for tag in _TAGS}
-    final: dict = {}
-    for key, amp in m.items():
-        nk = tuple(sorted((renames.get(sid, sid), lv) for sid, lv in key))
-        final[nk] = final.get(nk, 0.0) + amp
-
-    # --- photon-count patterns and the coincidence herald ------------------
-    # heralded amplitudes over (pol3, pol4, extras) plus the arm and the two
-    # temporal tags, which are traced out
-    extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
-    cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras_space)
-    herald_space = Space(cond_space.subsystems + (
-        ("herald:arm", ("d1", "d1x")), ("herald:tag3", _TAGS), ("herald:tag4", _TAGS)))
+    # photon-count patterns, and the coincidence herald grouped by what is
+    # traced out of it (arm and temporal tags) over (pol3, pol4, extras)
     dist: dict = {}
     herald: dict = {}
-    for key, amp in final.items():
-        tally = dict.fromkeys(_DET_PATHS, 0)
-        for sid, lv in key:
-            parts = sid.split(":")
-            if len(parts) == 3 and parts[0] in tally:
-                tally[parts[0]] += int(lv)
-        pat = tuple(tally[p] for p in _DET_PATHS)
+    for (((d, p3, t3), (e, p4, t4)), rest), amp in fock.items():
+        pat = _PATTERNS[(d, e)]
         dist[pat] = dist.get(pat, 0.0) + abs(amp) ** 2
-        if pat == (1, 1, 0, 0):
-            det_a, det_b = "d1", "d2"
-        elif pat == (0, 0, 1, 1):
-            det_a, det_b = "d1x", "d2x"
-        else:
-            continue
-        pol_tag = {}
-        extras = []
-        for sid, lv in key:
-            parts = sid.split(":")
-            if len(parts) == 3:
-                if int(lv) == 1 and parts[0] in (det_a, det_b):
-                    pol_tag[parts[0]] = (parts[1], parts[2])
-            else:
-                extras.append((sid, lv))
-        (p3, t3), (p4, t4) = pol_tag[det_a], pol_tag[det_b]
-        label = BasisLabel(tuple(sorted(
-            [("ph3", p3), ("ph4", p4), ("herald:arm", det_a),
-             ("herald:tag3", t3), ("herald:tag4", t4)] + extras)))
-        herald[label] = herald.get(label, 0.0) + amp
+        if pat in _COINCIDENCES:     # D1 (D1') sorts before D2 (D2')
+            herald.setdefault((d, t3, t4), []).append(((p3, p4, rest), amp))
 
-    p_primary = dist.get((1, 1, 0, 0), 0.0)
-    p_mirror = dist.get((0, 0, 1, 1), 0.0)
+    p_primary = dist.get(_COINCIDENCES[0], 0.0)
+    p_mirror = dist.get(_COINCIDENCES[1], 0.0)
     p_coincidence = p_primary + p_mirror
     rho = None
     if p_coincidence / max(norm_in, 1e-300) > 1e-30:
-        # normalize the heralded state to unit trace
-        traced = partial_trace(StateVector(herald_space, herald), keep=cond_space.ids)
-        rho = DensityMatrix(cond_space, {k: v / p_coincidence
-                                         for k, v in traced.entries.items()})
+        # trace out arm and tags, normalized to unit trace
+        entries: dict = {}
+        for members in herald.values():
+            for r, ar in members:
+                for col, ac in members:
+                    entries[(r, col)] = entries.get((r, col), 0.0) + ar * ac.conjugate()
+        labels = {r: BasisLabel(tuple(sorted((("ph3", r[0]), ("ph4", r[1])) + r[2])))
+                  for r, _ in entries}
+        extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
+        cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras_space)
+        rho = DensityMatrix(cond_space, {(labels[r], labels[col]): v / p_coincidence
+                                         for (r, col), v in entries.items() if v != 0.0})
 
     return DetectionReport(
         p_arm_primary=p_primary / norm_in,

@@ -44,7 +44,6 @@ __all__ = [
     "rename_subsystems",
     "state_to_json",
     "to_dense",
-    "from_dense",
     "operator_to_dense",
 ]
 
@@ -467,25 +466,12 @@ def state_to_json(s: StateVector, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def to_dense(s: StateVector, index: Mapping[BasisLabel, int] | None = None) -> np.ndarray:
-    """Dense vector in canonical label order (integrator use only).
-
-    The caller may pass a prebuilt label index to avoid re-enumeration.
-    """
-    if index is None:
-        index = {label: i for i, label in enumerate(s.space.labels())}
+def to_dense(s: StateVector, index: Mapping[BasisLabel, int]) -> np.ndarray:
+    """Dense vector over a label index {label: position} (integrator use only)."""
     vec = np.zeros(len(index), dtype=complex)
     for label, amp in s.amps.items():
         vec[index[label]] = amp
     return vec
-
-
-def from_dense(space: Space, vec: np.ndarray, tol: float = 0.0) -> StateVector:
-    amps = {}
-    for i, label in enumerate(space.labels()):
-        if abs(vec[i]) > tol:
-            amps[label] = complex(vec[i])
-    return StateVector(space, amps)
 
 
 def operator_to_dense(op: LinearOperator, space: Space) -> np.ndarray:

@@ -172,6 +172,18 @@ def test_coincidence_rate_tracks_symmetric_weight():
         assert rep.p_coincidence == pytest.approx(expect, abs=1e-12)
 
 
+def test_singlet_counts_hold_no_zero_patterns():
+    # the antisymmetric pair always splits between the arms: the bunched and
+    # same-arm patterns cancel exactly and must not appear as 0.0 entries
+    rep = detection_bookkeeping(polarization_singlet())
+    cross = {(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)}
+    assert set(rep.count_distribution) == cross
+    for p in rep.count_distribution.values():
+        assert p == pytest.approx(0.25, abs=1e-12)
+    assert rep.p_coincidence == 0
+    assert rep.rho_conditional is None
+
+
 def test_visibility_definition():
     sym = (_pair("H", "V") + _pair("V", "H")) * (1 / math.sqrt(2))
     rep = detection_bookkeeping(sym, overlap_c=math.sqrt(0.5))

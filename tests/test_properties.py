@@ -17,6 +17,7 @@ from clonesim.adiabatic import (
 )
 from clonesim.cloner import InputQubit
 from clonesim.config import KEY_TABLE, ConfigError, settings_from_values, values_from_text
+from clonesim import optics
 from clonesim.optics import PATH_A, PATH_B, POLS, beamsplitter, detection_bookkeeping, one_photon
 from clonesim.protocol import ProtocolConfig, detector_model, run_analytic
 from clonesim.qstate import (
@@ -64,6 +65,56 @@ def test_count_distribution_carries_the_input_norm(c, overlap):
     # pattern weights sum to the input norm^2; the report divides by it
     assert sum(rep.count_distribution.values()) == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= rep.p_coincidence <= 1.0 + 1e-12
+
+
+_ATOM = Space((("atomB", ("gL", "gR")),))
+
+
+def _pair_with_atom(c) -> StateVector:
+    """sum_pqx c_pqx |A:p>|B:q>|atomB:x>: the photon pair entangled with a rider."""
+    terms = []
+    for x, cs in zip(("gL", "gR"), (c[:4], c[4:])):
+        atom = StateVector(_ATOM, {_ATOM.label({"atomB": x}): 1.0})
+        terms.append(tensor(_pair_state(cs), atom))
+    return terms[0] + terms[1]
+
+
+def _heralded(rep) -> dict:
+    """p_coincidence * rho_conditional: the unnormalized heralded state."""
+    if rep.rho_conditional is None:
+        return {}
+    return {k: rep.p_coincidence * v for k, v in rep.rho_conditional.entries.items()}
+
+
+@given(st.lists(amplitude, min_size=8, max_size=8),
+       st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+def test_partial_distinguishability_mixes_the_two_limits(c, overlap):
+    # photon B's t0 and t1 tags never interfere, so every pattern weight and
+    # the heralded state are |c|^2 (indistinguishable) + (1 - |c|^2) (distinguishable)
+    s = _pair_with_atom(c)
+    assume(s.norm_sq() > 1e-6)
+    v = min(abs(overlap) ** 2, 1.0)
+    mixed, same, apart = (detection_bookkeeping(s, x) for x in (overlap, 1.0, 0.0))
+    for pat in mixed.count_distribution.keys() | same.count_distribution.keys() \
+            | apart.count_distribution.keys():
+        expect = (v * same.count_distribution.get(pat, 0.0)
+                  + (1.0 - v) * apart.count_distribution.get(pat, 0.0))
+        assert mixed.count_distribution.get(pat, 0.0) == pytest.approx(expect, abs=1e-14)
+    h_mixed, h_same, h_apart = _heralded(mixed), _heralded(same), _heralded(apart)
+    for key in h_mixed.keys() | h_same.keys() | h_apart.keys():
+        expect = v * h_same.get(key, 0.0) + (1.0 - v) * h_apart.get(key, 0.0)
+        assert abs(h_mixed.get(key, 0.0) - expect) <= 1e-14
+
+
+def test_detection_route_never_calls_the_projection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the operational route called symmetric_project")
+
+    monkeypatch.setattr(optics, "symmetric_project", refuse)
+    s = _pair_with_atom([0.3, 0.5j, -0.2, 0.4, 0.1, -0.6, 0.2j, 0.3])
+    rep = detection_bookkeeping(s, 0.8 + 0.3j)
+    assert sum(rep.count_distribution.values()) == pytest.approx(1.0, abs=1e-12)
+    assert rep.rho_conditional.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.sampled_from(list(Side)),
