@@ -25,6 +25,13 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+# Every matrix the program multiplies is at most 6x6, and OpenBLAS's extra
+# threads, started at `import numpy`, only spin; one thread unless the user
+# set a count (OpenBLAS reads these three, in this order).
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__
@@ -61,6 +68,13 @@ SWEEP_ALIASES = {
     "dark_rate": ("detector.dark_rate",),
     "epsilon": ("alice.epsilon", "bob.epsilon"),
 }
+
+# A sweep holds each row twice, as its CSV line and in the joined file, plus
+# its grid value: ~900 B per 230-character row at its peak under tracemalloc.
+# MAX_SWEEP_STEPS holds that to 512 MiB.
+_BYTES_PER_SWEEP_ROW = 1024
+MAX_SWEEP_STEPS = (512 << 20) // _BYTES_PER_SWEEP_ROW
+
 
 def _resolve_seed(fallback: int) -> int:
     """CLONESIM_SEED if set, else ``fallback``; a negative seed is a config error."""
@@ -200,8 +214,8 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
 
-    if args.steps < 1:
-        raise ConfigError("--steps must be at least 1")
+    if not 1 <= args.steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"--steps must lie in [1, {MAX_SWEEP_STEPS}] (the sweep budget)")
     grid = np.linspace(args.start, args.stop, args.steps)
 
     header = ["param", "value", *SUMMARY_COLUMNS]

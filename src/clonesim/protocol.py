@@ -501,13 +501,17 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
 
 def _detection_mc(branches: list, eta: float, p_dark: float,
                   seed: int, trials: int) -> float:
-    """Monte Carlo herald frequency over emission branches and click patterns."""
+    """Monte Carlo herald frequency over emission branches and click patterns.
+
+    Each branch's patterns are drawn in sorted order, so a seeded estimate
+    depends only on the distributions, not on their insertion order.
+    """
     pats = []
     probs = []
     for weight, dist in branches:
-        for pat, q in dist.items():
+        for pat in sorted(dist):
             pats.append(pat)
-            probs.append(weight * q)
+            probs.append(weight * dist[pat])
     probs = np.asarray(probs)
     total = probs.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):

@@ -205,6 +205,45 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_stdout(code: str, **env_vars) -> str:
+    # an in-process `import clonesim.cli` may have set a thread count: start clean
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=str(Path(clonesim.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    assert _child_stdout("import clonesim, sys; print('numpy' in sys.modules)") == "False"
+
+
+def test_package_exports_resolve_lazily():
+    code = ("import clonesim; ns = {}; exec('from clonesim import *', ns); "
+            "print(sorted(set(clonesim.__all__) - set(ns)), "
+            "sorted(set(clonesim.__all__) - set(dir(clonesim))), "
+            "clonesim.evolve.__module__, clonesim.protocol.__name__)")
+    assert _child_stdout(code) == "[] [] clonesim.adiabatic clonesim.protocol"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+@pytest.mark.parametrize("prelude,env_vars,expected", [
+    ("", {}, "1 1"),                                     # the CLI's default
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, "2 2"),          # the user's count wins
+    ("", {"OMP_NUM_THREADS": "2"}, "2 None"),
+    ("import numpy; ", {}, "2 None"),                    # a library caller's numpy
+])
+def test_cli_process_blas_threads(prelude, env_vars, expected):
+    code = (prelude + "import os, clonesim.cli; "
+            "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
+            "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _child_stdout(code, **env_vars) == expected
+
+
 def test_dynamics_missing_config_file(tmp_path, capsys):
     code = cli.main(["dynamics", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)])
@@ -246,6 +285,23 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
                      "--steps", "2", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert "alice.shape" in capsys.readouterr().err
+
+
+def test_sweep_step_budget_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # counted, never run: 10**9 steps would ask for ~8 GB of grid before any row
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    argv = ["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--config", str(cfg),
+            "--mode", "analytic", "--out", str(tmp_path / "o"), "--steps"]
+    assert cli.MAX_SWEEP_STEPS >= 10_000
+    monkeypatch.setattr(cli, "run", _never)
+    for steps in (cli.MAX_SWEEP_STEPS + 1, 10 ** 9):
+        assert cli.main(argv + [str(steps)]) == cli.EXIT_CONFIG
+        assert "sweep budget" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run", protocol.run)
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    assert cli.main(argv + ["4"]) == cli.EXIT_CONFIG
+    assert cli.main(argv + ["3"]) == cli.EXIT_OK
 
 
 def _stub_suite(passed: bool) -> acceptance.SuiteResult:

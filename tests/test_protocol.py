@@ -119,6 +119,16 @@ def test_detection_monte_carlo_agrees_with_closed_form():
     assert d2.mc_p_detected == d.mc_p_detected
 
 
+def test_seeded_monte_carlo_ignores_pattern_order():
+    # the draw depends on the distribution only, not on the order optics met it
+    rep = _report(0.6, 0.8)
+    flipped = replace(rep, count_distribution=dict(reversed(rep.count_distribution.items())))
+    assert list(flipped.count_distribution) != list(rep.count_distribution)
+    d = detector_model(rep, 0.5, 2e-4, 10.0, seed=11, trials=40_000)
+    assert detector_model(flipped, 0.5, 2e-4, 10.0, seed=11, trials=40_000).mc_p_detected \
+        == d.mc_p_detected
+
+
 def test_detector_params_validation():
     with pytest.raises(ValueError):
         DetectorParams(eta=1.5)
