@@ -195,17 +195,8 @@ def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, monkeypatch
     assert all(report["results"][name] is None for name in undefined)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the two helpers that use it, never by the CLI
-    env = dict(os.environ, PYTHONPATH=str(Path(clonesim.__file__).resolve().parents[1]))
-    code = ("import clonesim.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
-
-
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _child_stdout(code: str, **env_vars) -> str:
@@ -215,6 +206,13 @@ def _child_stdout(code: str, **env_vars) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the two helpers that use it, never by the CLI
+    code = ("import clonesim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _child_stdout(code) == "[]"
 
 
 def test_package_import_loads_no_numpy():
@@ -230,13 +228,13 @@ def test_package_exports_resolve_lazily():
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+@pytest.mark.skipif((_CPUS or 1) < 2, reason="needs two CPUs")
 @pytest.mark.parametrize("prelude,env_vars,expected", [
     ("", {}, "1 1"),                                     # the CLI's default
     ("", {"OPENBLAS_NUM_THREADS": "2"}, "2 2"),          # the user's count wins
     ("", {"OMP_NUM_THREADS": "2"}, "2 None"),
     ("import numpy; ", {}, "2 None"),                    # a library caller's numpy
-])
+], ids=["default", "openblas-set", "omp-set", "numpy-first"])
 def test_cli_process_blas_threads(prelude, env_vars, expected):
     code = (prelude + "import os, clonesim.cli; "
             "threads = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
