@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -172,24 +173,38 @@ def _bose(modes: tuple) -> float:
     return math.sqrt(f)
 
 
-def _transfer(terms: dict, route: Mapping) -> dict:
+@lru_cache(maxsize=4096)
+def _routings(photons: tuple, route: tuple) -> tuple:
+    """Every way ``photons`` leave one stage: (sorted output modes, amplitude).
+
+    ``route`` is the stage as ``(place, ((place, amplitude), ...))`` pairs;
+    keyed on its content, the table is shared by every term and call that
+    routes the same photons through the same stage.
+    """
+    table = dict(route)
+    legs_per_photon = [[((place,) + m[1:], x) for place, x in table[m[0]]] for m in photons]
+    return tuple((tuple(sorted(mode for mode, _ in legs)), math.prod(x for _, x in legs))
+                 for legs in product(*legs_per_photon))
+
+
+def _transfer(terms: dict, route: tuple) -> dict:
     """Send every photon of each Fock term through one linear stage on its own.
 
     ``terms`` maps ``(photons, rest)`` to amplitudes: ``photons`` is the
     sorted tuple of occupied modes ``(place, *channel)``, one entry per
-    photon, and ``rest`` rides along.  ``route[place]`` lists the ``(place,
-    amplitude)`` pairs one photon reaches; its channel (polarization,
-    temporal tag) is untouched.  The term prod(a+)|0>/sqrt(prod n!) becomes
-    the product of its routed photons, so an output mode holding m photons
-    gains sqrt(m!) (Hong-Ou-Mandel bunching).  Exact zeros are dropped.
+    photon, and ``rest`` rides along.  ``route`` pairs each place with the
+    ``(place, amplitude)`` pairs one photon reaches from it; its channel
+    (polarization, temporal tag) is untouched.  The term
+    prod(a+)|0>/sqrt(prod n!) becomes the product of its routed photons, so
+    an output mode holding m photons gains sqrt(m!) (Hong-Ou-Mandel
+    bunching).  Exact zeros are dropped.
     """
     out: dict = {}
     for (photons, rest), amp in terms.items():
         amp = amp / _bose(photons)
-        routes = [[((place,) + m[1:], x) for place, x in route[m[0]]] for m in photons]
-        for legs in product(*routes):
-            key = (tuple(sorted(mode for mode, _ in legs)), rest)
-            out[key] = out.get(key, 0.0) + amp * math.prod(x for _, x in legs)
+        for modes, x in _routings(photons, route):
+            key = (modes, rest)
+            out[key] = out.get(key, 0.0) + amp * x
     return {k: v * _bose(k[0]) for k, v in out.items() if v != 0.0}
 
 
@@ -221,7 +236,7 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
         photons = sorted(ids[sid] for sid, lv in label.factors if sid in ids for _ in range(int(lv)))
         rest = tuple(f for f in label.factors if f[0] not in ids)
         terms[(tuple(photons), rest)] = amp
-    out = _transfer(terms, {in1: ((in1, _R), (in2, _R)), in2: ((in1, _R), (in2, -_R))})
+    out = _transfer(terms, ((in1, ((in1, _R), (in2, _R))), (in2, ((in1, _R), (in2, -_R)))))
 
     n_max = max((len(photons) for photons, _ in terms), default=0)
     occ = tuple(str(n) for n in range(n_max + 1))
@@ -336,8 +351,8 @@ class DetectionReport:
 # appear, and so the pattern each draw of the seeded detection Monte Carlo
 # lands on.
 _NETWORK = (
-    {PATH_A: (("arm1", _R), ("arm2", _R)), PATH_B: (("arm1", -_R), ("arm2", _R))},
-    {"arm1": (("d2", _R), ("d1", _R)), "arm2": (("d2x", _R), ("d1x", _R))},
+    ((PATH_A, (("arm1", _R), ("arm2", _R))), (PATH_B, (("arm1", -_R), ("arm2", _R)))),
+    (("arm1", (("d2", _R), ("d1", _R))), ("arm2", (("d2x", _R), ("d1x", _R)))),
 )
 _DETECTORS = ("d1", "d2", "d1x", "d2x")
 _PATTERNS = {(d, e): tuple((d == f) + (e == f) for f in _DETECTORS)

@@ -463,10 +463,13 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     def click_prob(n: int) -> float:
         return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
 
+    # patterns summed in sorted order: the closed form, like the Monte Carlo,
+    # depends only on the distributions, not on their insertion order
     p_detected = 0.0
     p_true = 0.0
     for weight, dist in branches:
-        for pat, q in dist.items():
+        for pat in sorted(dist):
+            q = dist[pat]
             p1, p2, p3, p4 = (click_prob(n) for n in pat)
             herald = p1 * p2 + p3 * p4 - p1 * p2 * p3 * p4
             p_detected += weight * q * herald

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -67,32 +69,47 @@ class DegenerateNormError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _canonical(subsystems: tuple) -> tuple:
+    """(sorted subsystems, their ids) of a raw layout, validated.
+
+    Pure in its argument, so each distinct layout is sorted and checked once
+    per process; a bad layout raises on every call (exceptions are not
+    cached).
+    """
+    ordered = tuple(sorted(((sid, tuple(alpha)) for sid, alpha in subsystems)))
+    ids = tuple(sid for sid, _ in ordered)
+    if len(set(ids)) != len(ids):
+        raise CompositionError(f"duplicate subsystem ids in space: {list(ids)}")
+    for sid, alpha in ordered:
+        if not alpha:
+            raise ValueError(f"subsystem {sid!r} has an empty alphabet")
+        if len(set(alpha)) != len(alpha):
+            raise ValueError(f"subsystem {sid!r} has duplicate levels: {alpha}")
+    return ordered, ids
+
+
 @dataclass(frozen=True)
 class Space:
     """Ordered collection of named subsystems with finite level alphabets.
 
     ``subsystems`` is a tuple of ``(id, alphabet)`` pairs.  The constructor
     canonicalizes the order (sorted by subsystem id) so any two spaces built
-    from the same subsystems compare equal.
+    from the same subsystems compare equal.  ``ids`` lists the subsystem ids
+    in that order.
     """
 
     subsystems: tuple[tuple[str, tuple[str, ...]], ...]
+    ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(((sid, tuple(alpha)) for sid, alpha in self.subsystems)))
-        ids = [sid for sid, _ in ordered]
-        if len(set(ids)) != len(ids):
-            raise CompositionError(f"duplicate subsystem ids in space: {ids}")
-        for sid, alpha in ordered:
-            if not alpha:
-                raise ValueError(f"subsystem {sid!r} has an empty alphabet")
-            if len(set(alpha)) != len(alpha):
-                raise ValueError(f"subsystem {sid!r} has duplicate levels: {alpha}")
+        raw = tuple(self.subsystems)
+        try:
+            ordered, ids = _canonical(raw)
+        except TypeError:   # unhashable alphabets (e.g. lists): validate uncached
+            ordered, ids = _canonical.__wrapped__(raw)
         object.__setattr__(self, "subsystems", ordered)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sid for sid, _ in self.subsystems)
+        object.__setattr__(self, "ids", ids)
 
     def alphabet(self, sid: str) -> tuple[str, ...]:
         for s, alpha in self.subsystems:
@@ -139,12 +156,12 @@ class Space:
         return Space(tuple((sid, alpha) for sid, alpha in self.subsystems if sid in keep))
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """Tensor basis label: a tuple of (subsystem id, level) factors.
 
     Factor order is canonical (sorted by subsystem id); two labels with equal
-    factors compare equal and hash equal.
+    factors compare equal and hash equal.  A named tuple, so hashing and
+    comparison run in C.
     """
 
     factors: tuple[tuple[str, str], ...]
@@ -346,11 +363,14 @@ def apply(op: LinearOperator, s: StateVector) -> StateVector:
     return StateVector(s.space, _clean(out))
 
 
-def _split(label: BasisLabel, keep: set):
-    keep_part, rest_part = [], []
-    for f in label.factors:
-        (keep_part if f[0] in keep else rest_part).append(f)
-    return tuple(keep_part), tuple(rest_part)
+def _picker(positions: list):
+    """Factor tuple -> the factors at ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda factors: (factors[i],)
+    if not positions:
+        return lambda factors: ()
+    return itemgetter(*positions)
 
 
 def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
@@ -358,33 +378,37 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
 
     Accepts a StateVector or a DensityMatrix; the trace of the result equals
     the squared norm of the input state (or the trace of the input matrix).
+    Labels follow their space's canonical factor order, so each one is split
+    by factor position.
     """
     keep = list(keep)
     if not keep:
         raise ValueError("empty keep set")
     keep_set = set(keep)
-    missing = keep_set - set(s.space.ids)
+    ids = s.space.ids
+    missing = keep_set - set(ids)
     if missing:
         raise ValueError(f"unknown subsystem(s) {sorted(missing)}")
     sub = s.space.subspace(keep_set)
+    kept = _picker([i for i, sid in enumerate(ids) if sid in keep_set])
+    traced = _picker([i for i, sid in enumerate(ids) if sid not in keep_set])
 
     entries: dict = {}
     if isinstance(s, StateVector):
         groups: dict = {}
         for label, amp in s.amps.items():
-            kp, rp = _split(label, keep_set)
-            groups.setdefault(rp, []).append((kp, amp))
+            f = label.factors
+            groups.setdefault(traced(f), []).append((BasisLabel(kept(f)), amp))
         for members in groups.values():
             for kr, ar in members:
                 for kc, ac in members:
-                    key = (BasisLabel(kr), BasisLabel(kc))
+                    key = (kr, kc)
                     entries[key] = entries.get(key, 0.0) + ar * ac.conjugate()
     elif isinstance(s, DensityMatrix):
         for (r, c), v in s.entries.items():
-            kr, rr = _split(r, keep_set)
-            kc, rc = _split(c, keep_set)
-            if rr == rc:
-                key = (BasisLabel(kr), BasisLabel(kc))
+            fr, fc = r.factors, c.factors
+            if traced(fr) == traced(fc):
+                key = (BasisLabel(kept(fr)), BasisLabel(kept(fc)))
                 entries[key] = entries.get(key, 0.0) + v
     else:
         raise TypeError("partial_trace expects a StateVector or DensityMatrix")

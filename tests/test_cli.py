@@ -49,6 +49,18 @@ def test_ideal_runs_are_byte_reproducible(tmp_path):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+def test_ideal_output_matches_the_golden_files(tmp_path):
+    # ideal reports are pinned byte for byte; a change that moves a digit
+    # regenerates these files and lists the moved digits in CHANGES.md
+    assert cli.main(["ideal", "--a", "0.6", "--b", "0.8", "--out", str(tmp_path)]) == 0
+    for name in ("report.json", "summary.csv"):
+        golden = GOLDEN / f"ideal_a0.6_b0.8.{name}"
+        assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+
+
 def test_ideal_renormalizes_with_warning(tmp_path, capsys):
     assert cli.main(["ideal", "--a", "0.7", "--b", "0.8",
                      "--out", str(tmp_path)]) == 0

@@ -1,6 +1,10 @@
 """Property tests: invariants over generated inputs rather than fixed examples."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,13 @@ from clonesim.adiabatic import (
     node_space,
 )
 from clonesim.cloner import InputQubit
+import clonesim
 from clonesim.config import KEY_TABLE, ConfigError, settings_from_values, values_from_text
 from clonesim import optics
 from clonesim.optics import PATH_A, PATH_B, POLS, beamsplitter, detection_bookkeeping, one_photon
 from clonesim.protocol import ProtocolConfig, detector_model, run_analytic
 from clonesim.qstate import (
+    BasisLabel,
     DensityMatrix,
     Space,
     StateVector,
@@ -142,6 +148,112 @@ def test_partial_trace_keeps_the_norm(amps, keep):
     assert partial_trace(s, keep).trace() == pytest.approx(n2, rel=1e-12, abs=1e-12)
     rho = DensityMatrix.from_pure(s)
     assert partial_trace(rho, keep).trace() == pytest.approx(n2, rel=1e-12, abs=1e-12)
+
+
+def _trace_by_id(pairs, keep) -> dict:
+    """Reference partial trace: split each label by subsystem id, factor by factor.
+
+    ``pairs`` yields (row, col, value); the result maps (kept row factors,
+    kept col factors) to the summed value over rows and columns whose traced
+    factors agree.
+    """
+    out: dict = {}
+    for r, c, v in pairs:
+        kr = tuple(f for f in r.factors if f[0] in keep)
+        kc = tuple(f for f in c.factors if f[0] in keep)
+        if [f for f in r.factors if f[0] not in keep] == [f for f in c.factors if f[0] not in keep]:
+            out[(kr, kc)] = out.get((kr, kc), 0.0) + v
+    return out
+
+
+@st.composite
+def _space_state_keep(draw):
+    """A random space, sparse amplitudes on it, and a non-empty kept id set.
+
+    Ids are letters, so kept and traced subsystems interleave in the
+    canonical order whenever the kept set is not a prefix or suffix.
+    """
+    ids = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5, unique=True))
+    subsystems = tuple((sid, tuple(str(n) for n in range(draw(st.integers(1, 3)))))
+                       for sid in ids)
+    space = Space(subsystems)
+    labels = list(space.labels())
+    chosen = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels), unique=True))
+    amps = {label: draw(amplitude) for label in chosen}
+    keep = draw(st.sets(st.sampled_from(space.ids), min_size=1))
+    return space, amps, keep
+
+
+def _assert_matches(rho: DensityMatrix, expect: dict):
+    got = {(r.factors, c.factors): v for (r, c), v in rho.entries.items()}
+    for key in got.keys() | expect.keys():
+        assert got.get(key, 0.0) == pytest.approx(expect.get(key, 0.0), rel=1e-12, abs=1e-12)
+
+
+@given(_space_state_keep())
+def test_partial_trace_matches_a_split_by_subsystem_id(case):
+    space, amps, keep = case
+    s = StateVector(space, amps)
+    pure = [(r, c, ar * ac.conjugate()) for r, ar in s.amps.items() for c, ac in s.amps.items()]
+    rho = partial_trace(s, keep)
+    assert rho.space == space.subspace(keep)
+    _assert_matches(rho, _trace_by_id(pure, keep))
+    _assert_matches(partial_trace(DensityMatrix.from_pure(s), keep), _trace_by_id(pure, keep))
+    # a matrix that is not a pure projector: every (row, col) of the support
+    mixed = DensityMatrix(space, {(r, c): ar * ac for r, ar in amps.items()
+                                  for c, ac in amps.items()})
+    _assert_matches(partial_trace(mixed, keep),
+                    _trace_by_id(((r, c, v) for (r, c), v in mixed.entries.items()), keep))
+
+
+_factor = st.tuples(st.text("abcxyz:", min_size=1, max_size=3), st.text("01HV", max_size=2))
+
+
+@given(st.lists(_factor, max_size=4))
+def test_labels_with_equal_factors_are_one_key(factors):
+    factors = tuple(sorted(factors))
+    a, b = BasisLabel(factors), BasisLabel(tuple(list(factors)))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a.factors == factors
+    assert repr(a) == f"BasisLabel(factors={factors!r})"
+    assert str(a) == "|" + ",".join(f"{s}={lv}" for s, lv in factors) + ">"
+    assert a != BasisLabel(factors + (("~", "0"),))
+    with pytest.raises(AttributeError):
+        a.factors = ()
+    with pytest.raises(TypeError):
+        StateVector(Space(()), {(factors,): 1.0})
+
+
+_BS_STATE = """
+from clonesim.optics import one_photon
+from clonesim.qstate import tensor
+s = tensor(tensor(one_photon("A", {"H": 0.6, "V": 0.8j}), one_photon("B", {"H": -0.3, "V": 0.4})),
+           one_photon("C", {"H": 0.5j, "V": 0.1}))
+"""
+_BS_CALLS = (("A", "B"), ("B", "A"), ("A", "C"))
+
+
+def _bs_dump(out) -> str:
+    return repr(sorted(out.amps.items()))
+
+
+def test_beamsplitter_routes_depend_on_the_paths_not_on_call_history():
+    # one process runs the three splitters in a row, for several rounds (a
+    # memo keyed on object identity goes wrong once a freed route's id is
+    # reused); each call is compared with a fresh process that runs it alone
+    scope: dict = {}
+    exec(_BS_STATE, scope)
+    rounds = [[_bs_dump(beamsplitter(scope["s"], p, q)) for p, q in _BS_CALLS]
+              for _ in range(5)]
+    env = dict(os.environ, PYTHONPATH=str(Path(clonesim.__file__).resolve().parents[1]))
+    for i, (p, q) in enumerate(_BS_CALLS):
+        code = (_BS_STATE + "from clonesim.optics import beamsplitter\n"
+                f"print(repr(sorted(beamsplitter(s, {p!r}, {q!r}).amps.items())))")
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout.strip()
+        assert [calls[i] for calls in rounds] == [fresh] * len(rounds)
+    assert len(set(rounds[0])) == len(_BS_CALLS)
 
 
 def _settle(text_or_values, mode):

@@ -129,6 +129,17 @@ def test_seeded_monte_carlo_ignores_pattern_order():
         == d.mc_p_detected
 
 
+def test_dark_count_closed_form_ignores_pattern_order():
+    # the closed-form sums run over sorted patterns, so they are bit-identical
+    rep = _report(0.6, 0.8)
+    flipped = replace(rep, count_distribution=dict(reversed(rep.count_distribution.items())))
+    for eta, dark in ((0.5, 2e-4), (0.25, 5e-4), (0.9, 3e-3)):
+        d = detector_model(rep, eta, dark, 10.0, seed=0)
+        f = detector_model(flipped, eta, dark, 10.0, seed=0)
+        assert f.p_detected == d.p_detected
+        assert f.false_herald_fraction == d.false_herald_fraction
+
+
 def test_detector_params_validation():
     with pytest.raises(ValueError):
         DetectorParams(eta=1.5)

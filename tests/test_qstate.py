@@ -34,9 +34,17 @@ def test_space_order_is_canonical():
     assert s1.ids == ("a", "b")
 
 
+def test_space_accepts_list_alphabets():
+    # lists are unhashable, so this layout is validated without the memo
+    assert Space([["b", ["0", "1"]], ("a", ["x", "y"])]) == Space((("a", ("x", "y")),
+                                                                   ("b", ("0", "1"))))
+
+
 def test_space_rejects_duplicate_ids():
-    with pytest.raises(CompositionError):
-        Space((("a", ("0",)), ("a", ("1",))))
+    # a bad layout raises on every construction, not only the first
+    for _ in range(2):
+        with pytest.raises(CompositionError):
+            Space((("a", ("0",)), ("a", ("1",))))
 
 
 def test_label_must_cover_every_subsystem():
