@@ -235,7 +235,7 @@ _BS_CALLS = (("A", "B"), ("B", "A"), ("A", "C"))
 
 
 def _bs_dump(out) -> str:
-    return repr(sorted(out.amps.items()))
+    return repr(sorted((label.factors, amp) for label, amp in out.amps.items()))
 
 
 def test_beamsplitter_routes_depend_on_the_paths_not_on_call_history():
@@ -249,7 +249,8 @@ def test_beamsplitter_routes_depend_on_the_paths_not_on_call_history():
     env = dict(os.environ, PYTHONPATH=str(Path(clonesim.__file__).resolve().parents[1]))
     for i, (p, q) in enumerate(_BS_CALLS):
         code = (_BS_STATE + "from clonesim.optics import beamsplitter\n"
-                f"print(repr(sorted(beamsplitter(s, {p!r}, {q!r}).amps.items())))")
+                f"out = beamsplitter(s, {p!r}, {q!r})\n"
+                "print(repr(sorted((label.factors, amp) for label, amp in out.amps.items())))")
         fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                text=True, check=True, timeout=120).stdout.strip()
         assert [calls[i] for calls in rounds] == [fresh] * len(rounds)
