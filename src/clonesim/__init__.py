@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- :mod:`clonesim.qstate`    sparse labeled tensor states and operators
+- :mod:`clonesim.qstate`    sparse labeled tensor states, dense conversion
 - :mod:`clonesim.cloner`    exact 1->2 symmetric cloning algebra (oracle)
 - :mod:`clonesim.adiabatic` cavity dark-state passage and photon emission
 - :mod:`clonesim.optics`    waveplates, beam splitters, coincidence bookkeeping
@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "BasisLabel", "CompositionError", "DegenerateNormError", "DensityMatrix",
-        "LinearOperator", "Space", "SpaceMismatchError", "StateVector", "apply",
-        "basis_state", "fidelity_pure", "inner", "normalize", "partial_trace",
-        "state_to_json", "tensor"), "qstate"),
+        "Space", "SpaceMismatchError", "StateVector", "fidelity_pure", "inner",
+        "normalize", "partial_trace", "tensor"), "qstate"),
     **dict.fromkeys((
         "CloneOutput", "InputQubit", "clone", "clone_fidelity",
         "closed_form_output", "haar_qubit", "projector_p123", "singlet",

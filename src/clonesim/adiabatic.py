@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,9 +54,9 @@ import numpy as np
 
 from .qstate import (
     BasisLabel,
-    LinearOperator,
     Space,
     StateVector,
+    from_dense,
     to_dense,
 )
 
@@ -71,10 +71,8 @@ __all__ = [
     "node_space",
     "alice_initial",
     "bob_initial",
-    "hamiltonian",
     "dark_states",
     "mixing_angle",
-    "coupling_modulation",
     "DynamicsReport",
     "step_count",
     "evolve",
@@ -142,11 +140,6 @@ class SystemParams:
         if self.epsilon == 0.0:
             return self.g if np.isscalar(t) else np.full_like(np.asarray(t, float), self.g)
         return self.g * (1.0 + self.epsilon * np.sin(self.nu * np.asarray(t)))
-
-
-def coupling_modulation(p: SystemParams, epsilon: float, nu: float) -> SystemParams:
-    """Return params with sinusoidal coupling modulation switched on."""
-    return replace(p, epsilon=epsilon, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -311,16 +304,6 @@ def _matrices(p: SystemParams) -> _Matrices:
                         for label in labels], dtype=float)
     static = np.diag(np.where(excited > 0, -(p.delta + 0.5j * p.gamma), 0.0))
     return _Matrices(index, static, drive, cavity, excited, photons)
-
-
-def hamiltonian(p: SystemParams, omega: PulseSchedule, t: float) -> LinearOperator:
-    """Node Hamiltonian at time t (gamma included, cavity decay not); it has
-    entries on the one-excitation basis only."""
-    m = _matrices(p)
-    dense = m.static + float(omega.value(t)) * m.drive + float(p.g_at(t)) * m.cavity
-    return LinearOperator(node_space(p.side), {
-        (r, c): dense[i, j] for i, r in enumerate(m.index)
-        for j, c in enumerate(m.index) if dense[i, j] != 0})
 
 
 def dark_states(p: SystemParams, omega: PulseSchedule, t: float) -> tuple[StateVector, ...]:
@@ -595,8 +578,7 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         polarization, purity = tuple(v), float(evals[-1] / evals.sum())
 
     return DynamicsReport(
-        final_state=StateVector(space, {label: amp for label, amp in zip(index, psi)
-                                        if amp != 0}),
+        final_state=from_dense(space, psi, index),
         emission_prob=float(e_emit),
         spont_loss=float(e_spont),
         excited_pop_max=excited_pop_max,

@@ -17,7 +17,8 @@ These constants are *derived* here, not assumed: tests rebuild them through
 this module and through an independent closed-form expansion
 (:func:`closed_form_output`) and require the two routes to agree.
 
-Everything is exact sparse algebra on qubit labels; no dynamics is involved.
+States are sparse over qubit labels and P is a dense 8x8 matrix in the
+register's canonical label order; no dynamics is involved.
 This module doubles as the machine-checkable oracle for the photonic protocol
 in :mod:`clonesim.protocol`.
 """
@@ -31,16 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
-    BasisLabel,
     DensityMatrix,
-    LinearOperator,
     Space,
     StateVector,
-    apply,
     fidelity_pure,
+    from_dense,
     normalize,
     partial_trace,
     tensor,
+    to_dense,
 )
 
 __all__ = [
@@ -126,26 +126,25 @@ def singlet(id1: str = Q2, id2: str = Q3) -> StateVector:
 
 
 @functools.cache
-def projector_p123() -> LinearOperator:
-    """(I_12 - |psi->_12 <psi-|_12) x I_3 as an explicit three-qubit operator.
+def _positions(space: Space) -> dict:
+    """{label: position} in the space's canonical label order."""
+    return {label: i for i, label in enumerate(space.labels())}
 
-    Rank 6, idempotent, Hermitian; annihilates exactly the singlet sector of
-    qubits 1, 2.  Built once per process: callers share the one operator and
-    only read it.
+
+@functools.cache
+def projector_p123() -> np.ndarray:
+    """(I_12 - |psi->_12 <psi-|_12) x I_3 as an 8x8 matrix.
+
+    Rows and columns follow the canonical label order of
+    ``qubit_space(q1, q2, q3)``.  Rank 6, idempotent, Hermitian; annihilates
+    exactly the singlet sector of qubits 1, 2.  Built once per process and
+    read-only: callers share the one matrix.
     """
-    space = qubit_space(Q1, Q2, Q3)
     s12 = singlet(Q1, Q2)
-    entries = {}
-    for row in space.labels():
-        entries[(row, row)] = 1.0
-    # subtract |s>< s| x I3
-    for r12, ar in s12.amps.items():
-        for c12, ac in s12.amps.items():
-            for lv3 in QUBIT_LEVELS:
-                row = BasisLabel(tuple(sorted(r12.factors + ((Q3, lv3),))))
-                col = BasisLabel(tuple(sorted(c12.factors + ((Q3, lv3),))))
-                entries[(row, col)] = entries.get((row, col), 0.0) - ar * ac.conjugate()
-    return LinearOperator(space, {k: v for k, v in entries.items() if v != 0.0})
+    s = to_dense(s12, _positions(s12.space))
+    mat = np.eye(8) - np.kron(np.outer(s, s.conj()), np.eye(2))
+    mat.flags.writeable = False
+    return mat
 
 
 def clone(q: InputQubit) -> CloneOutput:
@@ -155,7 +154,8 @@ def clone(q: InputQubit) -> CloneOutput:
     qubits 1, 2 and renormalizes the surviving branch.
     """
     pre = tensor(qubit_state(Q1, q.a, q.b), singlet(Q2, Q3))
-    projected = apply(projector_p123(), pre)
+    index = _positions(pre.space)
+    projected = from_dense(pre.space, projector_p123() @ to_dense(pre, index), index)
     state, branch_prob = normalize(projected)
     return CloneOutput(
         state=state,

@@ -337,8 +337,6 @@ class DetectionReport:
     are traced out.
     """
 
-    p_arm_primary: float
-    p_arm_mirror: float
     p_coincidence: float
     count_distribution: dict
     rho_conditional: DensityMatrix | None
@@ -413,9 +411,7 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
         if pat in _COINCIDENCES:     # D1 (D1') sorts before D2 (D2')
             herald.setdefault((d, t3, t4), []).append(((p3, p4, rest), amp))
 
-    p_primary = dist.get(_COINCIDENCES[0], 0.0)
-    p_mirror = dist.get(_COINCIDENCES[1], 0.0)
-    p_coincidence = p_primary + p_mirror
+    p_coincidence = dist.get(_COINCIDENCES[0], 0.0) + dist.get(_COINCIDENCES[1], 0.0)
     rho = None
     if p_coincidence / max(norm_in, 1e-300) > 1e-30:
         # trace out arm and tags, normalized to unit trace
@@ -432,8 +428,6 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
                                          for (r, col), v in entries.items() if v != 0.0})
 
     return DetectionReport(
-        p_arm_primary=p_primary / norm_in,
-        p_arm_mirror=p_mirror / norm_in,
         p_coincidence=p_coincidence / norm_in,
         count_distribution={k: v / norm_in for k, v in dist.items()},
         rho_conditional=rho,

@@ -113,6 +113,16 @@ class Mode(str, Enum):
     DYNAMIC = "dynamic"
 
 
+def _check_detector(eta: float, dark_rate: float, window: float) -> None:
+    """Ranges of the detector model, for DetectorParams and detector_model."""
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError("eta must lie in [0, 1]")
+    if dark_rate < 0:
+        raise ValueError("dark_rate must be non-negative")
+    if window <= 0:
+        raise ValueError("window must be positive")
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Single-photon detector model shared by all four detectors."""
@@ -122,21 +132,12 @@ class DetectorParams:
     window: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError("eta must lie in [0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be non-negative")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        _check_detector(self.eta, self.dark_rate, self.window)
         if self.dark_rate * self.window > 0.2:
             warnings.warn(
                 f"dark_rate*window = {self.dark_rate * self.window:.3g} is not small; "
                 "the per-window dark-click model assumes << 1",
-                RuntimeWarning, stacklevel=2)
-
-    @property
-    def dark_click_prob(self) -> float:
-        return 1.0 - math.exp(-self.dark_rate * self.window)
+                RuntimeWarning, stacklevel=3)     # past the dataclass __init__
 
 
 def _tunable(kind) -> tuple[str, ...]:
@@ -451,13 +452,15 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
 
     The input must be an ideal-detector report (what run_analytic/run_dynamic
     produce under the default DetectorParams); applying dark-count dilution
-    twice would compound it.  More than ``MAX_MC_TRIALS`` trials raise
-    ``ValueError`` before anything is allocated.
+    twice would compound it.  More than ``MAX_MC_TRIALS`` trials and
+    parameters outside DetectorParams' ranges raise ``ValueError`` before
+    anything is allocated.  The warning on a large dark_rate * window is
+    DetectorParams' alone, so a run warns once, when its config is built.
     """
     if trials > MAX_MC_TRIALS:
         raise ValueError(f"{trials} Monte Carlo trials exceed the budget of {MAX_MC_TRIALS}")
-    det = DetectorParams(eta=eta, dark_rate=dark_rate, window=window)
-    p_dark = det.dark_click_prob
+    _check_detector(eta, dark_rate, window)
+    p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
     branches = _branches(report)
 
     def click_prob(n: int) -> float:

@@ -1,11 +1,12 @@
-"""Sparse labeled tensor-product states and operators.
+"""Sparse labeled tensor-product states.
 
 Quantum states here live on a labeled tensor product of small subsystems
 (atomic levels, cavity/photonic mode occupations).  Amplitudes are kept as a
-sparse map from basis labels to complex numbers rather than as dense arrays:
-the protocol states touch a few dozen basis labels inside spaces whose dense
-dimension can reach 3^16, so a dense representation is never materialized
-except inside the time integrator (see :func:`to_dense`).
+sparse map from basis labels to complex numbers: a protocol state touches a
+handful of the labels of its space (a few dozen dense dimensions at most).
+Operators are dense numpy matrices over a label index {label: position}
+(the cloner's projector, the integrator's Hamiltonian pieces); states cross
+to and from that layout through :func:`to_dense` and :func:`from_dense`.
 
 A subsystem is identified by a string id and carries a finite level alphabet,
 e.g. ``("atomB", ("gp0", "gL", "gR", "e0"))`` or ``("A:H", ("0", "1"))`` for a
@@ -17,7 +18,6 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,18 +35,14 @@ __all__ = [
     "BasisLabel",
     "StateVector",
     "DensityMatrix",
-    "LinearOperator",
-    "basis_state",
     "tensor",
     "inner",
-    "apply",
     "partial_trace",
     "fidelity_pure",
     "normalize",
     "rename_subsystems",
-    "state_to_json",
     "to_dense",
-    "operator_to_dense",
+    "from_dense",
 ]
 
 NORM_FLOOR = 1e-14  # default degenerate-branch threshold for normalize()
@@ -57,7 +53,7 @@ class CompositionError(ValueError):
 
 
 class SpaceMismatchError(ValueError):
-    """Operation between states/operators on different spaces."""
+    """Operation between states on different spaces."""
 
 
 class DegenerateNormError(ValueError):
@@ -187,16 +183,6 @@ def _clean(amps: dict) -> dict:
     return {k: v for k, v in amps.items() if v != 0.0}
 
 
-def _coerce_entries(self) -> None:
-    """__post_init__ of the (row, col)-keyed matrices: label keys, complex values."""
-    coerced = {}
-    for (r, c), v in self.entries.items():
-        if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
-            raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
-        coerced[(r, c)] = complex(v)
-    object.__setattr__(self, "entries", coerced)
-
-
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -249,11 +235,6 @@ class StateVector:
     __rmul__ = __mul__
 
 
-def basis_state(space: Space, levels: Mapping[str, str]) -> StateVector:
-    """Unit basis ket with every subsystem pinned to the given level."""
-    return StateVector(space, {space.label(levels): 1.0 + 0.0j})
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Sparse density operator: map from (row, col) label pairs to entries."""
@@ -261,7 +242,13 @@ class DensityMatrix:
     space: Space
     entries: dict
 
-    __post_init__ = _coerce_entries
+    def __post_init__(self):
+        coerced = {}
+        for (r, c), v in self.entries.items():
+            if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
+                raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
+            coerced[(r, c)] = complex(v)
+        object.__setattr__(self, "entries", coerced)
 
     @classmethod
     def from_pure(cls, s: StateVector) -> "DensityMatrix":
@@ -294,26 +281,6 @@ class DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# operators
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Sparse operator acting on its declared subsystems only.
-
-    ``entries[(row, col)]`` is the matrix element <row|O|col> over the
-    operator's own (sub)space; when applied to a state on a larger space the
-    identity on all other subsystems is implicit.
-    """
-
-    space: Space
-    entries: dict
-
-    __post_init__ = _coerce_entries
-
-
-# ---------------------------------------------------------------------------
 # core operations
 # ---------------------------------------------------------------------------
 
@@ -341,26 +308,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
         if label in a.amps and label in b.amps:
             total += a.amps[label].conjugate() * b.amps[label]
     return total
-
-
-def apply(op: LinearOperator, s: StateVector) -> StateVector:
-    """Matrix-vector product, identity implicit on undeclared subsystems."""
-    op_ids = op.space.ids
-    for sid, alpha in op.space.subsystems:
-        if sid not in s.space.ids:
-            raise SpaceMismatchError(f"operator subsystem {sid!r} absent from state space")
-        if s.space.alphabet(sid) != alpha:
-            raise SpaceMismatchError(f"alphabet mismatch on subsystem {sid!r}")
-    cols: dict = {}   # column factors -> [(row factors, value), ...]
-    for (r, c), v in op.entries.items():
-        cols.setdefault(c.factors, []).append((r.factors, v))
-    out: dict = {}
-    for label, amp in s.amps.items():
-        col = label.project(op_ids)
-        for row, val in cols.get(col, ()):
-            new = label.replaced(dict(row))
-            out[new] = out.get(new, 0.0) + val * amp
-    return StateVector(s.space, _clean(out))
 
 
 def _picker(positions: list):
@@ -473,42 +420,18 @@ def rename_subsystems(s: StateVector, mapping: Mapping[str, str]) -> StateVector
 
 
 # ---------------------------------------------------------------------------
-# serialization and dense conversion
+# dense conversion
 # ---------------------------------------------------------------------------
 
 
-def state_to_json(s: StateVector, indent: int | None = None) -> str:
-    """Deterministic JSON debug dump: entries sorted by label."""
-    rows = []
-    for label in sorted(s.amps, key=lambda l: l.factors):
-        amp = s.amps[label]
-        rows.append({"label": [list(f) for f in label.factors], "re": amp.real, "im": amp.imag})
-    doc = {
-        "space": [[sid, list(alpha)] for sid, alpha in s.space.subsystems],
-        "amplitudes": rows,
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True)
-
-
 def to_dense(s: StateVector, index: Mapping[BasisLabel, int]) -> np.ndarray:
-    """Dense vector over a label index {label: position} (integrator use only)."""
+    """Dense vector over a label index {label: position}."""
     vec = np.zeros(len(index), dtype=complex)
     for label, amp in s.amps.items():
         vec[index[label]] = amp
     return vec
 
 
-def operator_to_dense(op: LinearOperator, space: Space) -> np.ndarray:
-    """Embed an operator into the full space as a dense matrix.
-
-    Only meant for the small atom+cavity spaces used by the integrator; dense
-    dimension is checked to stay tiny so the sparse design is not defeated.
-    """
-    if space.dim > 4096:
-        raise ValueError(f"refusing dense conversion of dim-{space.dim} space")
-    index = {label: i for i, label in enumerate(space.labels())}
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for label, j in index.items():
-        for row, val in apply(op, StateVector(space, {label: 1.0})).amps.items():
-            mat[index[row], j] = val
-    return mat
+def from_dense(space: Space, vec: np.ndarray, index: Mapping[BasisLabel, int]) -> StateVector:
+    """Inverse of :func:`to_dense`: the non-zero entries of ``vec`` as a state."""
+    return StateVector(space, {label: vec[i] for label, i in index.items() if vec[i] != 0})

@@ -26,7 +26,7 @@ from clonesim.cloner import (
     singlet,
     unot_fidelity,
 )
-from clonesim.qstate import apply, fidelity_pure, inner, operator_to_dense
+from clonesim.qstate import fidelity_pure, inner, tensor, to_dense
 
 BRANCH_PROB = 0.75
 CLONE_F = 5.0 / 6.0
@@ -70,8 +70,8 @@ def test_closed_form_matches_projection_up_to_global_phase(q):
 
 
 def test_projector_is_rank6_idempotent_hermitian():
-    sp = qubit_space(Q1, Q2, Q3)
-    mat = operator_to_dense(projector_p123(), sp)
+    mat = projector_p123()
+    assert mat.shape == (8, 8) and not mat.flags.writeable   # one shared matrix
     assert np.abs(mat @ mat - mat).max() < 1e-12
     assert np.abs(mat - mat.conj().T).max() < 1e-12
     eigs = np.linalg.eigvalsh(mat)
@@ -79,9 +79,10 @@ def test_projector_is_rank6_idempotent_hermitian():
 
 
 def test_projector_annihilates_singlet_sector():
-    from clonesim.qstate import tensor
+    # rows and columns follow the canonical label order of the register
+    index = {label: i for i, label in enumerate(qubit_space(Q1, Q2, Q3).labels())}
     pre = tensor(singlet(Q1, Q2), qubit_state(Q3, 0.6, 0.8))
-    assert apply(projector_p123(), pre).norm_sq() < 1e-24
+    assert np.linalg.norm(projector_p123() @ to_dense(pre, index)) ** 2 < 1e-24
 
 
 def test_input_validation():

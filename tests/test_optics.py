@@ -22,7 +22,7 @@ from clonesim.optics import (
     qwp_relabel,
     symmetric_project,
 )
-from clonesim.qstate import inner, tensor
+from clonesim.qstate import StateVector, inner, tensor
 
 
 def _pair(pol_a, pol_b):
@@ -135,12 +135,11 @@ def test_projection_probability_of_triplet_is_one():
 
 
 def test_projection_rejects_empty_path():
-    from clonesim.qstate import basis_state
     sp = photon_space([PATH_A, PATH_B])
-    bad = basis_state(sp, {
+    bad = StateVector(sp, {sp.label({
         mode_id(PATH_A, "H"): "1", mode_id(PATH_A, "V"): "0",
         mode_id(PATH_B, "H"): "0", mode_id(PATH_B, "V"): "0",
-    })
+    }): 1.0})
     with pytest.raises(ValueError):
         symmetric_project(bad)
 
@@ -198,8 +197,10 @@ def test_overlap_magnitude_above_one_is_rejected():
 def test_arm_split_is_symmetric():
     sym = (_pair("H", "V") + _pair("V", "H")) * (1 / math.sqrt(2))
     rep = detection_bookkeeping(sym)
-    assert rep.p_arm_primary == pytest.approx(rep.p_arm_mirror, abs=1e-12)
-    assert rep.p_arm_primary + rep.p_arm_mirror == pytest.approx(rep.p_coincidence, abs=1e-12)
+    primary = rep.count_distribution[(1, 1, 0, 0)]
+    mirror = rep.count_distribution[(0, 0, 1, 1)]
+    assert primary == pytest.approx(mirror, abs=1e-12)
+    assert primary + mirror == pytest.approx(rep.p_coincidence, abs=1e-12)
 
 
 # --- representation -------------------------------------------------------

@@ -149,6 +149,24 @@ def test_detector_params_validation():
         DetectorParams(dark_rate=0.5, window=10.0)   # dark_rate*window far from small
 
 
+def test_detector_model_checks_ranges():
+    rep = _report(0.6, 0.8)
+    for eta, dark, window in ((1.5, 0.0, 10.0), (0.5, -1e-4, 10.0), (0.5, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            detector_model(rep, eta, dark, window, seed=0)
+
+
+def test_large_dark_count_run_warns_once():
+    # the config's DetectorParams warns; applying it to the run must not warn again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(ProtocolConfig(input=InputQubit(0.6, 0.8),
+                           detector=DetectorParams(eta=0.9, dark_rate=0.03, window=10.0)))
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dark_rate*window" in str(caught[0].message)
+    assert caught[0].filename == __file__          # points at the line building the config
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(input=InputQubit(1.0, 0.0), dt=0.0)

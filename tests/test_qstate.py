@@ -12,19 +12,16 @@ from clonesim.qstate import (
     Space,
     SpaceMismatchError,
     StateVector,
-    apply,
-    basis_state,
     fidelity_pure,
+    from_dense,
     inner,
     normalize,
-    operator_to_dense,
     partial_trace,
     rename_subsystems,
-    state_to_json,
     tensor,
     to_dense,
 )
-from clonesim.cloner import projector_p123, qubit_space, qubit_state, singlet
+from clonesim.cloner import qubit_space, qubit_state, singlet
 
 
 def test_space_order_is_canonical():
@@ -107,57 +104,17 @@ def test_normalize_rejects_zero():
         normalize(zero)
 
 
-def _index(space):
-    return {label: i for i, label in enumerate(space.labels())}
-
-
-def _from_dense(space, vec):
-    return StateVector(space, {label: vec[i] for label, i in _index(space).items()})
-
-
 def test_dense_round_trip():
     s = tensor(qubit_state("q1", 0.6, 0.8j), qubit_state("q2", 0.8, -0.6))
-    back = _from_dense(s.space, to_dense(s, _index(s.space)))
+    index = {label: i for i, label in enumerate(s.space.labels())}
+    back = from_dense(s.space, to_dense(s, index), index)
     assert inner(s, back) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_operator_to_dense_refuses_large_spaces():
-    sp = Space(tuple((f"m{i}", tuple(str(k) for k in range(4))) for i in range(7)))
-    op = projector_p123()
-    with pytest.raises(ValueError):
-        operator_to_dense(op, sp)
-
-
-def test_apply_matches_dense_matrix_action():
-    # the three-qubit projector, both routes
-    op = projector_p123()
-    sp = qubit_space("q1", "q2", "q3")
-    rng = np.random.default_rng(11)
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    vec /= np.linalg.norm(vec)
-    s = _from_dense(sp, vec)
-    sparse_route = to_dense(apply(op, s), _index(sp))
-    dense_route = operator_to_dense(op, sp) @ vec
-    assert np.abs(sparse_route - dense_route).max() < 1e-13
 
 
 def test_rename_subsystems_rejects_collision():
     s = tensor(qubit_state("q1", 1.0, 0.0), qubit_state("q2", 0.0, 1.0))
     with pytest.raises(ValueError):
         rename_subsystems(s, {"q1": "q2"})
-
-
-def test_state_json_is_deterministic():
-    s = tensor(qubit_state("q1", 0.6, 0.8), qubit_state("q2", 1.0, 0.0))
-    assert state_to_json(s) == state_to_json(s)
-    assert "q1" in state_to_json(s)
-
-
-def test_basis_state_amplitude():
-    sp = qubit_space("q1", "q2")
-    s = basis_state(sp, {"q1": "0", "q2": "1"})
-    assert s.norm_sq() == 1.0
-    assert s.amp(sp.label({"q1": "0", "q2": "1"})) == 1.0 + 0.0j
 
 
 def test_density_matrix_mix_keeps_unit_trace():
