@@ -7,8 +7,6 @@ less spontaneous loss).  Saves dark_state_passage.png next to the cwd when
 matplotlib is importable.
 """
 
-import warnings
-
 import numpy as np
 
 from clonesim import PulseSchedule, Side, SystemParams, dark_states, evolve
@@ -19,9 +17,7 @@ print("how tracking improves with passage time (kappa = 0, pure rotation):")
 p_closed = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
 for t_total in (25.0, 50.0, 100.0, 200.0):
     om = PulseSchedule(t_total=t_total)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = evolve(alice_initial(0.6, 0.8), p_closed, om, dt=t_total / 1000)
+    rep = evolve(alice_initial(0.6, 0.8), p_closed, om, dt=t_total / 1000)
     d1, d2 = dark_states(p_closed, om, t_total)
     target, _ = normalize(d1 * 0.6 + d2 * 0.8)
     final, _ = normalize(rep.final_state)
@@ -31,9 +27,7 @@ for t_total in (25.0, 50.0, 100.0, 200.0):
 print("\nnow with the cavity open (kappa = 1), default schedule:")
 p = SystemParams(side=Side.ALICE)
 om = PulseSchedule()
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    rep = evolve(alice_initial(0.6, 0.8), p, om, dt=0.05)
+rep = evolve(alice_initial(0.6, 0.8), p, om, dt=0.05)
 print(f"  emission probability: {rep.emission_prob:.6f}")
 print(f"  spontaneous loss:     {rep.spont_loss:.6f}")
 print(f"  closure |emit + loss + leftover - 1|: {rep.closure_error:.2e}")

@@ -7,8 +7,6 @@ the photons indistinguishable.  Takes ~15 s for the default schedule.
 Saves protocol_pulses.png when matplotlib is importable.
 """
 
-import warnings
-
 import numpy as np
 
 from clonesim import InputQubit, Mode, ProtocolConfig, run
@@ -24,9 +22,7 @@ print(f"  p_symmetric:       {ideal.p_symmetric:.9f}")
 print(f"  p_operational:     {ideal.p_operational:.9f}")
 
 print("\nintegrated dynamics (default schedule, T = 200/g)...")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    dyn = run(ProtocolConfig(input=q, mode=Mode.DYNAMIC))
+dyn = run(ProtocolConfig(input=q, mode=Mode.DYNAMIC))
 print(f"  clone fidelities:  {dyn.clone_fidelity_1:.9f}, {dyn.clone_fidelity_2:.9f}")
 print(f"  remote flip:       {dyn.telenot_fidelity:.9f}")
 print(f"  emission probs:    {dyn.emission_prob_alice:.6f}, {dyn.emission_prob_bob:.6f}")

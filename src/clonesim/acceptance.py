@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +220,9 @@ def _tracking_runs(cache: dict) -> list:
         p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0, delta=0.0)
         for t_total in _TRACK_TIMES:
             omega = PulseSchedule(t_total=t_total)
-            # short ramps are deliberate non-adiabatic probes; keep them quiet
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                rep = adiabatic.evolve(adiabatic.alice_initial(0.6, 0.8), p,
-                                       omega, dt=t_total / 1000.0)
+            # short ramps are deliberate non-adiabatic probes
+            rep = adiabatic.evolve(adiabatic.alice_initial(0.6, 0.8), p,
+                                   omega, dt=t_total / 1000.0)
             d1, d2 = adiabatic.dark_states(p, omega, t_total)
             target, _ = normalize(d1 * 0.6 + d2 * 0.8)
             final, _ = normalize(rep.final_state)
@@ -255,9 +252,7 @@ def _dynamic_report(seed: int, cache: dict) -> protocol.CloneReport:
     if "dynamic" not in cache:
         cfg = protocol.ProtocolConfig(
             input=InputQubit(0.6, 0.8), mode=protocol.Mode.DYNAMIC, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cache["dynamic"] = protocol.run_dynamic(cfg)
+        cache["dynamic"] = protocol.run_dynamic(cfg)
     return cache["dynamic"]
 
 

@@ -45,7 +45,6 @@ initial norm at integrator order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -93,7 +92,6 @@ _RATE_RESOLUTION = 10.0
 STEP_TOL = 1e-7
 # refinement aims this far below STEP_TOL so one rerun usually suffices
 _STEP_SAFETY = 0.9
-EXCITED_POP_WARN = 1e-2
 NORM_INCREASE_TOL = 1e-10
 
 # A passage keeps about this many bytes per step alive: time and drive grids,
@@ -440,9 +438,9 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     While it is above ``STEP_TOL`` the grid is refined to
     n / (0.9 (STEP_TOL / bound)^(1/4)) steps and the passage is run again.
 
-    Raises on more steps than MAX_STEPS and on integrator norm growth; warns
-    once, for the accepted grid, when the excited-state population exceeds
-    the adiabaticity monitor threshold.
+    Raises on more steps than MAX_STEPS and on integrator norm growth.  The
+    accepted grid's peak excited population is the report's ``excited_pop_max``;
+    ``protocol.run_dynamic`` notes it when it exceeds ``EXCITED_POP_WARN``.
     """
     space = node_space(p.side)
     if initial.space != space:
@@ -545,13 +543,6 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
             break
         n_steps = math.ceil(n_steps / (_STEP_SAFETY * (STEP_TOL / bound) ** 0.25))
 
-    excited_pop_max = float(exc_pop.max())
-    if excited_pop_max > EXCITED_POP_WARN:
-        warnings.warn(
-            f"adiabaticity monitor: excited population peaked at "
-            f"{excited_pop_max:.3e} (> {EXCITED_POP_WARN:g}); ramp is too fast",
-            RuntimeWarning, stacklevel=2)
-
     closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
 
     # the photon as (polarization) x (envelope): the top eigenvector of the
@@ -581,7 +572,7 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         final_state=from_dense(space, psi, index),
         emission_prob=float(e_emit),
         spont_loss=float(e_spont),
-        excited_pop_max=excited_pop_max,
+        excited_pop_max=float(exc_pop.max()),
         closure_error=float(closure),
         error_bound=bound,
         t_grid=t_grid,

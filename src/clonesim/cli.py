@@ -227,6 +227,8 @@ def cmd_sweep(args) -> int:
             values[key] = repr(float(value))
         settings = settings_from_values(values, mode=Mode(args.mode))
         settings = _with_seed(settings, _resolve_seed(settings.config.seed))
+        if not rows:                        # no sweepable key changes the input
+            _warn_renormalized(settings)
         try:
             report = run(settings.config)
         except (ValueError, RuntimeError) as exc:
@@ -239,6 +241,8 @@ def cmd_sweep(args) -> int:
               f"clone_fidelity_1 = {fmt(report.clone_fidelity_1)}, "
               f"p_detected = {fmt(report.p_detected)}, "
               f"overlap_visibility = {fmt(report.overlap_visibility)}")
+        for note in report.diagnostics:
+            print(f"diagnostic: {args.param} = {fmt(value)}: {note}", file=sys.stderr)
 
     out = Path(args.out)
     outputs = [_write(out, "sweep.csv", ",".join(header) + "\n" + "\n".join(rows) + "\n")]

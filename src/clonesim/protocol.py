@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .adiabatic import (
-    EXCITED_POP_WARN,
     MAX_STEPS,
     DynamicsReport,
     PulseSchedule,
@@ -97,6 +95,8 @@ ATOM_B = "atomB"
 MATCHED_DRIVE_RATIO = math.sqrt(2.0)
 
 EMISSION_DIAG_THRESHOLD = 0.99
+# peak excited population above which a passage is noted as too fast
+EXCITED_POP_WARN = 1e-2
 
 # The detection Monte Carlo keeps about this many bytes per trial alive at its
 # peak (136-144 B under tracemalloc).  MAX_MC_TRIALS holds that to 512 MiB.
@@ -133,11 +133,6 @@ class DetectorParams:
 
     def __post_init__(self):
         _check_detector(self.eta, self.dark_rate, self.window)
-        if self.dark_rate * self.window > 0.2:
-            warnings.warn(
-                f"dark_rate*window = {self.dark_rate * self.window:.3g} is not small; "
-                "the per-window dark-click model assumes << 1",
-                RuntimeWarning, stacklevel=3)     # past the dataclass __init__
 
 
 def _tunable(kind) -> tuple[str, ...]:
@@ -215,7 +210,8 @@ class CloneReport:
     ph3, ph4 plus the atom) including partial-visibility and, after
     ``detector_model`` with dark counts, false-herald dilution.  When the
     heralded branch has probability 0 (``p_operational == 0``), the three
-    fidelities are nan and ``diagnostics`` carries ``ZERO_HERALD_NOTE``.
+    fidelities are nan and ``diagnostics`` carries ``ZERO_HERALD_NOTE``; a
+    dark_rate * window above 0.2 adds the note that it is not small.
     When a node emitted nothing there is no photon pair at all:
     ``post_state`` and ``rho_post`` are None, ``p_symmetric`` is nan and
     ``count_distribution`` is empty.
@@ -352,7 +348,7 @@ def _finish(cfg: ProtocolConfig, joint: StateVector | None, overlap_c: complex,
 
 def run_analytic(cfg: ProtocolConfig) -> CloneReport:
     """Perfect-passage protocol run; all constants exact."""
-    if Mode(cfg.mode) is not Mode.ANALYTIC:
+    if cfg.mode is not Mode.ANALYTIC:
         raise ValueError("run_analytic requires mode=analytic")
     q = cfg.input
     r = 1.0 / math.sqrt(2.0)
@@ -365,10 +361,10 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
 
     Both nodes evolve under their schedules; the heralded state is scored
     with the actual envelope overlap as visibility.  Emission probability
-    below 0.99 is recorded as a diagnostic; below ``emission_floor`` the run
-    is flagged protocol-degenerate (warning, not an error).
+    below 0.99 is recorded as a diagnostic; below ``emission_floor`` the note
+    flags the run protocol-degenerate (a note, not an error).
     """
-    if Mode(cfg.mode) is not Mode.DYNAMIC:
+    if cfg.mode is not Mode.DYNAMIC:
         raise ValueError("run_dynamic requires mode=dynamic")
     q = cfg.input
     rep_a = evolve(alice_initial(q.a, q.b), cfg.alice.params, cfg.alice.omega, cfg.dt)
@@ -377,10 +373,6 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
     notes = []
     for name, rep in (("alice", rep_a), ("bob", rep_b)):
         if rep.emission_prob < cfg.emission_floor:
-            warnings.warn(
-                f"protocol degenerate: {name} emission probability "
-                f"{rep.emission_prob:.6g} below floor {cfg.emission_floor:g}",
-                RuntimeWarning, stacklevel=2)
             notes.append(f"{name} emission {rep.emission_prob:.6g} below floor "
                          f"{cfg.emission_floor:g}: protocol degenerate")
         elif rep.emission_prob < EMISSION_DIAG_THRESHOLD:
@@ -393,8 +385,6 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
     for name, rep in (("alice", rep_a), ("bob", rep_b)):
         if rep.polarization is not None and 1.0 - rep.purity > 1e-6:
             notes.append(f"{name} emission not rank-one: purity {rep.purity:.9f}")
-            warnings.warn(f"{name} channel Gram matrix far from rank one "
-                          f"(purity {rep.purity:.9f})", RuntimeWarning, stacklevel=2)
 
     c = pulse_overlap_complex(rep_a.t_grid, rep_a.pulse_shape,
                               rep_b.t_grid, rep_b.pulse_shape)
@@ -406,7 +396,7 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
 
 
 def run(cfg: ProtocolConfig) -> CloneReport:
-    if Mode(cfg.mode) is Mode.ANALYTIC:
+    if cfg.mode is Mode.ANALYTIC:
         return run_analytic(cfg)
     return run_dynamic(cfg)
 
@@ -452,13 +442,13 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
 
     The input must be an ideal-detector report (what run_analytic/run_dynamic
     produce under the default DetectorParams); applying dark-count dilution
-    twice would compound it.  More than ``MAX_MC_TRIALS`` trials and
-    parameters outside DetectorParams' ranges raise ``ValueError`` before
-    anything is allocated.  The warning on a large dark_rate * window is
-    DetectorParams' alone, so a run warns once, when its config is built.
+    twice would compound it.  A trial count outside [0, ``MAX_MC_TRIALS``]
+    and parameters outside DetectorParams' ranges raise ``ValueError`` before
+    anything is allocated.  A dark_rate * window above 0.2 appends a note
+    after any earlier one.
     """
-    if trials > MAX_MC_TRIALS:
-        raise ValueError(f"{trials} Monte Carlo trials exceed the budget of {MAX_MC_TRIALS}")
+    if not 0 <= trials <= MAX_MC_TRIALS:
+        raise ValueError(f"{trials} Monte Carlo trials lie outside the budget [0, {MAX_MC_TRIALS}]")
     _check_detector(eta, dark_rate, window)
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
     branches = _branches(report)
@@ -502,6 +492,10 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         est = _detection_mc(branches, eta, p_dark, seed, trials)
         sigma = math.sqrt(max(new.p_detected * (1.0 - new.p_detected), 0.0) / trials)
         new = replace(new, mc_p_detected=est, mc_trials=trials, mc_sigma=sigma)
+    if dark_rate * window > 0.2:
+        new = replace(new, diagnostics=new.diagnostics + (
+            f"dark_rate*window = {dark_rate * window:.3g} is not small; "
+            "the per-window dark-click model assumes << 1",))
     return new
 
 

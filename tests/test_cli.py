@@ -118,28 +118,38 @@ def test_negative_verify_seed_is_config_error(tmp_path, monkeypatch, capsys, arg
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+def _excited_notes(err: str) -> list:
+    """The nodes named by the stderr lines noting a peak excited population."""
+    return [line.split()[1] for line in err.splitlines()
+            if line.startswith("diagnostic: ") and "excited population peaked" in line]
+
+
 def test_dynamics_fast_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CFG)
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):        # brisk ramp trips the monitor
-        code = cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
+    code = cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
     assert code == 0
+    err = capsys.readouterr().err
+    assert _excited_notes(err) == ["alice", "bob"]    # brisk ramps trip the monitor once each
     names = {p.name for p in out.iterdir()}
     assert names == {"report.json", "summary.csv", "pulse_alice.csv",
                      "pulse_bob.csv", "manifest.json"}
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["mode"] == "dynamic"
     assert float(report["results"]["overlap_visibility"]) > 0.9
+    # stderr states each condition once, in the report's words
+    assert err.splitlines() == [f"diagnostic: {note}" for note in report["diagnostics"]]
 
 
 def test_dynamics_adiabaticity_threshold_fails_run(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FAST_CFG + "adiabaticity.max_excited = 0.01\n")
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    code = cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_DIAGNOSTIC
-    assert "adiabaticity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "adiabaticity violation" in err
+    assert _excited_notes(err) == ["alice", "bob"]
 
 
 ZERO_HERALD_CFG = """\
@@ -166,8 +176,7 @@ def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, monkeypatch
     cfg = tmp_path / "run.cfg"
     cfg.write_text(ZERO_HERALD_CFG)
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
+    cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
     rep_a, rep_b = reports[0].dynamics_diags
     assert rep_a.polarization is None and math.isnan(rep_a.purity)
@@ -192,13 +201,15 @@ def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, monkeypatch
     for name in undefined:
         assert f"{name} = nan" in captured.out
     assert f"diagnostic: {ZERO_HERALD_NOTE}" in captured.err
+    assert "diagnostic: alice emission 0 below floor 0.5: protocol degenerate" in captured.err
+    assert _excited_notes(captured.err) == ["alice", "bob"]
     assert "rank" not in captured.err
 
     # dark counts still herald (falsely) on such a run; the state stays undefined
     cfg.write_text(ZERO_HERALD_CFG + "detector.dark_rate = 0.001\ndetector.mc_trials = 100\n")
     dark = tmp_path / "dark"
-    with pytest.warns(RuntimeWarning):
-        cli.main(["dynamics", "--config", str(cfg), "--out", str(dark)])
+    cli.main(["dynamics", "--config", str(cfg), "--out", str(dark)])
+    assert f"diagnostic: {ZERO_HERALD_NOTE}" in capsys.readouterr().err
     report = json.loads((dark / "report.json").read_text())
     assert 0.0 < report["results"]["p_detected"] < 1.0
     assert report["results"]["false_herald_fraction"] == 1.0
@@ -276,6 +287,30 @@ def test_sweep_analytic_eta(tmp_path):
     # p_detected scales with eta^2: 0, 0.09375, 0.375
     detected = [row.split(",")[12] for row in lines[1:]]
     assert detected == ["0", "0.09375", "0.375"]
+
+
+def test_sweep_prints_each_points_diagnostics(tmp_path, capsys):
+    # a zero-herald point prints nan; its notes on stderr say why
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ZERO_HERALD_CFG)
+    code = cli.main(["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--steps", "2",
+                     "--config", str(cfg), "--out", str(tmp_path / "sw")])
+    assert code == cli.EXIT_OK
+    err = capsys.readouterr().err
+    for value in ("0.5", "1"):
+        assert f"diagnostic: eta = {value}: {ZERO_HERALD_NOTE}" in err
+
+
+def test_sweep_reports_renormalized_input(tmp_path, capsys):
+    # once: no sweepable key changes the input
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\ninput.a = 3\ninput.b = 4\n")
+    code = cli.main(["sweep", "--param", "eta", "--from", "0.5", "--to", "1", "--steps", "2",
+                     "--config", str(cfg), "--mode", "analytic", "--out", str(tmp_path / "sw")])
+    assert code == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("renormalized") == 1
+    assert "using a = 0.6, b = 0.8" in err
 
 
 def test_sweep_dotted_key(tmp_path):

@@ -269,7 +269,6 @@ def _settle(text_or_values, mode):
 _modes = st.sampled_from(["analytic", "dynamic"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(st.text(), _modes)
 def test_config_text_fails_only_with_config_error(text, mode):
     _settle(text, mode)
@@ -284,7 +283,6 @@ _value = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300)
 @given(st.dictionaries(st.sampled_from(sorted(KEY_TABLE)), _value), _modes)
 def test_config_values_fail_only_with_config_error(values, mode):
@@ -308,7 +306,7 @@ _unit = st.floats(0.0, 1.0)
 @given(_unit, _unit, _unit, _unit, st.floats(0.0, 0.02))
 def test_detector_model_is_a_monotone_probability(pa, pb, eta1, eta2, dark_rate):
     # any emission probabilities, p_operational built as the protocol does
-    # (coincidence 3/8); dark_rate * window stays below the 0.2 warning
+    # (coincidence 3/8); dark_rate * window stays below the 0.2 note
     report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
                      p_operational=pa * pb * 0.375)
     lo, hi = sorted((eta1, eta2))

@@ -145,8 +145,10 @@ def test_detector_params_validation():
         DetectorParams(eta=1.5)
     with pytest.raises(ValueError):
         DetectorParams(window=0.0)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         DetectorParams(dark_rate=0.5, window=10.0)   # dark_rate*window far from small
+    assert not caught                                # a run notes it in its report
 
 
 def test_detector_model_checks_ranges():
@@ -156,15 +158,28 @@ def test_detector_model_checks_ranges():
             detector_model(rep, eta, dark, window, seed=0)
 
 
-def test_large_dark_count_run_warns_once():
-    # the config's DetectorParams warns; applying it to the run must not warn again
+def test_large_dark_count_run_is_noted_once():
+    # the condition is one report note, never a warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run(ProtocolConfig(input=InputQubit(0.6, 0.8),
-                           detector=DetectorParams(eta=0.9, dark_rate=0.03, window=10.0)))
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "dark_rate*window" in str(caught[0].message)
-    assert caught[0].filename == __file__          # points at the line building the config
+        rep = run(ProtocolConfig(input=InputQubit(0.6, 0.8),
+                                 detector=DetectorParams(eta=0.9, dark_rate=0.03, window=10.0)))
+    assert not caught
+    assert [n for n in rep.diagnostics if "dark_rate*window" in n] == [
+        "dark_rate*window = 0.3 is not small; the per-window dark-click model assumes << 1"]
+    assert report_to_dict(rep)["diagnostics"] == list(rep.diagnostics)
+
+
+def test_detector_model_rejects_negative_trials(monkeypatch):
+    # ProtocolConfig rejects a negative mc_trials; the model must too, before any work
+    rep = _report(0.6, 0.8)
+
+    def never(*args):
+        raise AssertionError("the model ran before its arguments were checked")
+
+    monkeypatch.setattr(protocol, "_branches", never)
+    with pytest.raises(ValueError, match="budget"):
+        detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=-5)
 
 
 def test_config_validation():
@@ -214,9 +229,7 @@ def test_mc_trial_budget_covers_the_measured_peak():
 @pytest.fixture(scope="module")
 def dynamic_report():
     cfg = ProtocolConfig(input=InputQubit(0.6, 0.8), mode=Mode.DYNAMIC, seed=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return run_dynamic(cfg)
+    return run_dynamic(cfg)
 
 
 def test_dynamic_run_approaches_ideal_scores(dynamic_report):
@@ -244,7 +257,7 @@ def test_dynamic_diagnostics_recorded(dynamic_report):
         assert dyn.closure_error < 1e-8
 
 
-def test_degenerate_emission_raises_warning():
+def test_degenerate_emission_is_noted():
     # starve the remote node so almost nothing is emitted
     brisk = NodeConfig(SystemParams(side=Side.ALICE),
                        PulseSchedule(omega_max=2.0, t_total=25.0))
@@ -252,9 +265,9 @@ def test_degenerate_emission_raises_warning():
                       PulseSchedule(omega_max=0.05, t_total=25.0))
     cfg = ProtocolConfig(input=InputQubit(0.6, 0.8), mode=Mode.DYNAMIC,
                          alice=brisk, bob=lazy, dt=0.025, emission_floor=0.5)
-    with pytest.warns(RuntimeWarning, match="degenerate"):
-        rep = run_dynamic(cfg)
-    assert any("emission" in note for note in rep.diagnostics)
+    rep = run_dynamic(cfg)
+    assert [n for n in rep.diagnostics if "degenerate" in n] == [
+        f"bob emission {rep.emission_prob_bob:.6g} below floor 0.5: protocol degenerate"]
 
 
 # --- serialization ---------------------------------------------------------------
