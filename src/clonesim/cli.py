@@ -119,8 +119,13 @@ def _write(out_dir: Path, name: str, text: str) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, settings: RunSettings | None,
-                    seed: int, outputs: list, config_path: str | None):
-    """Write manifest.json beside ``outputs`` and print every file written."""
+                    seed: int, outputs: list, config_path: str | None,
+                    sweep: dict | None = None):
+    """Write manifest.json beside ``outputs`` and print every file written.
+
+    ``sweep`` names the swept parameter and its grid; ``settings`` is then
+    the last point's.
+    """
     doc = {
         "command": command,
         "config_path": config_path,
@@ -130,6 +135,8 @@ def _write_manifest(out_dir: Path, command: str, settings: RunSettings | None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
+    if sweep is not None:
+        doc["sweep"] = sweep
     outputs = outputs + [_write(out_dir, "manifest.json",
                                 json.dumps(doc, indent=2, sort_keys=True) + "\n")]
     print("wrote: " + ", ".join(sorted(os.path.basename(p) for p in outputs)))
@@ -246,7 +253,9 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     outputs = [_write(out, "sweep.csv", ",".join(header) + "\n" + "\n".join(rows) + "\n")]
-    _write_manifest(out, "sweep", settings, settings.config.seed, outputs, args.config)
+    _write_manifest(out, "sweep", settings, settings.config.seed, outputs, args.config,
+                    sweep={"param": args.param, "keys": list(targets), "start": args.start,
+                           "stop": args.stop, "steps": args.steps, "mode": args.mode})
     return EXIT_OK
 
 

@@ -289,6 +289,20 @@ def test_sweep_analytic_eta(tmp_path):
     assert detected == ["0", "0.09375", "0.375"]
 
 
+def test_sweep_manifest_records_the_grid(tmp_path):
+    # the resolved config is the last point's; the manifest must name the sweep
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG)
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "--param", "eta", "--from", "0.5", "--to", "1",
+                     "--steps", "2", "--config", str(cfg),
+                     "--mode", "analytic", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sweep"] == {"param": "eta", "keys": ["detector.eta"], "start": 0.5,
+                                 "stop": 1.0, "steps": 2, "mode": "analytic"}
+
+
 def test_sweep_prints_each_points_diagnostics(tmp_path, capsys):
     # a zero-herald point prints nan; its notes on stderr say why
     cfg = tmp_path / "run.cfg"

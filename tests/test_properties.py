@@ -1,5 +1,6 @@
 """Property tests: invariants over generated inputs rather than fixed examples."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clonesim.adiabatic import (
@@ -320,3 +321,28 @@ def test_detector_model_is_a_monotone_probability(pa, pb, eta1, eta2, dark_rate)
         # differ in the last bit
         clean = detector_model(report, eta, 0.0, 10.0, seed=0)
         assert clean.p_detected == report.p_operational * eta * eta
+
+
+_MC_SEEDS = range(8)
+
+
+@example(pa=1.0, pb=1.0, eta=0.0, p_dark=0.0)
+@example(pa=1.0, pb=1.0, eta=1.0, p_dark=0.0)
+@example(pa=0.5, pb=0.25, eta=1.0, p_dark=0.5)
+@example(pa=0.0, pb=0.0, eta=0.0, p_dark=0.0)
+@given(_unit, _unit, _unit, st.floats(0.0, 1.0, exclude_max=True))
+def test_detection_monte_carlo_mean_agrees_with_closed_form(pa, pb, eta, p_dark):
+    # random emission probabilities bring in the 1- and 0-photon branches.
+    # The mean over fixed seeds must lie within 5 sigma of the closed form,
+    # plus its rounding: with ~100 parameter sets per run, a correct
+    # estimator fails under 1e-4 of runs.  Edge values must draw without error.
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     p_operational=pa * pb * 0.375)
+    window, trials = 10.0, 20_000
+    dark_rate = -math.log1p(-p_dark) / window
+    runs = [detector_model(report, eta, dark_rate, window, seed=s, trials=trials)
+            for s in _MC_SEEDS]
+    closed = runs[0].p_detected
+    mean = sum(r.mc_p_detected for r in runs) / len(runs)
+    sigma = runs[0].mc_sigma / math.sqrt(len(runs))
+    assert abs(mean - closed) <= 5.0 * sigma + 1e-12

@@ -223,6 +223,21 @@ def test_mc_trial_budget_covers_the_measured_peak():
     assert peak / trials <= protocol._BYTES_PER_TRIAL
 
 
+def test_mc_peak_memory_does_not_grow_with_trials():
+    # the draw is per click pattern, so ten times the trials hold no more
+    rep = _report(0.6, 0.8)
+    detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=20_000)   # one-time setup
+    peaks = []
+    for trials in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 # --- dynamic route --------------------------------------------------------------
 
 
