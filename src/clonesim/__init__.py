@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- :mod:`clonesim.qstate`    sparse labeled tensor states, dense conversion
+- :mod:`clonesim.qstate`    labeled tensor states: sparse kets, dense density matrices
 - :mod:`clonesim.cloner`    exact 1->2 symmetric cloning algebra (oracle)
 - :mod:`clonesim.adiabatic` cavity dark-state passage and photon emission
 - :mod:`clonesim.optics`    waveplates, beam splitters, coincidence bookkeeping

@@ -37,6 +37,7 @@ from .qstate import (
     StateVector,
     fidelity_pure,
     from_dense,
+    label_index,
     normalize,
     partial_trace,
     tensor,
@@ -126,12 +127,6 @@ def singlet(id1: str = Q2, id2: str = Q3) -> StateVector:
 
 
 @functools.cache
-def _positions(space: Space) -> dict:
-    """{label: position} in the space's canonical label order."""
-    return {label: i for i, label in enumerate(space.labels())}
-
-
-@functools.cache
 def projector_p123() -> np.ndarray:
     """(I_12 - |psi->_12 <psi-|_12) x I_3 as an 8x8 matrix.
 
@@ -141,7 +136,7 @@ def projector_p123() -> np.ndarray:
     read-only: callers share the one matrix.
     """
     s12 = singlet(Q1, Q2)
-    s = to_dense(s12, _positions(s12.space))
+    s = to_dense(s12, label_index(s12.space))
     mat = np.eye(8) - np.kron(np.outer(s, s.conj()), np.eye(2))
     mat.flags.writeable = False
     return mat
@@ -154,7 +149,7 @@ def clone(q: InputQubit) -> CloneOutput:
     qubits 1, 2 and renormalizes the surviving branch.
     """
     pre = tensor(qubit_state(Q1, q.a, q.b), singlet(Q2, Q3))
-    index = _positions(pre.space)
+    index = label_index(pre.space)
     projected = from_dense(pre.space, projector_p123() @ to_dense(pre, index), index)
     state, branch_prob = normalize(projected)
     return CloneOutput(

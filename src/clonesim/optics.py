@@ -41,12 +41,15 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .qstate import (
     BasisLabel,
     DegenerateNormError,
     DensityMatrix,
     Space,
     StateVector,
+    label_index,
     normalize,
     partial_trace,  # noqa: F401  perfbench traces calls made through optics.partial_trace
     rename_subsystems,
@@ -293,8 +296,9 @@ def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     _check_one_photon_per_path(s, (PATH_A, PATH_B))
 
     def relabel(label: BasisLabel, p: str, q: str) -> BasisLabel:
-        return label.replaced({mode_id(path, pol): "1" if pol == want else "0"
-                               for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS})
+        levels = {mode_id(path, pol): "1" if pol == want else "0"
+                  for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
+        return BasisLabel(tuple((sid, levels.get(sid, lv)) for sid, lv in label.factors))
 
     raw: dict = {}
     for label, amp in s.amps.items():
@@ -382,8 +386,8 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     _check_one_photon_per_path(s, (PATH_A, PATH_B))
 
     photon_ids = {mode_id(p, pol) for p in (PATH_A, PATH_B) for pol in POLS}
-    extra_ids = [sid for sid in s.space.ids if sid not in photon_ids]
-    for sid in extra_ids:
+    extras = tuple(sub for sub in s.space.subsystems if sub[0] not in photon_ids)
+    for sid, _ in extras:
         if ":" in sid:
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")
 
@@ -393,7 +397,7 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     fock: dict = {}
     for label, amp in s.amps.items():
         p, q = _pol_of(label, PATH_A), _pol_of(label, PATH_B)
-        rest = label.project(extra_ids)
+        rest = tuple(f for f in label.factors if f[0] not in photon_ids)
         for tag_b, w in (("t0", c), ("t1", s_perp)):
             if w != 0:
                 key = (((PATH_A, p, "t0"), (PATH_B, q, tag_b)), rest)
@@ -420,12 +424,14 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
             for r, ar in members:
                 for col, ac in members:
                     entries[(r, col)] = entries.get((r, col), 0.0) + ar * ac.conjugate()
-        labels = {r: BasisLabel(tuple(sorted((("ph3", r[0]), ("ph4", r[1])) + r[2])))
-                  for r, _ in entries}
-        extras_space = tuple((sid, s.space.alphabet(sid)) for sid in extra_ids)
-        cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras_space)
-        rho = DensityMatrix(cond_space, {(labels[r], labels[col]): v / p_coincidence
-                                         for (r, col), v in entries.items() if v != 0.0})
+        cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras)
+        index = label_index(cond_space)
+        pos = {r: index[BasisLabel(tuple(sorted((("ph3", r[0]), ("ph4", r[1])) + r[2])))]
+               for r in {r for r, _ in entries}}
+        matrix = np.zeros((cond_space.dim, cond_space.dim), dtype=complex)
+        for (r, col), v in entries.items():
+            matrix[pos[r], pos[col]] = v / p_coincidence
+        rho = DensityMatrix.from_array(cond_space, matrix)
 
     return DetectionReport(
         p_coincidence=p_coincidence / norm_in,

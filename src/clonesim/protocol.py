@@ -431,11 +431,6 @@ def _branches(report: CloneReport) -> list[tuple[float, dict]]:
     return out
 
 
-def _uniform_mixed(space: Space) -> DensityMatrix:
-    w = 1.0 / space.dim
-    return DensityMatrix(space, {(lab, lab): w for lab in space.labels()})
-
-
 def detector_model(report: CloneReport, eta: float, dark_rate: float,
                    window: float, seed: int, trials: int = 0) -> CloneReport:
     """Fold detector efficiency and dark counts into a finished report.
@@ -485,7 +480,8 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         w_false = 1.0 - p_true / p_detected if p_detected > 0 else 0.0
         rho = report.rho_post
         if rho is not None:
-            rho = rho * (1.0 - w_false) + _uniform_mixed(rho.space) * w_false
+            mixed = DensityMatrix.from_array(rho.space, np.eye(rho.space.dim) / rho.space.dim)
+            rho = rho * (1.0 - w_false) + mixed * w_false
         new = replace(
             report,
             p_detected=p_detected,
@@ -601,9 +597,7 @@ def report_to_dict(report: CloneReport) -> dict:
                                    key=lambda kv: kv[0].factors)
         },
         "rho_post": None if report.rho_post is None else {
-            f"{r} {c}": _complex_pair(v)
-            for (r, c), v in sorted(report.rho_post.entries.items(),
-                                    key=lambda kv: (kv[0][0].factors, kv[0][1].factors))
+            f"{r} {c}": _complex_pair(v) for (r, c), v in report.rho_post.entries.items()
         },
         "diagnostics": list(report.diagnostics),
     }

@@ -1,12 +1,12 @@
-"""Sparse labeled tensor-product states.
+"""Labeled tensor-product states: sparse kets, dense density matrices.
 
 Quantum states here live on a labeled tensor product of small subsystems
-(atomic levels, cavity/photonic mode occupations).  Amplitudes are kept as a
-sparse map from basis labels to complex numbers: a protocol state touches a
-handful of the labels of its space (a few dozen dense dimensions at most).
-Operators are dense numpy matrices over a label index {label: position}
-(the cloner's projector, the integrator's Hamiltonian pieces); states cross
-to and from that layout through :func:`to_dense` and :func:`from_dense`.
+(atomic levels, cavity/photonic mode occupations).  Kets are sparse maps from
+basis labels to complex amplitudes: a protocol state touches a handful of the
+labels of its space.  Density matrices are dense (dim, dim) arrays, at most
+``MAX_DM_DIM`` wide (the package builds none above 8x8), and operators are
+dense matrices; both follow the canonical label order :func:`label_index`
+gives, and kets cross to that layout through :func:`to_dense`/:func:`from_dense`.
 
 A subsystem is identified by a string id and carries a finite level alphabet,
 e.g. ``("atomB", ("gp0", "gL", "gR", "e0"))`` or ``("A:H", ("0", "1"))`` for a
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -41,11 +42,14 @@ __all__ = [
     "fidelity_pure",
     "normalize",
     "rename_subsystems",
+    "label_index",
     "to_dense",
     "from_dense",
+    "MAX_DM_DIM",
 ]
 
 NORM_FLOOR = 1e-14  # default degenerate-branch threshold for normalize()
+MAX_DM_DIM = 512    # largest density-matrix dimension: 512**2 complex entries are 4 MiB
 
 
 class CompositionError(ValueError):
@@ -67,7 +71,7 @@ class DegenerateNormError(ValueError):
 
 @lru_cache(maxsize=256)
 def _canonical(subsystems: tuple) -> tuple:
-    """(sorted subsystems, their ids) of a raw layout, validated.
+    """(sorted subsystems, their ids, dimension) of a raw layout, validated.
 
     Pure in its argument, so each distinct layout is sorted and checked once
     per process; a bad layout raises on every call (exceptions are not
@@ -82,7 +86,7 @@ def _canonical(subsystems: tuple) -> tuple:
             raise ValueError(f"subsystem {sid!r} has an empty alphabet")
         if len(set(alpha)) != len(alpha):
             raise ValueError(f"subsystem {sid!r} has duplicate levels: {alpha}")
-    return ordered, ids
+    return ordered, ids, math.prod(len(alpha) for _, alpha in ordered)
 
 
 @dataclass(frozen=True)
@@ -92,33 +96,20 @@ class Space:
     ``subsystems`` is a tuple of ``(id, alphabet)`` pairs.  The constructor
     canonicalizes the order (sorted by subsystem id) so any two spaces built
     from the same subsystems compare equal.  ``ids`` lists the subsystem ids
-    in that order.
+    in that order; ``dim`` is the product of the alphabet sizes.
     """
 
     subsystems: tuple[tuple[str, tuple[str, ...]], ...]
     ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(self.subsystems)
         try:
-            ordered, ids = _canonical(raw)
+            ordered, ids, dim = _canonical(raw)
         except TypeError:   # unhashable alphabets (e.g. lists): validate uncached
-            ordered, ids = _canonical.__wrapped__(raw)
-        object.__setattr__(self, "subsystems", ordered)
-        object.__setattr__(self, "ids", ids)
-
-    def alphabet(self, sid: str) -> tuple[str, ...]:
-        for s, alpha in self.subsystems:
-            if s == sid:
-                return alpha
-        raise ValueError(f"unknown subsystem {sid!r}")
-
-    @property
-    def dim(self) -> int:
-        d = 1
-        for _, alpha in self.subsystems:
-            d *= len(alpha)
-        return d
+            ordered, ids, dim = _canonical.__wrapped__(raw)
+        self.__dict__.update(subsystems=ordered, ids=ids, dim=dim)
 
     def label(self, levels: Mapping[str, str]) -> "BasisLabel":
         """Build a basis label from a {subsystem id: level} mapping.
@@ -168,19 +159,25 @@ class BasisLabel(NamedTuple):
                 return lv
         raise ValueError(f"unknown subsystem {sid!r}")
 
-    def project(self, ids: Iterable[str]) -> tuple[tuple[str, str], ...]:
-        wanted = set(ids)
-        return tuple(f for f in self.factors if f[0] in wanted)
-
-    def replaced(self, updates: Mapping[str, str]) -> "BasisLabel":
-        return BasisLabel(tuple((s, updates.get(s, lv)) for s, lv in self.factors))
-
     def __str__(self):
         return "|" + ",".join(f"{s}={lv}" for s, lv in self.factors) + ">"
 
 
 def _clean(amps: dict) -> dict:
     return {k: v for k, v in amps.items() if v != 0.0}
+
+
+@lru_cache(maxsize=64)
+def label_index(space: Space) -> Mapping[BasisLabel, int]:
+    """Read-only {label: position} in the mixed-radix order of ``space.labels()``.
+
+    Cached per layout.  It enumerates the whole space, so it serves the
+    spaces dense vectors and matrices cover: one above ``MAX_DM_DIM``
+    dimensions raises ``ValueError`` before anything is enumerated.
+    """
+    if space.dim > MAX_DM_DIM:
+        raise ValueError(f"space of dimension {space.dim} exceeds the cap of {MAX_DM_DIM}")
+    return MappingProxyType({label: i for i, label in enumerate(space.labels())})
 
 
 # ---------------------------------------------------------------------------
@@ -214,68 +211,90 @@ class StateVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def amp(self, label: BasisLabel) -> complex:
-        return self.amps.get(label, 0.0 + 0.0j)
-
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.space != other.space:
             raise SpaceMismatchError("cannot add states on different spaces")
         amps = dict(self.amps)
         for label, amp in other.amps.items():
             amps[label] = amps.get(label, 0.0) + amp
-        return StateVector(self.space, _clean(amps))
+        return _state(self.space, _clean(amps))
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "StateVector":
         c = complex(scalar)
-        return StateVector(self.space, _clean({k: c * v for k, v in self.amps.items()}))
+        return _state(self.space, _clean({k: c * v for k, v in self.amps.items()}))
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+def _state(space: Space, amps: dict) -> StateVector:
+    """Trusted constructor: ``amps`` already has label keys and complex values."""
+    s = object.__new__(StateVector)
+    s.__dict__.update(space=space, amps=amps)
+    return s
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class DensityMatrix:
-    """Sparse density operator: map from (row, col) label pairs to entries."""
+    """Dense density operator: a read-only (dim, dim) complex array.
+
+    Rows and columns follow the canonical label order of ``space``; the public
+    constructor takes a sparse {(row label, col label): value} map.  A space
+    above ``MAX_DM_DIM`` dimensions raises ``ValueError`` before anything is
+    allocated.
+    """
 
     space: Space
-    entries: dict
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        coerced = {}
-        for (r, c), v in self.entries.items():
+    def __init__(self, space: Space, entries: Mapping):
+        index = label_index(space)      # refuses a space above the cap
+        matrix = np.zeros((len(index), len(index)), dtype=complex)
+        for (r, c), v in entries.items():
             if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
                 raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
-            coerced[(r, c)] = complex(v)
-        object.__setattr__(self, "entries", coerced)
+            matrix[index[r], index[c]] = complex(v)
+        matrix.flags.writeable = False
+        self.__dict__.update(space=space, matrix=matrix)
+
+    @classmethod
+    def from_array(cls, space: Space, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a (dim, dim) array in canonical label order: kept, made read-only."""
+        d = len(label_index(space))
+        if matrix.shape != (d, d):
+            raise ValueError(f"matrix of shape {matrix.shape} on a space of dimension {d}")
+        matrix = matrix.astype(complex, copy=False)
+        matrix.flags.writeable = False
+        rho = object.__new__(cls)
+        rho.__dict__.update(space=space, matrix=matrix)
+        return rho
 
     @classmethod
     def from_pure(cls, s: StateVector) -> "DensityMatrix":
-        entries = {}
-        for r, ar in s.amps.items():
-            for c, ac in s.amps.items():
-                entries[(r, c)] = ar * ac.conjugate()
-        return cls(s.space, entries)
+        """|s><s|: the reduction of ``s`` that keeps every subsystem."""
+        return partial_trace(s, s.space.ids)
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only {(row, col): value} of the non-zero entries, in canonical order."""
+        labels = list(label_index(self.space))
+        rows, cols = np.nonzero(self.matrix)
+        values = self.matrix[rows, cols].tolist()
+        return MappingProxyType({(labels[r], labels[c]): v
+                                 for r, c, v in zip(rows.tolist(), cols.tolist(), values)})
 
     def trace(self) -> float:
-        t = sum(v for (r, c), v in self.entries.items() if r == c)
-        return complex(t).real
-
-    def entry(self, r: BasisLabel, c: BasisLabel) -> complex:
-        return self.entries.get((r, c), 0.0 + 0.0j)
+        return float(np.trace(self.matrix).real)
 
     def __add__(self, other: "DensityMatrix") -> "DensityMatrix":
         if self.space != other.space:
             raise SpaceMismatchError("cannot add density matrices on different spaces")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, 0.0) + v
-        return DensityMatrix(self.space, _clean(entries))
+        return DensityMatrix.from_array(self.space, self.matrix + other.matrix)
 
     def __mul__(self, scalar) -> "DensityMatrix":
-        c = complex(scalar)
-        return DensityMatrix(self.space, _clean({k: c * v for k, v in self.entries.items()}))
+        return DensityMatrix.from_array(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -296,7 +315,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         for lb, vb in b.amps.items():
             merged = tuple(sorted(la.factors + lb.factors))
             amps[BasisLabel(merged)] = va * vb
-    return StateVector(space, amps)
+    return _state(space, amps)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -320,46 +339,55 @@ def _picker(positions: list):
     return itemgetter(*positions)
 
 
+@lru_cache(maxsize=256)
+def _trace_plan(space: Space, keep: frozenset) -> tuple:
+    """How to reduce a state on ``space`` to ``keep``, worked out once per layout.
+
+    (kept subspace, kept-factor picker, traced-factor picker, its label
+    index, the shape giving a matrix one row and one column axis per
+    subsystem, and the einsum subscripts that trace it).
+    """
+    if not keep:
+        raise ValueError("empty keep set")
+    ids = space.ids
+    sub = space.subspace(keep)      # raises on unknown ids
+    index = label_index(sub)        # and above the cap
+    kept = [i for i, sid in enumerate(ids) if sid in keep]
+    traced = [i for i, sid in enumerate(ids) if sid not in keep]
+    n = len(ids)
+    dims = [len(alpha) for _, alpha in space.subsystems]
+    # row axis i pairs with column axis n + i; a traced pair shares one subscript
+    subscripts = list(range(n)) + [i if i in traced else n + i for i in range(n)]
+    return (sub, _picker(kept), _picker(traced), index,
+            tuple(dims + dims), subscripts, kept + [n + i for i in kept])
+
+
 def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix over ``keep``, tracing out everything else.
 
     Accepts a StateVector or a DensityMatrix; the trace of the result equals
     the squared norm of the input state (or the trace of the input matrix).
-    Labels follow their space's canonical factor order, so each one is split
-    by factor position.
+    A ket's amplitudes are grouped by their traced factors into the columns
+    of a (dim(keep), groups) array A, and the result is A A^dagger, so a large
+    sparse space never becomes dense.  A reduced dimension above ``MAX_DM_DIM``
+    raises ``ValueError``.
     """
-    keep = list(keep)
-    if not keep:
-        raise ValueError("empty keep set")
-    keep_set = set(keep)
-    ids = s.space.ids
-    missing = keep_set - set(ids)
-    if missing:
-        raise ValueError(f"unknown subsystem(s) {sorted(missing)}")
-    sub = s.space.subspace(keep_set)
-    kept = _picker([i for i, sid in enumerate(ids) if sid in keep_set])
-    traced = _picker([i for i, sid in enumerate(ids) if sid not in keep_set])
-
-    entries: dict = {}
-    if isinstance(s, StateVector):
-        groups: dict = {}
-        for label, amp in s.amps.items():
-            f = label.factors
-            groups.setdefault(traced(f), []).append((BasisLabel(kept(f)), amp))
-        for members in groups.values():
-            for kr, ar in members:
-                for kc, ac in members:
-                    key = (kr, kc)
-                    entries[key] = entries.get(key, 0.0) + ar * ac.conjugate()
-    elif isinstance(s, DensityMatrix):
-        for (r, c), v in s.entries.items():
-            fr, fc = r.factors, c.factors
-            if traced(fr) == traced(fc):
-                key = (BasisLabel(kept(fr)), BasisLabel(kept(fc)))
-                entries[key] = entries.get(key, 0.0) + v
-    else:
+    if not isinstance(s, (StateVector, DensityMatrix)):
         raise TypeError("partial_trace expects a StateVector or DensityMatrix")
-    return DensityMatrix(sub, _clean(entries))
+    sub, kept, traced, index, shape, subscripts, out = _trace_plan(s.space, frozenset(keep))
+    if isinstance(s, DensityMatrix):
+        reduced = np.einsum(s.matrix.reshape(shape), subscripts, out)
+        return DensityMatrix.from_array(sub, reduced.reshape(sub.dim, sub.dim))
+    groups: dict = {}
+    m = np.zeros((sub.dim, len(s.amps)), dtype=complex)   # column per traced group
+    for label, amp in s.amps.items():
+        f = label.factors
+        # (factors,) is the kept label: a BasisLabel is the 1-tuple of its factors
+        m[index[(kept(f),)], groups.setdefault(traced(f), len(groups))] = amp
+    m = m[:, :len(groups)]
+    # einsum, not a BLAS product: a process's first complex gemm call
+    # allocates ~0.4 MB of buffers that its peak RSS then carries
+    return DensityMatrix.from_array(sub, np.einsum("ig,jg->ij", m, m.conj()))
 
 
 def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -> float:
@@ -372,15 +400,8 @@ def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -
         raise SpaceMismatchError("fidelity between objects on different spaces")
     if abs(target.norm() - 1.0) > 1e-9:
         raise ValueError(f"target not normalized: |t| = {target.norm():.12g}")
-    total = 0.0 + 0.0j
-    for (r, c), v in rho.entries.items():
-        tr = target.amps.get(r)
-        if tr is None:
-            continue
-        tc = target.amps.get(c)
-        if tc is None:
-            continue
-        total += tr.conjugate() * v * tc
+    t = to_dense(target, label_index(rho.space))
+    total = complex(np.vdot(t, rho.matrix.dot(t)))
     if abs(total.imag) > tol:
         raise ValueError(f"fidelity has non-real value {total:.3e}")
     val = total.real
@@ -416,7 +437,7 @@ def rename_subsystems(s: StateVector, mapping: Mapping[str, str]) -> StateVector
     for label, amp in s.amps.items():
         factors = tuple(sorted((mapping.get(sid, sid), lv) for sid, lv in label.factors))
         amps[BasisLabel(factors)] = amp
-    return StateVector(space, amps)
+    return _state(space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -434,4 +455,5 @@ def to_dense(s: StateVector, index: Mapping[BasisLabel, int]) -> np.ndarray:
 
 def from_dense(space: Space, vec: np.ndarray, index: Mapping[BasisLabel, int]) -> StateVector:
     """Inverse of :func:`to_dense`: the non-zero entries of ``vec`` as a state."""
-    return StateVector(space, {label: vec[i] for label, i in index.items() if vec[i] != 0})
+    values = np.asarray(vec, dtype=complex).tolist()
+    return _state(space, {label: values[i] for label, i in index.items() if values[i] != 0})

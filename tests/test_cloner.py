@@ -124,5 +124,5 @@ def test_singlet_is_antisymmetric_and_normalized():
     s = singlet("x", "y")
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-15)
     sp = s.space
-    assert s.amp(sp.label({"x": "0", "y": "1"})) == pytest.approx(1 / math.sqrt(2))
-    assert s.amp(sp.label({"x": "1", "y": "0"})) == pytest.approx(-1 / math.sqrt(2))
+    assert s.amps[sp.label({"x": "0", "y": "1"})] == pytest.approx(1 / math.sqrt(2))
+    assert s.amps[sp.label({"x": "1", "y": "0"})] == pytest.approx(-1 / math.sqrt(2))

@@ -218,7 +218,7 @@ def test_dualrail_collapse_roundtrip():
         r = rho.space.label({"ph3": p3, "ph4": p4})
         c = rho.space.label({"ph3": q3, "ph4": q4})
         expect = amps[p3] * amps[p4] * amps[q3] * amps[q4]
-        assert rho.entry(r, c) == pytest.approx(expect, abs=1e-12)
+        assert rho.entries.get((r, c), 0.0) == pytest.approx(expect, abs=1e-12)
 
 
 def test_one_photon_rejects_unknown_polarization():

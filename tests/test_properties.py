@@ -30,6 +30,7 @@ from clonesim.qstate import (
     DensityMatrix,
     Space,
     StateVector,
+    label_index,
     partial_trace,
     tensor,
     to_dense,
@@ -204,6 +205,35 @@ def test_partial_trace_matches_a_split_by_subsystem_id(case):
                                   for c, ac in amps.items()})
     _assert_matches(partial_trace(mixed, keep),
                     _trace_by_id(((r, c, v) for (r, c), v in mixed.entries.items()), keep))
+
+
+@given(_space_state_keep())
+def test_pure_matrix_reduces_like_its_ket(case):
+    # the matrix route (reshape + einsum) against the ket route (grouped kets)
+    space, amps, keep = case
+    s = StateVector(space, amps)
+    via_ket = partial_trace(s, keep)
+    via_matrix = partial_trace(DensityMatrix.from_pure(s), keep)
+    assert via_matrix.space == via_ket.space
+    np.testing.assert_allclose(via_matrix.matrix, via_ket.matrix, rtol=0, atol=1e-12)
+
+
+@given(_space_state_keep(), st.data())
+def test_density_matrix_entries_round_trip(case, data):
+    # any sparse entry map, zeros included, comes back as its non-zero
+    # entries in canonical (row, column) order
+    space, _, _ = case
+    labels = list(space.labels())
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                               unique=True, max_size=12))
+    given_entries = {pair: data.draw(st.one_of(st.just(0j), amplitude)) for pair in pairs}
+    entries = DensityMatrix(space, given_entries).entries
+    index = label_index(space)
+    expect = [((r, c), complex(v)) for (r, c), v in given_entries.items() if v != 0]
+    expect.sort(key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
+    assert list(entries.items()) == expect
+    with pytest.raises(TypeError):
+        entries[expect[0][0] if expect else (labels[0], labels[0])] = 1.0
 
 
 _factor = st.tuples(st.text("abcxyz:", min_size=1, max_size=3), st.text("01HV", max_size=2))

@@ -1,11 +1,13 @@
-"""Sparse labeled state layer: composition, trace, fidelity, dense round trips."""
+"""Labeled state layer: composition, trace, fidelity, dense round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from clonesim.qstate import (
+    MAX_DM_DIM,
     CompositionError,
     DegenerateNormError,
     DensityMatrix,
@@ -124,3 +126,42 @@ def test_density_matrix_mix_keeps_unit_trace():
     assert isinstance(mixed, DensityMatrix)
     assert mixed.trace() == pytest.approx(1.0, abs=1e-15)
     assert fidelity_pure(mixed, qubit_state("q1", 1.0, 0.0)) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_public_constructors_check_their_keys():
+    # qstate's own operations skip these checks; the public constructors keep them
+    sp = qubit_space("q1")
+    with pytest.raises(TypeError):
+        StateVector(sp, {(("q1", "0"),): 1.0})
+    label = sp.label({"q1": "0"})
+    with pytest.raises(TypeError):
+        DensityMatrix(sp, {(label, (("q1", "1"),)): 1.0})
+
+
+def test_density_matrix_is_read_only():
+    rho = partial_trace(qubit_state("q1", 0.6, 0.8), ["q1"])
+    with pytest.raises(ValueError):
+        rho.matrix[0, 0] = 0.0
+
+
+def test_density_matrix_above_the_cap_is_refused_before_allocation():
+    # ten qubits: a 1024 x 1024 complex matrix would take 16 MiB
+    space = Space(tuple((f"q{i}", ("0", "1")) for i in range(10)))
+    assert space.dim == 2 * MAX_DM_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            DensityMatrix(space, {})
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            DensityMatrix.from_array(space, np.zeros((0, 0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_partial_trace_above_the_cap_is_refused():
+    ket = StateVector(Space(tuple((f"q{i}", ("0", "1")) for i in range(10))), {})
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        partial_trace(ket, ket.space.ids)
+    assert partial_trace(ket, ["q0"]).trace() == 0.0

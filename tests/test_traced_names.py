@@ -46,3 +46,12 @@ FIELDS_READ_BY_BENCHMARK = {
 def test_benchmark_report_field_exists(module, report, name):
     cls = getattr(importlib.import_module(f"clonesim.{module}"), report)
     assert name in {f.name for f in dataclasses.fields(cls)}, f"{report}.{name} is gone"
+
+
+def test_rho_post_entries_count_its_non_zero_entries():
+    # perfbench counts len(report.rho_post.entries) after each analytic run
+    from clonesim.cloner import InputQubit
+    from clonesim.protocol import ProtocolConfig, run
+
+    rho = run(ProtocolConfig(input=InputQubit(0.6, 0.8j))).rho_post
+    assert len(rho.entries) == sum(1 for v in rho.matrix.flat if v != 0) > 0
