@@ -29,7 +29,7 @@ _EXPORTS = {
         "unot_fidelity"), "cloner"),
     **dict.fromkeys((
         "DynamicsReport", "MixingAngle", "PulseSchedule", "Side", "SystemParams",
-        "dark_states", "evolve", "pulse_shape_analytic"), "adiabatic"),
+        "dark_state", "evolve", "pulse_shape_analytic"), "adiabatic"),
     **dict.fromkeys((
         "beamsplitter", "detection_bookkeeping", "hwp0", "one_photon",
         "polarization_singlet", "qwp_relabel", "symmetric_project"), "optics"),

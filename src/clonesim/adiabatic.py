@@ -25,21 +25,33 @@ releases the photon with the analytic envelope
 
     f(t) = sqrt(kappa) sin(theta(t)) exp(-(kappa/2) int_0^t sin^2(theta)) .
 
-A passage moves exactly one excitation, so H only ever acts on the node's
-one-excitation basis: the driven and excited levels with an empty cavity,
-plus each cavity coupling's ground level holding that coupling's photon (6
-states at the source node, 4 at the remote one).  The emitted photon
-factorizes into a polarization vector times one scalar envelope, and
-``evolve`` returns both.
+Each node is one three-level Lambda system.  A passage moves exactly one
+excitation.  At the source node the states it reaches split into two blocks
+that share no state, {gL, eL, g0 + 1_L} and {gR, eR, g0 + 1_R}, with the
+same generator, so a|gL> + b|gR> evolves into a times the gL block plus b
+times the gR block.  At the remote node e0 couples only to the bright
+combination (|gL>|1_R> + |gR>|1_L>)/sqrt(2), with strength sqrt(2) g; the
+dark combination is never reached.  Either way the node is the block
+{g, e, c} (driven ground level, excited level, ground level holding the
+photon) with
+
+    H_eff = -(Delta + i gamma/2)|e><e| - i (kappa/2)|c><c|
+            + [ Omega(t)|e><g| + sqrt(fanout) g(t)|e><c| + h.c. ] ,
+
+fanout being the number of cavity couplings per excited level (1 at the
+source node, 2 at the remote one).  The photon is exactly the node's (L, R)
+split times the block's envelope sqrt(kappa) c(t): the input (a, b) at the
+source, (1, 1)/sqrt(2) at the remote node.  The emission and loss fluxes are
+diagonal, so they come from the block alone.
 
 Time evolution is an error-controlled uniform-step RK4 integration of the
-non-Hermitian Schrodinger equation i d|psi>/dt = H_eff |psi| with
-H_eff = H(t) - i(kappa/2)(n_L + n_R).  A step-doubling (Richardson) estimate
-of the local error bounds the error of every grid state; the grid is refined
-until that bound is below ``STEP_TOL``.  Probability bookkeeping (cavity
-emission flux and spontaneous-emission flux) is integrated as extra RK4
-components so that  emission + spontaneous loss + final norm^2  closes to the
-initial norm at integrator order.
+non-Hermitian Schrodinger equation i d|psi>/dt = H_eff |psi> of the block.
+A step-doubling (Richardson) estimate of the local error bounds the error of
+every grid state; the grid is refined until that bound is below
+``STEP_TOL``.  Probability bookkeeping (cavity emission flux and
+spontaneous-emission flux) is integrated as extra RK4 components so that
+emission + spontaneous loss + final norm^2  closes to the initial norm at
+integrator order.
 """
 
 from __future__ import annotations
@@ -47,42 +59,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
-
-from .qstate import (
-    BasisLabel,
-    Space,
-    StateVector,
-    from_dense,
-    to_dense,
-)
 
 __all__ = [
     "Side",
     "SystemParams",
     "PulseSchedule",
     "MixingAngle",
+    "FANOUT",
     "PULSE_SHAPES",
     "MAX_STEPS",
     "STEP_TOL",
-    "node_space",
-    "alice_initial",
-    "bob_initial",
-    "dark_states",
+    "dark_state",
     "mixing_angle",
     "DynamicsReport",
     "step_count",
     "evolve",
-    "emission_channels",
     "pulse_shape_analytic",
     "pulse_overlap",
     "pulse_overlap_complex",
     "emission_identity_check",
 ]
-
-OCC = ("0", "1")
 
 PULSE_SHAPES = ("sin2", "tanh", "linear")
 
@@ -106,6 +104,11 @@ _CHUNK = 256
 class Side(str, Enum):
     ALICE = "alice"   # source node: qubit in gL/gR, passage into g0 + photon
     BOB = "bob"       # remote node: gp0 branches into gL/gR + photon
+
+
+# cavity couplings per excited level: the dark state weighs Omega against
+# sqrt(fanout) g, and the remote photon splits evenly over its two couplings
+FANOUT = {Side.ALICE: 1, Side.BOB: 2}
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ class MixingAngle:
     @classmethod
     def for_side(cls, side: Side, g: float, omega: float) -> "MixingAngle":
         """cos(theta) = sqrt(f) g / sqrt(f g^2 + Omega^2), f the node's fanout."""
-        return cls(math.atan2(omega, math.sqrt(_NODES[Side(side)].fanout) * g))
+        return cls(math.atan2(omega, math.sqrt(FANOUT[Side(side)]) * g))
 
 
 def mixing_angle(p: SystemParams, omega: PulseSchedule, t: float) -> MixingAngle:
@@ -206,134 +209,36 @@ def mixing_angle(p: SystemParams, omega: PulseSchedule, t: float) -> MixingAngle
 
 def _dark_norm_sq(p: SystemParams, g, om):
     """f g^2 + Omega^2: sin(theta)^2 = Omega^2 / this (vectorized)."""
-    return _NODES[p.side].fanout * g ** 2 + om ** 2
+    return FANOUT[p.side] * g ** 2 + om ** 2
 
 
 # ---------------------------------------------------------------------------
-# coupling table: spaces, initial states, Hamiltonians, dark states
+# the Lambda block {g, e, c}: Hamiltonian pieces and dark state
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Node:
-    """Which atomic levels and cavity modes of one node couple."""
-
-    atom: str                 # atom subsystem id
-    cavity: str               # cavity mode ids are "<cavity>:L" and "<cavity>:R"
-    levels: tuple[str, ...]
-    excited: tuple[str, ...]
-    drives: tuple             # (ground, excited): Omega |e><g| + h.c.
-    couplings: tuple          # (ground, excited, mode): g a_mode |e><g| + h.c.
-
-    @property
-    def fanout(self) -> float:
-        """Cavity couplings per excited level: the dark state weighs Omega
-        against sqrt(fanout) g (1 at the source node, 2 at the remote one)."""
-        return len(self.couplings) / len(self.excited)
+_E, _C = 1, 2         # excited level, photon state; the block starts in g = 0
+_DRIVE = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+_CAVITY = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
 
 
-_NODES = {
-    Side.ALICE: _Node("atomA", "cavA", ("gL", "gR", "g0", "eL", "eR"), ("eL", "eR"),
-                      (("gL", "eL"), ("gR", "eR")),
-                      (("g0", "eL", "L"), ("g0", "eR", "R"))),
-    Side.BOB: _Node("atomB", "cavB", ("gp0", "gL", "gR", "e0"), ("e0",),
-                    (("gp0", "e0"),),
-                    (("gL", "e0", "R"), ("gR", "e0", "L"))),
-}
-_MODES = ("L", "R")
+def _parts(p: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces of the block's H(t) = static + Omega(t) drive + g(t) cavity:
+    -(Delta + i gamma/2) on e, the unit-Omega g-e coupling and the e-c
+    coupling sqrt(fanout) per unit g.  ``evolve`` adds -i kappa/2 on c."""
+    static = np.diag([0.0, -(p.delta + 0.5j * p.gamma), 0.0])
+    return static, _DRIVE, math.sqrt(FANOUT[p.side]) * _CAVITY
 
 
-def node_space(side: Side) -> Space:
-    """Atom plus its two cavity modes, occupations 0/1."""
-    n = _NODES[Side(side)]
-    return Space(((n.atom, n.levels),) + tuple((f"{n.cavity}:{m}", OCC) for m in _MODES))
+def dark_state(p: SystemParams, omega: PulseSchedule, t: float) -> np.ndarray:
+    """Analytic dark state of the block at time t: (cos th, 0, -sin th) on
+    {g, e, c}.
 
-
-def _label(side: Side, atom: str, photon: str | None = None) -> BasisLabel:
-    """Atom level with one cavity photon in mode ``photon`` (None: empty cavity)."""
-    n = _NODES[side]
-    return node_space(side).label(
-        {n.atom: atom, **{f"{n.cavity}:{m}": "1" if m == photon else "0" for m in _MODES}})
-
-
-def alice_initial(a: complex, b: complex) -> StateVector:
-    """(a|gL> + b|gR>) with both cavity modes empty."""
-    return StateVector(node_space(Side.ALICE), {
-        _label(Side.ALICE, "gL"): a,
-        _label(Side.ALICE, "gR"): b,
-    })
-
-
-def bob_initial() -> StateVector:
-    return StateVector(node_space(Side.BOB), {_label(Side.BOB, "gp0"): 1.0})
-
-
-class _Matrices(NamedTuple):
-    """Dense pieces of H(t) = static + Omega(t) drive + g(t) cavity."""
-
-    index: dict               # basis label -> dense index, in canonical label order
-    static: np.ndarray        # -(Delta + i gamma/2) on the excited levels
-    drive: np.ndarray         # unit-Omega coupling
-    cavity: np.ndarray        # unit-g coupling
-    excited: np.ndarray       # 1.0 on excited-level labels
-    photons: np.ndarray       # cavity photon number per label
-
-
-def _matrices(p: SystemParams) -> _Matrices:
-    """The pieces of H(t) on the one-excitation basis, in canonical label
-    order; the other 14/12 labels of the 20/16-label node space never enter
-    a passage."""
-    n = _NODES[p.side]
-    levels = {lv for pair in n.drives for lv in pair} | set(n.excited)
-    members = {_label(p.side, lv) for lv in levels}
-    members |= {_label(p.side, g_lv, mode) for g_lv, _, mode in n.couplings}
-    labels = [label for label in node_space(p.side).labels() if label in members]
-    index = {label: i for i, label in enumerate(labels)}
-    drive = np.zeros((len(labels), len(labels)), dtype=complex)
-    cavity = np.zeros_like(drive)
-    for g_lv, e_lv in n.drives:
-        i, j = index[_label(p.side, g_lv)], index[_label(p.side, e_lv)]
-        drive[i, j] = drive[j, i] = 1.0
-    for g_lv, e_lv, mode in n.couplings:
-        i, j = index[_label(p.side, g_lv, mode)], index[_label(p.side, e_lv)]
-        cavity[i, j] = cavity[j, i] = 1.0
-    excited = np.array([float(label.level(n.atom) in n.excited) for label in labels])
-    photons = np.array([sum(int(label.level(f"{n.cavity}:{m}")) for m in _MODES)
-                        for label in labels], dtype=float)
-    static = np.diag(np.where(excited > 0, -(p.delta + 0.5j * p.gamma), 0.0))
-    return _Matrices(index, static, drive, cavity, excited, photons)
-
-
-def dark_states(p: SystemParams, omega: PulseSchedule, t: float) -> tuple[StateVector, ...]:
-    """Analytic dark states at time t, one per excited level e:
-
-        D_e = cos(th)|g_e>|0,0> - sin(th)/sqrt(fanout) sum_(g', e, m) |g'>|1_m>
-
-    with g_e the level the drive couples to e and the sum over e's cavity
-    couplings.  Source node: D1 = cos|gL> - sin|g0>|1,0>,
-    D2 = cos|gR> - sin|g0>|0,1>.  Remote node: the single state
-    D = cos|gp0> - sin/sqrt(2) (|gL>|0,1> + |gR>|1,0>).
+    On the full node it is D1 = cos|gL> - sin|g0>|1,0> and
+    D2 = cos|gR> - sin|g0>|0,1> at the source node, and
+    D = cos|gp0> - sin/sqrt(2) (|gL>|0,1> + |gR>|1,0>) at the remote one.
     """
     ang = mixing_angle(p, omega, t)
-    n = _NODES[p.side]
-    r = ang.sin / math.sqrt(n.fanout)
-    out = []
-    for g_lv, e_lv in n.drives:
-        amps = {_label(p.side, g_lv): ang.cos}
-        for g_c, e_c, mode in n.couplings:
-            if e_c == e_lv:
-                amps[_label(p.side, g_c, mode)] = -r
-        out.append(StateVector(node_space(p.side), amps))
-    return tuple(out)
-
-
-def emission_channels(p: SystemParams) -> dict:
-    """One-photon labels whose amplitude feeds each output polarization.
-
-    Keys are cavity polarizations 'L'/'R'; the associated label pins the atom
-    to the state it is left in once that photon leaks out.
-    """
-    return {mode: _label(p.side, g_lv, mode) for g_lv, _, mode in _NODES[p.side].couplings}
+    return np.array([ang.cos, 0.0, -ang.sin], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +251,12 @@ class DynamicsReport:
     """Everything one passage produces, on the integration grid.
 
     The emitted photon is ``polarization`` (L, R) times the envelope
-    ``pulse_shape``, up to the purity defect.  The dominant channel (the
-    larger of ``channel_weights``) sets the phase of both: its polarization
-    component is real positive and the envelope carries its phase in time.
+    ``pulse_shape``.  The dominant channel (the larger of
+    ``channel_weights``) sets the phase of both: its polarization component
+    is real positive and the envelope carries its phase in time.
     """
 
-    final_state: StateVector
+    final_state: np.ndarray       # block amplitudes (g, e, c) at t_total
     emission_prob: float          # integral of the cavity output flux
     spont_loss: float             # integral of the spontaneous-emission flux
     excited_pop_max: float
@@ -362,7 +267,6 @@ class DynamicsReport:
     channel_pulses: dict          # 'L'/'R' -> sqrt(kappa) * cavity amplitude samples
     channel_weights: dict         # 'L'/'R' -> integrated |f_ch|^2
     polarization: tuple | None    # (L, R) amplitudes of the photon; None: nothing emitted
-    purity: float                 # top channel Gram eigenvalue / trace; nan: nothing emitted
     params: SystemParams
     omega: PulseSchedule
 
@@ -413,21 +317,22 @@ def _chunks(n_steps: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
+def evolve(split, p: SystemParams, omega: PulseSchedule,
            dt: float) -> DynamicsReport:
     """Error-controlled uniform-step RK4 integration of one node over [0, t_total].
 
-    The state lives on the node's one-excitation basis (see the module
-    docstring); an initial state with support outside it raises ValueError.
-    The first grid has ``step_count(p, omega, dt)`` equal steps landing
-    exactly on t_total.  H_eff is linear in psi, so each RK4 step is a
-    matrix: the propagators of ``_CHUNK`` steps are built together with
-    batched products from the generator -i (H_base + Omega(t) H_drive +
-    g(t) H_cav) and then applied in turn, one matrix-vector product per
-    step.  The flux quadratures use the same RK4 stage states.  Cavity
-    emission is recorded as the amplitude density sqrt(kappa) x (one-photon
-    amplitude) per polarization channel at every grid point, and factored
-    into the photon's polarization and envelope (see ``DynamicsReport``).
+    The node is its Lambda block {g, e, c}, started in g (see the module
+    docstring); ``split`` holds the photon's (L, R) channel amplitudes and
+    must be unit-norm, else ValueError.  The first grid has
+    ``step_count(p, omega, dt)`` equal steps landing exactly on t_total.
+    H_eff is linear in psi, so each RK4 step is a matrix: the propagators of
+    ``_CHUNK`` steps are built together with batched products from the
+    generator -i (H_base + Omega(t) H_drive + g(t) H_cav) and then applied
+    in turn, one matrix-vector product per step.  The flux quadratures use
+    the same RK4 stage states.  Cavity emission is recorded as the amplitude
+    density sqrt(kappa) c(t) at every grid point; each polarization channel
+    is its split amplitude times that envelope, and the photon is the split
+    times the envelope, phased as ``DynamicsReport`` describes.
 
     Error control: over each pair of steps the two h-step result is compared
     with one RK4 step of size 2h built from the same grid generators; the
@@ -442,27 +347,19 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
     accepted grid's peak excited population is the report's ``excited_pop_max``;
     ``protocol.run_dynamic`` notes it when it exceeds ``EXCITED_POP_WARN``.
     """
-    space = node_space(p.side)
-    if initial.space != space:
-        raise ValueError("initial state lives on the wrong node space")
-    if abs(initial.norm() - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
+    split = np.asarray(split, dtype=complex)
+    if split.shape != (2,):
+        raise ValueError("split must hold the photon's two (L, R) amplitudes")
+    if not abs(np.linalg.norm(split) - 1.0) <= 1e-9:     # also refuses nan
+        raise ValueError("split must be unit-norm")
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    index, h_diag, h_drv, h_cv, exc, n_vec = _matrices(p)
-    dim = len(index)
-    if any(amp and label not in index for label, amp in initial.amps.items()):
-        raise ValueError("initial state has support outside the node's "
-                         "one-excitation basis")
-    psi0 = to_dense(initial, index)
-
-    h_base = h_diag - 0.5j * p.kappa * np.diag(n_vec)
-    channels = emission_channels(p)
-    ch_names = sorted(channels)
-    ch_idx = [index[channels[name]] for name in ch_names]
-    sqrt_kappa = math.sqrt(p.kappa)
-    flux_w = np.stack([p.kappa * n_vec, p.gamma * exc], axis=1)    # (dim, 2)
+    h_diag, h_drv, h_cv = _parts(p)
+    dim = 3
+    h_base = h_diag - 0.5j * p.kappa * np.diag([0.0, 0.0, 1.0])
+    flux_w = np.zeros((dim, 2))                                    # emission, spontaneous
+    flux_w[_C, 0], flux_w[_E, 1] = p.kappa, p.gamma
 
     # -i H_eff(t) = A_base + Omega(t) A_drive + g(t) A_cav as one product per
     # batch; the three parts have disjoint supports, so each entry is a single
@@ -481,20 +378,19 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         t_half = t_grid[:-1] + 0.5 * h
         om_grid, om_half = omega.value(t_grid), omega.value(t_half)
         g_grid, g_half = p.g_at(t_grid), p.g_at(t_half)
-        ch_samples = np.zeros((len(ch_names), n_steps + 1), dtype=complex)
+        photon = np.zeros(n_steps + 1, dtype=complex)
         exc_pop = np.zeros(n_steps + 1)
         norm_sq = np.zeros(n_steps + 1)
 
         def record(lo, vecs):
-            """Monitors and channel samples for grid points lo .. lo + len(vecs) - 1."""
+            """Monitors and photon amplitudes for grid points lo .. lo + len(vecs) - 1."""
             p2 = vecs.real ** 2 + vecs.imag ** 2
             hi = lo + len(vecs)
             norm_sq[lo:hi] = p2.sum(axis=1)
-            exc_pop[lo:hi] = p2 @ exc
-            for c, j in enumerate(ch_idx):
-                ch_samples[c, lo:hi] = sqrt_kappa * vecs[:, j]
+            exc_pop[lo:hi] = p2[:, _E]
+            photon[lo:hi] = vecs[:, _C]
 
-        psi = psi0
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         e_flux = np.zeros(2)                               # emission, spontaneous
         bound = 0.0
         record(0, psi[None, :])
@@ -531,13 +427,13 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
                 raise RuntimeError(
                     f"integrator fault: norm^2 grew to {norm_sq[i]:.12g} at "
                     f"t = {t_grid[i]:.6g}")
-        return t_grid, psi, ch_samples, exc_pop, norm_sq, e_flux, float(bound)
+        return t_grid, psi, photon, exc_pop, norm_sq, e_flux, float(bound)
 
     n_steps = step_count(p, omega, dt)
     while True:
         if n_steps > MAX_STEPS:
             raise ValueError(f"{n_steps:.6g} RK4 steps exceed the budget of {MAX_STEPS}")
-        (t_grid, psi, ch_samples, exc_pop, norm_sq, (e_emit, e_spont),
+        (t_grid, psi, photon, exc_pop, norm_sq, (e_emit, e_spont),
          bound) = integrate(int(n_steps))
         if bound <= STEP_TOL:
             break
@@ -545,31 +441,22 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
 
     closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
 
-    # the photon as (polarization) x (envelope): the top eigenvector of the
-    # channel Gram matrix times the root-sum-square magnitude with the
-    # dominant channel's phase
-    weights = {name: float(np.trapezoid(np.abs(ch_samples[c]) ** 2, t_grid))
-               for c, name in enumerate(ch_names)}
-    dom = max(range(len(ch_names)), key=lambda c: weights[ch_names[c]])
-    mag = np.sqrt((np.abs(ch_samples) ** 2).sum(axis=0))
-    phase = np.where(np.abs(ch_samples[dom]) > 0,
-                     ch_samples[dom] / np.where(np.abs(ch_samples[dom]) > 0,
-                                                np.abs(ch_samples[dom]), 1.0),
-                     1.0)
-    envelope = mag * phase
-
-    gram = np.array([[np.trapezoid(fi * np.conj(fj), t_grid) for fj in ch_samples]
-                     for fi in ch_samples])
-    polarization, purity = None, math.nan
-    if np.trace(gram).real > 0.0:                          # else nothing was emitted
-        evals, evecs = np.linalg.eigh(gram)
-        v = evecs[:, -1]
-        if abs(v[dom]) > 0:
-            v = v * (v[dom].conjugate() / abs(v[dom]))
-        polarization, purity = tuple(v), float(evals[-1] / evals.sum())
+    # the photon as (polarization) x (envelope), with the dominant channel's
+    # phase moved from the split onto the envelope
+    envelope = math.sqrt(p.kappa) * photon
+    ch_names = ("L", "R")
+    channels = {name: s * envelope for name, s in zip(ch_names, split)}
+    weights = {name: float(np.trapezoid(np.abs(f) ** 2, t_grid))
+               for name, f in channels.items()}
+    polarization = None
+    if sum(weights.values()) > 0.0:                        # else nothing was emitted
+        s_dom = split[ch_names.index(max(ch_names, key=weights.get))]
+        phase = s_dom / abs(s_dom)
+        polarization = tuple(split * phase.conjugate())
+        envelope = envelope * phase
 
     return DynamicsReport(
-        final_state=from_dense(space, psi, index),
+        final_state=psi,
         emission_prob=float(e_emit),
         spont_loss=float(e_spont),
         excited_pop_max=float(exc_pop.max()),
@@ -577,10 +464,9 @@ def evolve(initial: StateVector, p: SystemParams, omega: PulseSchedule,
         error_bound=bound,
         t_grid=t_grid,
         pulse_shape=envelope,
-        channel_pulses={name: ch_samples[c].copy() for c, name in enumerate(ch_names)},
+        channel_pulses=channels,
         channel_weights=weights,
         polarization=polarization,
-        purity=purity,
         params=p,
         omega=omega,
     )

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import (
-    DensityMatrix,
     Space,
     StateVector,
     fidelity_pure,
@@ -95,13 +94,11 @@ class InputQubit:
 
 @dataclass(frozen=True)
 class CloneOutput:
-    """Post-projection register state plus its reduced subsystems."""
+    """Post-projection register state: the clones on q1 and q2, the
+    anti-clone on q3 (trace out the others to read one)."""
 
     state: StateVector          # normalized three-qubit state (q1, q2, q3)
     branch_prob: float          # squared norm of the projected branch
-    rho_clone1: DensityMatrix
-    rho_clone2: DensityMatrix
-    rho_anti: DensityMatrix
 
 
 def qubit_space(*ids: str) -> Space:
@@ -152,13 +149,7 @@ def clone(q: InputQubit) -> CloneOutput:
     index = label_index(pre.space)
     projected = from_dense(pre.space, projector_p123() @ to_dense(pre, index), index)
     state, branch_prob = normalize(projected)
-    return CloneOutput(
-        state=state,
-        branch_prob=branch_prob,
-        rho_clone1=partial_trace(state, [Q1]),
-        rho_clone2=partial_trace(state, [Q2]),
-        rho_anti=partial_trace(state, [Q3]),
-    )
+    return CloneOutput(state=state, branch_prob=branch_prob)
 
 
 def closed_form_output(q: InputQubit) -> StateVector:
@@ -190,14 +181,12 @@ def orthogonal_state(q: InputQubit, sid: str = Q3) -> StateVector:
 
 def clone_fidelity(q: InputQubit) -> float:
     """Fidelity of clone 1 against the input (clone 2 is identical by symmetry)."""
-    out = clone(q)
-    return fidelity_pure(out.rho_clone1, qubit_state(Q1, q.a, q.b))
+    return fidelity_pure(partial_trace(clone(q).state, [Q1]), qubit_state(Q1, q.a, q.b))
 
 
 def unot_fidelity(q: InputQubit) -> float:
     """Fidelity of the anti-clone against the orthogonal state."""
-    out = clone(q)
-    return fidelity_pure(out.rho_anti, orthogonal_state(q, Q3))
+    return fidelity_pure(partial_trace(clone(q).state, [Q3]), orthogonal_state(q, Q3))
 
 
 def haar_qubit(rng: np.random.Generator) -> InputQubit:

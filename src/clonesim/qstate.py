@@ -89,6 +89,10 @@ def _canonical(subsystems: tuple) -> tuple:
     return ordered, ids, math.prod(len(alpha) for _, alpha in ordered)
 
 
+# a level missing from a label mapping (no alphabet holds it)
+_MISSING = object()
+
+
 @dataclass(frozen=True)
 class Space:
     """Ordered collection of named subsystems with finite level alphabets.
@@ -114,20 +118,26 @@ class Space:
     def label(self, levels: Mapping[str, str]) -> "BasisLabel":
         """Build a basis label from a {subsystem id: level} mapping.
 
-        The mapping must cover every subsystem of the space exactly.
+        The mapping must cover every subsystem of the space exactly.  An
+        unknown subsystem is reported before a missing or bad level.
         """
+        factors = []
+        for sid, alpha in self.subsystems:
+            lv = levels.get(sid, _MISSING)
+            if lv not in alpha:
+                self._refuse_unknown(levels)
+                if lv is _MISSING:
+                    raise ValueError(f"missing level for subsystem {sid!r}")
+                raise ValueError(f"level {lv!r} not in alphabet of {sid!r}")
+            factors.append((sid, lv))
+        if len(levels) != len(factors):
+            self._refuse_unknown(levels)
+        return BasisLabel(tuple(factors))
+
+    def _refuse_unknown(self, levels: Mapping[str, str]) -> None:
         extra = set(levels) - set(self.ids)
         if extra:
             raise ValueError(f"unknown subsystem(s) {sorted(extra)}")
-        factors = []
-        for sid, alpha in self.subsystems:
-            if sid not in levels:
-                raise ValueError(f"missing level for subsystem {sid!r}")
-            lv = levels[sid]
-            if lv not in alpha:
-                raise ValueError(f"level {lv!r} not in alphabet of {sid!r}")
-            factors.append((sid, lv))
-        return BasisLabel(tuple(factors))
 
     def labels(self) -> Iterable["BasisLabel"]:
         """Enumerate all basis labels in canonical (mixed-radix) order."""

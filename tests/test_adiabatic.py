@@ -12,10 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from clonesim import adiabatic
 from clonesim.adiabatic import (
     _chunks,
-    _matrices,
+    _parts,
     MAX_STEPS,
     STEP_TOL,
     DynamicsReport,
@@ -23,24 +25,29 @@ from clonesim.adiabatic import (
     PulseSchedule,
     Side,
     SystemParams,
-    alice_initial,
-    bob_initial,
-    dark_states,
-    emission_channels,
+    dark_state,
     emission_identity_check,
     evolve,
     mixing_angle,
-    node_space,
     pulse_overlap,
     pulse_overlap_complex,
     pulse_shape_analytic,
     step_count,
 )
 from clonesim.config import ConfigError, settings_from_values
-from clonesim.protocol import EXCITED_POP_WARN
-from clonesim.qstate import StateVector, inner, to_dense
+from clonesim.protocol import ATOM_B, EXCITED_POP_WARN, assemble_joint
+from full_node import (
+    REMOTE_CHANNELS,
+    SOURCE_CHANNELS,
+    remote_dark_state,
+    remote_h_eff,
+    source_dark_states,
+    source_h_eff,
+)
 
 FAST = PulseSchedule(omega_max=2.0, t_total=25.0)
+FAST_REMOTE = PulseSchedule(omega_max=2.0 * math.sqrt(2), t_total=25.0)
+EVEN = (1 / math.sqrt(2), 1 / math.sqrt(2))      # the remote photon's split
 
 
 # --- parameters and schedules ----------------------------------------------
@@ -107,34 +114,42 @@ def test_coupling_modulation_changes_g():
 # --- dark manifold -----------------------------------------------------------
 
 
-def _h_norm_sq(p, t, d):
-    """|H(t) d|^2 with H assembled from the pieces ``evolve`` integrates."""
-    m = _matrices(p)
-    h = m.static + FAST.value(t) * m.drive + p.g_at(t) * m.cavity
-    return np.linalg.norm(h @ to_dense(d, m.index)) ** 2
+def _h_norm_sq(p, sched, t, d):
+    """|H(t) d|^2 with H assembled from the block pieces ``evolve`` integrates."""
+    static, drive, cavity = _parts(p)
+    h = static + sched.value(t) * drive + p.g_at(t) * cavity
+    return np.linalg.norm(h @ d) ** 2
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.7, -2.0])
 @pytest.mark.parametrize("t", [5.0, 12.0, 20.0])
 def test_source_dark_states_are_null(delta, t):
     p = SystemParams(side=Side.ALICE, gamma=0.0, delta=delta)
-    d1, d2 = dark_states(p, FAST, t)
-    assert _h_norm_sq(p, t, d1) < 1e-24
-    assert _h_norm_sq(p, t, d2) < 1e-24
-    assert d1.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    d = dark_state(p, FAST, t)
+    assert _h_norm_sq(p, FAST, t, d) < 1e-24
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+    h = source_h_eff(FAST.value(t), p.g, delta)
+    for full in source_dark_states(FAST.value(t), p.g):
+        assert np.linalg.norm(h @ full) ** 2 < 1e-24
+    # the block is the gL block {gL, eL, g0 1_L} of the full node
+    assert np.abs(source_dark_states(FAST.value(t), p.g)[0][[0, 2, 4]] - d).max() < 1e-15
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.5])
 def test_remote_dark_state_is_null(delta):
     p = SystemParams(side=Side.BOB, gamma=0.0, delta=delta)
-    (d,) = dark_states(p, FAST, 10.0)
-    assert _h_norm_sq(p, 10.0, d) < 1e-24
+    d = dark_state(p, FAST, 10.0)
+    assert _h_norm_sq(p, FAST, 10.0, d) < 1e-24
+    full = remote_dark_state(FAST.value(10.0), p.g)
+    assert np.linalg.norm(remote_h_eff(FAST.value(10.0), p.g, delta) @ full) ** 2 < 1e-24
+    # the block's photon state is the bright combination of the two couplings
+    bright = np.array([d[0], d[1], d[2] / math.sqrt(2), d[2] / math.sqrt(2)])
+    assert np.abs(bright - full).max() < 1e-15
 
 
 def test_dark_state_at_zero_drive_is_bare_atom():
     p = SystemParams(side=Side.ALICE)
-    d1, d2 = dark_states(p, FAST, 0.0)
-    assert abs(inner(d1 * 0.6 + d2 * 0.8, alice_initial(0.6, 0.8))) == pytest.approx(1.0)
+    assert np.array_equal(dark_state(p, FAST, 0.0), [1.0, 0.0, 0.0])
 
 
 # --- evolution guards ---------------------------------------------------------
@@ -146,7 +161,7 @@ def test_evolve_clamps_coarse_requested_step():
     coarse = FAST.t_total / 999
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = evolve(alice_initial(1.0, 0.0), p, FAST, dt=coarse)
+        rep = evolve((1.0, 0.0), p, FAST, dt=coarse)
     assert not caught                    # FAST is brisk; the report says so, not a warning
     assert rep.excited_pop_max > EXCITED_POP_WARN
     assert len(rep.t_grid) - 1 == step_count(p, FAST, coarse) >= 1000
@@ -167,7 +182,7 @@ def test_step_count_resolves_coupling_modulation():
 def test_error_bound_covers_the_channel_samples(emitted):
     # against a 4x finer nested grid, the samples deviate by no more than the bound
     n = len(emitted.t_grid) - 1
-    fine = evolve(alice_initial(0.6, 0.8), emitted.params, FAST,
+    fine = evolve((0.6, 0.8), emitted.params, FAST,
                   dt=FAST.t_total / (4 * n) * (1.0 + 1e-12))
     assert len(fine.t_grid) - 1 == 4 * n
     deviation = max(np.abs(emitted.channel_pulses[ch] - fine.channel_pulses[ch][::4]).max()
@@ -191,7 +206,7 @@ def test_evolve_refines_until_the_bound_holds():
     dt = track.t_total / 1000
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rep = evolve(alice_initial(0.6, 0.8), p, track, dt=dt)
+        rep = evolve((0.6, 0.8), p, track, dt=dt)
     assert len(rep.t_grid) - 1 > step_count(p, track, dt)
     assert rep.error_bound <= STEP_TOL
     assert rep.closure_error <= 1e-8
@@ -204,7 +219,7 @@ def test_refinement_past_the_step_budget_raises(monkeypatch):
     monkeypatch.setattr(adiabatic, "MAX_STEPS", 6000)
     p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
     with pytest.raises(ValueError, match="budget"):
-        evolve(alice_initial(0.6, 0.8), p, PulseSchedule(t_total=25.0), dt=0.025)
+        evolve((0.6, 0.8), p, PulseSchedule(t_total=25.0), dt=0.025)
 
 
 def test_step_budget_is_a_config_error():
@@ -221,29 +236,27 @@ def test_step_budget_is_a_config_error():
 
 def test_evolve_rejects_unnormalized_initial():
     p = SystemParams(side=Side.ALICE)
-    bad = alice_initial(1.0, 0.0) * 0.9
-    with pytest.raises(ValueError):
-        evolve(bad, p, FAST, dt=0.025)
+    with pytest.raises(ValueError, match="unit-norm"):
+        evolve((0.9, 0.0), p, FAST, dt=0.025)
 
 
 def test_evolve_rejects_wrong_space():
+    # the split lives on the photon's two polarizations, nothing else
     p = SystemParams(side=Side.BOB)
-    with pytest.raises(ValueError):
-        evolve(alice_initial(1.0, 0.0), p, FAST, dt=0.025)
+    with pytest.raises(ValueError, match="two"):
+        evolve((0.6, 0.8, 0.0), p, FAST, dt=0.025)
 
 
-def test_evolve_rejects_support_outside_the_one_excitation_basis():
-    # |eL> with an R photon holds two excitations: no passage reaches it
+def test_evolve_rejects_non_finite_split():
     p = SystemParams(side=Side.ALICE)
-    two = StateVector(node_space(Side.ALICE), {adiabatic._label(Side.ALICE, "eL", "R"): 1.0})
-    with pytest.raises(ValueError, match="one-excitation"):
-        evolve(two, p, FAST, dt=0.025)
+    with pytest.raises(ValueError, match="unit-norm"):
+        evolve((math.nan, 1.0), p, FAST, dt=0.025)
 
 
 def test_fast_ramp_reports_excited_population():
     p = SystemParams(side=Side.ALICE, kappa=0.0, gamma=0.0)
     rush = PulseSchedule(omega_max=20.0, t_total=10.0)
-    rep = evolve(alice_initial(0.6, 0.8), p, rush, dt=0.01)
+    rep = evolve((0.6, 0.8), p, rush, dt=0.01)
     assert rep.excited_pop_max > EXCITED_POP_WARN
 
 
@@ -253,7 +266,7 @@ def test_fast_ramp_reports_excited_population():
 @pytest.fixture(scope="module")
 def emitted():
     p = SystemParams(side=Side.ALICE)
-    return evolve(alice_initial(0.6, 0.8), p, FAST, dt=0.025)     # deliberately brisk
+    return evolve((0.6, 0.8), p, FAST, dt=0.025)     # deliberately brisk
 
 
 def test_emission_accounting_closes(emitted):
@@ -270,7 +283,7 @@ def test_channel_split_follows_input_weights(emitted):
     pol = np.array(emitted.polarization)
     assert np.abs(pol * np.conj(pol[1]) / abs(pol[1]) - (0.6, 0.8)).max() < 1e-9
     p = SystemParams(side=Side.ALICE)
-    only_l = evolve(alice_initial(1.0, 0.0), p, FAST, dt=0.025)
+    only_l = evolve((1.0, 0.0), p, FAST, dt=0.025)
     assert only_l.polarization == (1.0, 0.0)
     assert not only_l.channel_pulses["R"].any()
 
@@ -281,19 +294,47 @@ def test_envelope_carries_all_channel_weight(emitted):
 
 
 def test_remote_channels_pin_atom_state():
-    p = SystemParams(side=Side.BOB)
-    ch = emission_channels(p)
-    assert ch["L"].level("atomB") == "gR"
-    assert ch["R"].level("atomB") == "gL"
+    # the remote L photon leaves atom B in gR, the R photon in gL
+    for split, atom in (((1.0, 0.0), "gR"), ((0.0, 1.0), "gL")):
+        joint = assemble_joint((1.0, 0.0), split)
+        assert {label.level(ATOM_B) for label, amp in joint.amps.items() if amp} == {atom}
 
 
 def test_remote_passage_splits_evenly():
     p = SystemParams(side=Side.BOB)
-    rep = evolve(bob_initial(), p,
-                 PulseSchedule(omega_max=2.0 * math.sqrt(2), t_total=25.0), dt=0.025)
+    rep = evolve(EVEN, p, FAST_REMOTE, dt=0.025)
     w = rep.channel_weights
     assert w["L"] == pytest.approx(w["R"], rel=1e-9)
     assert rep.closure_error < 1e-8
+
+
+def _full_node_channels(h_eff, psi0, p, sched, t_grid, channels):
+    """sqrt(kappa) x each channel's amplitude of the full node model, on t_grid."""
+    def rhs(t, y):
+        return -1j * (h_eff(sched.value(t), p.g_at(t), p.delta, p.gamma, p.kappa) @ y)
+
+    sol = solve_ivp(rhs, (0.0, sched.t_total), np.asarray(psi0, dtype=complex),
+                    method="DOP853", t_eval=t_grid, rtol=1e-11, atol=1e-13)
+    assert sol.success
+    return {name: math.sqrt(p.kappa) * sol.y[i] for name, i in channels.items()}
+
+
+@pytest.mark.parametrize("side", [Side.ALICE, Side.BOB])
+def test_block_passage_matches_the_full_node(side):
+    # the source node from a|gL> + b|gR>, the remote node from gp0: each
+    # channel of the full node is the reported polarization times the envelope
+    p = SystemParams(side=side)
+    if side is Side.ALICE:
+        split, sched = (0.6, 0.8j), FAST
+        h_eff, psi0, channels = source_h_eff, [0.6, 0.8j, 0, 0, 0, 0], SOURCE_CHANNELS
+    else:
+        split, sched = EVEN, FAST_REMOTE
+        h_eff, psi0, channels = remote_h_eff, [1, 0, 0, 0], REMOTE_CHANNELS
+    rep = evolve(split, p, sched, dt=0.025)
+    full = _full_node_channels(h_eff, psi0, p, sched, rep.t_grid, channels)
+    for c, name in enumerate(("L", "R")):
+        assert np.abs(full[name] - rep.polarization[c] * rep.pulse_shape).max() <= 1e-7
+        assert np.abs(full[name] - rep.channel_pulses[name]).max() <= 1e-7
 
 
 # --- analytic pulse -------------------------------------------------------------

@@ -179,14 +179,13 @@ def test_dynamics_zero_herald_reports_undefined_fidelities(tmp_path, monkeypatch
     cli.main(["dynamics", "--config", str(cfg), "--out", str(out)])
     captured = capsys.readouterr()
     rep_a, rep_b = reports[0].dynamics_diags
-    assert rep_a.polarization is None and math.isnan(rep_a.purity)
+    assert rep_a.polarization is None
     assert rep_b.polarization is not None
     undefined = ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity", "p_symmetric")
 
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["p_operational"] == 0.0
     assert ZERO_HERALD_NOTE in report["diagnostics"]
-    assert not any("rank-one" in note for note in report["diagnostics"])
     for name, value in report["results"].items():
         if name in undefined:
             assert value is None

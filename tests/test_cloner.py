@@ -26,7 +26,7 @@ from clonesim.cloner import (
     singlet,
     unot_fidelity,
 )
-from clonesim.qstate import fidelity_pure, inner, tensor, to_dense
+from clonesim.qstate import fidelity_pure, inner, partial_trace, tensor, to_dense
 
 BRANCH_PROB = 0.75
 CLONE_F = 5.0 / 6.0
@@ -51,15 +51,17 @@ def test_clone_fidelities(q):
     out = clone(q)
     target1 = qubit_state(Q1, q.a, q.b)
     target2 = qubit_state(Q2, q.a, q.b)
-    assert fidelity_pure(out.rho_clone1, target1) == pytest.approx(CLONE_F, abs=1e-12)
-    assert fidelity_pure(out.rho_clone2, target2) == pytest.approx(CLONE_F, abs=1e-12)
+    clone1, clone2 = partial_trace(out.state, [Q1]), partial_trace(out.state, [Q2])
+    assert fidelity_pure(clone1, target1) == pytest.approx(CLONE_F, abs=1e-12)
+    assert fidelity_pure(clone2, target2) == pytest.approx(CLONE_F, abs=1e-12)
     assert clone_fidelity(q) == pytest.approx(CLONE_F, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", INPUTS)
 def test_anticlone_fidelity_against_flipped_state(q):
     out = clone(q)
-    assert fidelity_pure(out.rho_anti, orthogonal_state(q)) == pytest.approx(ANTI_F, abs=1e-12)
+    anti = partial_trace(out.state, [Q3])
+    assert fidelity_pure(anti, orthogonal_state(q)) == pytest.approx(ANTI_F, abs=1e-12)
     assert unot_fidelity(q) == pytest.approx(ANTI_F, abs=1e-12)
 
 

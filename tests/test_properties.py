@@ -16,8 +16,8 @@ from clonesim.adiabatic import (
     PulseSchedule,
     Side,
     SystemParams,
-    _matrices,
-    dark_states,
+    _parts,
+    dark_state,
 )
 from clonesim.cloner import InputQubit
 import clonesim
@@ -33,8 +33,8 @@ from clonesim.qstate import (
     label_index,
     partial_trace,
     tensor,
-    to_dense,
 )
+from full_node import remote_dark_state, remote_h_eff, source_dark_states, source_h_eff
 
 amplitude = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -126,16 +126,22 @@ def test_detection_route_never_calls_the_projection(monkeypatch):
 @given(st.sampled_from(list(Side)),
        st.floats(-50.0, 50.0), st.floats(0.01, 50.0), st.floats(0.01, 50.0))
 def test_table_hamiltonian_is_hermitian_and_dark_states_are_null(side, delta, g, omega):
+    # the block evolve integrates, and the full node it stands for
     p = SystemParams(side=side, g=g, gamma=0.0, delta=delta)
     sched = PulseSchedule(omega_max=omega, t_total=10.0)
-    m = _matrices(p)     # the pieces evolve integrates
+    static, drive, cavity = _parts(p)
+    if side is Side.ALICE:
+        full_h, full_dark = source_h_eff, source_dark_states
+    else:
+        full_h, full_dark = remote_h_eff, lambda om, g: (remote_dark_state(om, g),)
     for t in (0.3 * sched.t_ramp, sched.t_ramp):
-        h = m.static + sched.value(t) * m.drive + p.g_at(t) * m.cavity
-        assert np.array_equal(h, h.conj().T)
-        for d in dark_states(p, sched, t):
-            assert d.norm_sq() == pytest.approx(1.0, abs=1e-12)
-            null = np.linalg.norm(h @ to_dense(d, m.index)) ** 2
-            assert null <= 1e-24 * (1.0 + g + omega) ** 2
+        om = sched.value(t)
+        for h, darks in ((static + om * drive + p.g_at(t) * cavity, [dark_state(p, sched, t)]),
+                         (full_h(om, g, delta), full_dark(om, g))):
+            assert np.array_equal(h, h.conj().T)
+            for d in darks:
+                assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(h @ d) ** 2 <= 1e-24 * (1.0 + g + omega) ** 2
 
 
 _SPACE = Space((("a", ("0", "1", "2")), ("b", ("0", "1")), ("c", ("x", "y"))))
