@@ -453,7 +453,7 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
         s_dom = split[ch_names.index(max(ch_names, key=weights.get))]
         phase = s_dom / abs(s_dom)
         polarization = tuple(split * phase.conjugate())
-        envelope = envelope * phase
+        envelope = envelope * phase + 0.0     # + 0.0: no signed zeros
 
     return DynamicsReport(
         final_state=psi,

@@ -10,7 +10,8 @@ amplitude is the product of its photons' amplitudes, summed into one Fock
 term, with sqrt(m!) for m photons sharing a mode (Hong-Ou-Mandel bunching).
 Only :func:`beamsplitter`'s output labels carry the bunched occupations.
 
-Two independent routes to the post-selected two-photon output coexist here:
+Two independent routes to the post-selected two-photon output coexist here,
+both on the pair as one array x[pol_A, pol_B, rest], laid out once per space:
 
 - :func:`symmetric_project` applies the singlet-complement projector
   I - |psi-><psi-| directly to the two polarization qubits (the algebraic
@@ -22,10 +23,11 @@ Two independent routes to the post-selected two-photon output coexist here:
 - :func:`detection_bookkeeping` routes both photons through a 50:50
   splitter and one more 50:50 splitter per output arm, which takes photon A
   to the detectors (D1, D2, D1', D2') with amplitudes (1/2, 1/2, 1/2, 1/2)
-  and photon B with (-1/2, -1/2, 1/2, 1/2), and post-selects one photon at
-  each detector of an arm.  This is the route an experiment takes; it also
-  handles partially distinguishable photons via an orthogonal temporal tag,
-  and it never calls :func:`symmetric_project`.
+  and photon B with (-1/2, -1/2, 1/2, 1/2) (one table, routed once through
+  :func:`_transfer`), and post-selects one photon at each detector of an
+  arm.  This is the route an experiment takes; it also handles partially
+  distinguishable photons via an orthogonal temporal tag, and it never calls
+  :func:`symmetric_project`.
 
 Tests require both routes to agree on the conditional output state for
 indistinguishable photons.  The operational coincidence probability they
@@ -39,11 +41,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .qstate import (
+    MAX_DM_DIM,
     BasisLabel,
     DegenerateNormError,
     DensityMatrix,
@@ -63,7 +67,6 @@ __all__ = [
     "PATH_B",
     "OUT_3",
     "OUT_4",
-    "LEAK_TOL",
     "CoincidenceOutcome",
     "DetectionReport",
     "photon_space",
@@ -84,9 +87,6 @@ PATH_A = "A"
 PATH_B = "B"
 OUT_3 = "out3"
 OUT_4 = "out4"
-
-# amplitude weight tolerated outside the modeled occupation sector
-LEAK_TOL = 1e-12
 
 
 def mode_id(path: str, pol: str) -> str:
@@ -122,10 +122,6 @@ def _paths_and_pols(space: Space) -> dict:
     return found
 
 
-def _occupation(label: BasisLabel, sid: str) -> int:
-    return int(label.level(sid))
-
-
 # ---------------------------------------------------------------------------
 # waveplates
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def qwp_relabel(s: StateVector, path: str) -> StateVector:
     if lm not in ids or rm not in ids:
         raise ValueError(f"path {path!r} has no circular modes to relabel")
     for label, amp in s.amps.items():
-        if amp != 0 and (_occupation(label, lm) > 1 or _occupation(label, rm) > 1):
+        if amp != 0 and (int(label.level(lm)) > 1 or int(label.level(rm)) > 1):
             raise ValueError(f"double occupation on {path!r}; quarter-wave relabel undefined")
     return rename_subsystems(s, {lm: mode_id(path, "H"), rm: mode_id(path, "V")})
 
@@ -155,7 +151,7 @@ def hwp0(s: StateVector, path: str) -> StateVector:
         raise ValueError(f"path {path!r} has no V mode")
     amps = {}
     for label, amp in s.amps.items():
-        amps[label] = amp * ((-1.0) ** _occupation(label, vm))
+        amps[label] = amp * ((-1.0) ** int(label.level(vm)))
     return StateVector(s.space, amps)
 
 
@@ -176,20 +172,6 @@ def _bose(modes: tuple) -> float:
     return math.sqrt(f)
 
 
-@lru_cache(maxsize=4096)
-def _routings(photons: tuple, route: tuple) -> tuple:
-    """Every way ``photons`` leave one stage: (sorted output modes, amplitude).
-
-    ``route`` is the stage as ``(place, ((place, amplitude), ...))`` pairs;
-    keyed on its content, the table is shared by every term and call that
-    routes the same photons through the same stage.
-    """
-    table = dict(route)
-    legs_per_photon = [[((place,) + m[1:], x) for place, x in table[m[0]]] for m in photons]
-    return tuple((tuple(sorted(mode for mode, _ in legs)), math.prod(x for _, x in legs))
-                 for legs in product(*legs_per_photon))
-
-
 def _transfer(terms: dict, route: tuple) -> dict:
     """Send every photon of each Fock term through one linear stage on its own.
 
@@ -202,12 +184,14 @@ def _transfer(terms: dict, route: tuple) -> dict:
     an output mode holding m photons gains sqrt(m!) (Hong-Ou-Mandel
     bunching).  Exact zeros are dropped.
     """
+    table = dict(route)
     out: dict = {}
     for (photons, rest), amp in terms.items():
         amp = amp / _bose(photons)
-        for modes, x in _routings(photons, route):
-            key = (modes, rest)
-            out[key] = out.get(key, 0.0) + amp * x
+        legs_per_photon = [[((place,) + m[1:], x) for place, x in table[m[0]]] for m in photons]
+        for legs in product(*legs_per_photon):
+            key = (tuple(sorted(mode for mode, _ in legs)), rest)
+            out[key] = out.get(key, 0.0) + amp * math.prod(x for _, x in legs)
     return {k: v * _bose(k[0]) for k, v in out.items() if v != 0.0}
 
 
@@ -252,6 +236,64 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
+# the photon pair as one array
+# ---------------------------------------------------------------------------
+
+_OUT_NAMES = {mode_id(path, pol): mode_id(out, pol)
+              for path, out in ((PATH_A, OUT_3), (PATH_B, OUT_4)) for pol in POLS}
+
+
+class _PairPlan(NamedTuple):
+    """x[pol_A, pol_B, rest] of a joint space, rest over its riders in canonical order."""
+
+    index: Mapping[BasisLabel, int]   # sector label -> flat position in x
+    partners: tuple                   # per position: itself, or the (HV, VH) pair it mixes into
+    out_space: Space                  # paths A, B renamed out3, out4
+    out_labels: tuple                 # per position, its label on out_space
+    cond_space: Space                 # ph3, ph4 and the riders
+    cond_order: np.ndarray            # the flat positions in cond_space's label order
+
+
+@lru_cache(maxsize=64)
+def _pair_plan(space: Space) -> _PairPlan:
+    """The pair layout of ``space``, worked out once per layout.
+
+    Only the one-photon-per-path sector is enumerated, 4 x dim(riders)
+    labels, the riders being every subsystem but the four path modes; a
+    sector above ``MAX_DM_DIM`` raises ``ValueError`` before it is.
+    """
+    riders = tuple(sub for sub in space.subsystems if sub[0] not in _OUT_NAMES)
+    rest = math.prod(len(alpha) for _, alpha in riders)
+    if 4 * rest > MAX_DM_DIM:
+        raise ValueError(f"one-photon-per-path sector of dimension {4 * rest} "
+                         f"exceeds the cap of {MAX_DM_DIM}")
+    cond_space = Space((("ph3", POLS), ("ph4", POLS)) + riders)
+    cond_index = label_index(cond_space)
+    index, partners, cond_pos = {}, [], []
+    for k, (p, q, *levels) in enumerate(product(POLS, POLS, *(alpha for _, alpha in riders))):
+        modes = {mode_id(path, pol): "1" if pol == want else "0"
+                 for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
+        rider = dict(zip((sid for sid, _ in riders), levels))
+        index[space.label({**modes, **rider})] = k
+        partners.append((k,) if p == q else (rest + k % rest, 2 * rest + k % rest))
+        cond_pos.append(cond_index[cond_space.label({"ph3": p, "ph4": q, **rider})])
+    renamed = rename_subsystems(StateVector(space, dict.fromkeys(index, 1.0)), _OUT_NAMES)
+    return _PairPlan(MappingProxyType(index), tuple(partners), renamed.space,
+                     tuple(renamed.amps), cond_space, np.argsort(cond_pos))
+
+
+def _pair_array(s: StateVector, plan: _PairPlan) -> tuple[np.ndarray, list]:
+    """x[pol_A, pol_B, rest] of ``s``, each label's flat position; off-sector labels raise."""
+    where = list(map(plan.index.get, s.amps))
+    if None in where:
+        weight = sum(abs(amp) ** 2 for k, amp in zip(where, s.amps.values()) if k is None)
+        raise ValueError(f"amplitude weight {weight:.3e} outside the one-photon-per-path sector")
+    x = np.zeros(len(plan.index), dtype=complex)
+    x[where] = list(s.amps.values())
+    return x.reshape(2, 2, -1), where
+
+
+# ---------------------------------------------------------------------------
 # symmetric projection (algebraic route)
 # ---------------------------------------------------------------------------
 
@@ -265,26 +307,6 @@ class CoincidenceOutcome:
     raw_amplitudes: dict                  # pre-normalization label -> amp
 
 
-def _pol_of(label: BasisLabel, path: str) -> str:
-    occupied = [pol for pol in POLS if _occupation(label, mode_id(path, pol)) == 1]
-    if len(occupied) != 1:
-        raise ValueError(f"path {path!r} does not hold exactly one photon in {label}")
-    return occupied[0]
-
-
-def _check_one_photon_per_path(s: StateVector, paths: Iterable[str]):
-    bad = 0.0
-    for label, amp in s.amps.items():
-        for path in paths:
-            n = sum(_occupation(label, mode_id(path, pol)) for pol in POLS)
-            if n != 1:
-                bad += abs(amp) ** 2
-                break
-    if bad > LEAK_TOL:
-        raise ValueError(
-            f"amplitude weight {bad:.3e} outside the one-photon-per-path sector")
-
-
 def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     """Project the A/B photon pair onto the symmetric polarization subspace.
 
@@ -293,36 +315,20 @@ def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     normalizes.  ``probability`` is the squared norm of the projection; a
     singlet input is a heralded failure (probability 0, no state).
     """
-    _check_one_photon_per_path(s, (PATH_A, PATH_B))
-
-    def relabel(label: BasisLabel, p: str, q: str) -> BasisLabel:
-        levels = {mode_id(path, pol): "1" if pol == want else "0"
-                  for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
-        return BasisLabel(tuple((sid, levels.get(sid, lv)) for sid, lv in label.factors))
-
-    raw: dict = {}
-    for label, amp in s.amps.items():
-        p, q = _pol_of(label, PATH_A), _pol_of(label, PATH_B)
-        if p == q:
-            raw[label] = raw.get(label, 0.0) + amp
-        else:
-            # (|HV> + |VH>)/2 for either antisymmetric-ordered input
-            for pp, qq in (("H", "V"), ("V", "H")):
-                key = relabel(label, pp, qq)
-                raw[key] = raw.get(key, 0.0) + 0.5 * amp
-    raw = {k: v for k, v in raw.items() if v != 0.0}
-    projected = StateVector(s.space, raw)
-    renamed = rename_subsystems(projected, {
-        mode_id(PATH_A, "H"): mode_id(OUT_3, "H"),
-        mode_id(PATH_A, "V"): mode_id(OUT_3, "V"),
-        mode_id(PATH_B, "H"): mode_id(OUT_4, "H"),
-        mode_id(PATH_B, "V"): mode_id(OUT_4, "V"),
-    })
+    plan = _pair_plan(s.space)
+    x, where = _pair_array(s, plan)
+    x[0, 1] = x[1, 0] = 0.5 * x[0, 1] + 0.5 * x[1, 0]
+    values = (x.ravel() + 0.0).tolist()      # + 0.0: no signed zeros
+    # labels in the ket's own order, a mixed one followed by both partners,
+    # so the norm sums the same terms in the same order on every call
+    order = dict.fromkeys(j for k in where for j in plan.partners[k])
+    renamed = StateVector(plan.out_space, {plan.out_labels[k]: values[k]
+                                           for k in order if values[k] != 0.0})
     try:
         state, prob = normalize(renamed)
     except DegenerateNormError:
-        return CoincidenceOutcome(None, 0.0, {k: v for k, v in renamed.amps.items()})
-    return CoincidenceOutcome(state, prob, {k: v for k, v in renamed.amps.items()})
+        state, prob = None, 0.0
+    return CoincidenceOutcome(state, prob, dict(renamed.amps))
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +354,27 @@ class DetectionReport:
 
 
 # The coincidence network, one splitter stage at a time (arm1 holds D1, D2;
-# arm2 holds D1', D2').  Each route lists a splitter's second output first and
-# arm1 sorts before arm2: that fixes the order in which count patterns first
-# appear, and so the pattern each draw of the seeded detection Monte Carlo
-# lands on.
+# arm2 holds D1', D2').
 _NETWORK = (
     ((PATH_A, (("arm1", _R), ("arm2", _R))), (PATH_B, (("arm1", -_R), ("arm2", _R)))),
     (("arm1", (("d2", _R), ("d1", _R))), ("arm2", (("d2x", _R), ("d1x", _R)))),
 )
 _DETECTORS = ("d1", "d2", "d1x", "d2x")
-_PATTERNS = {(d, e): tuple((d == f) + (e == f) for f in _DETECTORS)
-             for d in _DETECTORS for e in _DETECTORS}
+
+
+def _detector_amplitudes(path: str) -> np.ndarray:
+    """Amplitude of one photon entering on ``path`` at each of ``_DETECTORS``."""
+    reached = _transfer(_transfer({(((path,),), ()): 1.0}, _NETWORK[0]), _NETWORK[1])
+    return np.array([reached[(((d,),), ())] for d in _DETECTORS])
+
+
+# per ordered detector pair [d, e], photon A at d and B at e: its amplitude and
+# (row-major) its count pattern
+_PAIR_AMPS = np.multiply.outer(_detector_amplitudes(PATH_A), _detector_amplitudes(PATH_B))
+_PATTERNS = tuple(tuple((d == f) + (e == f) for f in _DETECTORS)
+                  for d in _DETECTORS for e in _DETECTORS)
 _COINCIDENCES = ((1, 1, 0, 0), (0, 0, 1, 1))
+_ARMS = ([0, 2], [1, 3])    # [d, e] of (D1, D2) and (D1', D2')
 
 
 def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:
@@ -368,70 +383,53 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     Network: paths A, B meet on a 50:50 splitter; each output arm is split
     again on its own 50:50 splitter whose two outputs are detectors (D1, D2)
     and (D1', D2').  A two-fold coincidence is one photon at each detector of
-    the same arm.  Each photon is routed on its own (:func:`_transfer`); a
-    two-photon amplitude is the product of the two photons' routes, summed
-    over both orderings into one Fock term.
+    the same arm.  Each photon reaches each detector with a fixed amplitude,
+    worked out once by routing it through :func:`_transfer`, so the pair
+    array x[pol_A, pol_B, rest] reaches detectors (d, e) with
+    ``_PAIR_AMPS[d, e] * x``.  Where both photons share a temporal tag, one
+    Fock term adds both photon orderings (the permanent of the 2x2 transfer
+    submatrix); weighting every ordered detector pair by 1/2 then counts each
+    term once, a bunched one with its sqrt(2).
 
     ``overlap_c`` is the complex temporal-mode overlap of the B photon's
     emission envelope against the A photon's.  |overlap_c| = 1 means fully
     indistinguishable photons; the orthogonal remainder is carried by a
     second temporal tag that never interferes with the first.  Extra
     (non-photonic) subsystems of ``s`` ride along and stay in the conditional
-    output.
+    output, the Gram matrix of the six (arm, tag at D1, tag at D2) columns.
     """
     c = complex(overlap_c)
     if abs(c) > 1.0 + 1e-12:
         raise ValueError(f"|overlap| = {abs(c):.6g} exceeds 1")
     s_perp = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
-    _check_one_photon_per_path(s, (PATH_A, PATH_B))
-
-    photon_ids = {mode_id(p, pol) for p in (PATH_A, PATH_B) for pol in POLS}
-    extras = tuple(sub for sub in s.space.subsystems if sub[0] not in photon_ids)
-    for sid, _ in extras:
+    plan = _pair_plan(s.space)
+    for sid in plan.cond_space.ids:
         if ":" in sid:
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")
-
+    x, _ = _pair_array(s, plan)
     norm_in = s.norm_sq()
 
     # photon A rides tag t0; photon B splits c|t0> + s_perp|t1>
-    fock: dict = {}
-    for label, amp in s.amps.items():
-        p, q = _pol_of(label, PATH_A), _pol_of(label, PATH_B)
-        rest = tuple(f for f in label.factors if f[0] not in photon_ids)
-        for tag_b, w in (("t0", c), ("t1", s_perp)):
-            if w != 0:
-                key = (((PATH_A, p, "t0"), (PATH_B, q, tag_b)), rest)
-                fock[key] = fock.get(key, 0.0) + amp * w
-    for stage in _NETWORK:
-        fock = _transfer(fock, stage)
-
-    # photon-count patterns, and the coincidence herald grouped by what is
-    # traced out of it (arm and temporal tags) over (pol3, pol4, extras)
+    t = np.multiply.outer(_PAIR_AMPS, x)           # [d, e, pol at d, pol at e, rest]
+    swapped = t.transpose(1, 0, 3, 2, 4)           # the same Fock term, photons exchanged
+    same, cross = c * (t + swapped), s_perp * t
+    weight = 0.5 * (same.real ** 2 + same.imag ** 2) + cross.real ** 2 + cross.imag ** 2
     dist: dict = {}
-    herald: dict = {}
-    for (((d, p3, t3), (e, p4, t4)), rest), amp in fock.items():
-        pat = _PATTERNS[(d, e)]
-        dist[pat] = dist.get(pat, 0.0) + abs(amp) ** 2
-        if pat in _COINCIDENCES:     # D1 (D1') sorts before D2 (D2')
-            herald.setdefault((d, t3, t4), []).append(((p3, p4, rest), amp))
+    for pat, w in zip(_PATTERNS, weight.sum(axis=(2, 3, 4)).ravel().tolist()):
+        dist[pat] = dist.get(pat, 0.0) + w
+    dist = {pat: p for pat, p in dist.items() if p != 0.0}
 
     p_coincidence = dist.get(_COINCIDENCES[0], 0.0) + dist.get(_COINCIDENCES[1], 0.0)
     rho = None
     if p_coincidence / max(norm_in, 1e-300) > 1e-30:
-        # trace out arm and tags, normalized to unit trace
-        entries: dict = {}
-        for members in herald.values():
-            for r, ar in members:
-                for col, ac in members:
-                    entries[(r, col)] = entries.get((r, col), 0.0) + ar * ac.conjugate()
-        cond_space = Space((("ph3", POLS), ("ph4", POLS)) + extras)
-        index = label_index(cond_space)
-        pos = {r: index[BasisLabel(tuple(sorted((("ph3", r[0]), ("ph4", r[1])) + r[2])))]
-               for r in {r for r, _ in entries}}
-        matrix = np.zeros((cond_space.dim, cond_space.dim), dtype=complex)
-        for (r, col), v in entries.items():
-            matrix[pos[r], pos[col]] = v / p_coincidence
-        rho = DensityMatrix.from_array(cond_space, matrix)
+        # columns (arm, t0, t0), (arm, t0, t1), (arm, t1, t0), rows in cond_space order
+        cols = np.concatenate([same[_ARMS], cross[_ARMS], s_perp * swapped[_ARMS]])
+        cols = cols.reshape(6, -1)[:, plan.cond_order]
+        gram = np.einsum("gi,gj->ij", cols, cols.conj())
+        # real and imaginary parts divided apart: numpy divides a complex
+        # array by a real through its reciprocal, one rounding more
+        rho = DensityMatrix.from_array(plan.cond_space,
+                                       (gram.view(float) / p_coincidence).view(complex))
 
     return DetectionReport(
         p_coincidence=p_coincidence / norm_in,

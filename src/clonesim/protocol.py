@@ -47,7 +47,6 @@ from .optics import (
     PATH_A,
     PATH_B,
     POLS,
-    DetectionReport,
     detection_bookkeeping,
     hwp0,
     one_photon,
@@ -311,7 +310,7 @@ def _finish(cfg: ProtocolConfig, joint: StateVector | None, overlap_c: complex,
         visibility = abs(complex(overlap_c)) ** 2
     else:
         sym = symmetric_project(joint)
-        detection: DetectionReport = detection_bookkeeping(joint, overlap_c)
+        detection = detection_bookkeeping(joint, overlap_c)
         if detection.rho_conditional is None:
             raise RuntimeError("no coincidence support in the assembled state")
         post, rho = sym.projected_state, detection.rho_conditional

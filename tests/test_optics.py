@@ -22,7 +22,7 @@ from clonesim.optics import (
     qwp_relabel,
     symmetric_project,
 )
-from clonesim.qstate import StateVector, inner, tensor
+from clonesim.qstate import MAX_DM_DIM, Space, StateVector, inner, tensor
 
 
 def _pair(pol_a, pol_b):
@@ -142,6 +142,71 @@ def test_projection_rejects_empty_path():
     }): 1.0})
     with pytest.raises(ValueError):
         symmetric_project(bad)
+
+
+def _pair_on(space, amps):
+    """sum amps[(p, q)] |A:p>|B:q> on a photon space of any occupation alphabet."""
+    return StateVector(space, {space.label({
+        mode_id(path, pol): "1" if pol == want else "0"
+        for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}): amp
+        for (p, q), amp in amps.items()})
+
+
+@pytest.mark.parametrize("route", [symmetric_project, detection_bookkeeping])
+@pytest.mark.parametrize("leak", [1e-7, 1e-3])
+def test_routes_refuse_any_out_of_sector_amplitude(route, leak):
+    # weights 1e-14 and 1e-6 on a label whose path A holds no photon: no
+    # weight outside the one-photon-per-path sector is tolerated
+    sp = photon_space([PATH_A, PATH_B])
+    empty_a = sp.label({mode_id(PATH_A, "H"): "0", mode_id(PATH_A, "V"): "0",
+                        mode_id(PATH_B, "H"): "1", mode_id(PATH_B, "V"): "0"})
+    s = StateVector(sp, {**_pair("H", "V").amps, empty_a: leak})
+    with pytest.raises(ValueError):
+        route(s)
+
+
+@pytest.mark.parametrize("route", [symmetric_project, detection_bookkeeping])
+def test_wider_occupation_alphabet_changes_nothing(route):
+    amps = {("H", "H"): 0.3, ("H", "V"): 0.5j, ("V", "H"): -0.4, ("V", "V"): 0.2 - 0.1j}
+    wide = photon_space([PATH_A, PATH_B], occ=("0", "1", "2"))
+    narrow_out = route(_pair_on(photon_space([PATH_A, PATH_B]), amps))
+    wide_out = route(_pair_on(wide, amps))
+    if route is symmetric_project:
+        assert wide_out.probability == narrow_out.probability
+        assert wide_out.raw_amplitudes == narrow_out.raw_amplitudes
+        assert wide_out.projected_state.amps == narrow_out.projected_state.amps
+    else:
+        assert wide_out.p_coincidence == narrow_out.p_coincidence
+        assert wide_out.count_distribution == narrow_out.count_distribution
+        assert np.array_equal(wide_out.rho_conditional.matrix, narrow_out.rho_conditional.matrix)
+    # a doubly occupied mode lies outside the sector
+    bunched = wide.label({mode_id(PATH_A, "H"): "2", mode_id(PATH_A, "V"): "0",
+                          mode_id(PATH_B, "H"): "0", mode_id(PATH_B, "V"): "0"})
+    with pytest.raises(ValueError):
+        route(StateVector(wide, {**_pair_on(wide, amps).amps, bunched: 0.1}))
+
+
+def _with_rider(levels):
+    rider = Space((("m", tuple(str(n) for n in range(levels))),))
+    return tensor(_pair("H", "V"), StateVector(rider, {rider.label({"m": "7"}): 1.0}))
+
+
+def test_rider_of_dimension_128_fills_the_cap():
+    # the joint space has 16 x 128 = 2,048 labels, above MAX_DM_DIM, but the
+    # one-photon-per-path sector only 4 x 128 = 512
+    s = _with_rider(128)
+    assert s.space.dim > MAX_DM_DIM
+    assert symmetric_project(s).probability == pytest.approx(0.5, abs=1e-12)
+    rep = detection_bookkeeping(s)
+    assert rep.p_coincidence == pytest.approx(0.25, abs=1e-12)
+    assert rep.rho_conditional.space.dim == MAX_DM_DIM
+    assert rep.rho_conditional.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("route", [symmetric_project, detection_bookkeeping])
+def test_sector_above_the_cap_is_refused(route):
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        route(_with_rider(129))
 
 
 # --- coincidence bookkeeping ----------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,104 @@ def test_detection_route_never_calls_the_projection(monkeypatch):
     rep = detection_bookkeeping(s, 0.8 + 0.3j)
     assert sum(rep.count_distribution.values()) == pytest.approx(1.0, abs=1e-12)
     assert rep.rho_conditional.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+# per-photon detector amplitudes (D1, D2, D1', D2') of the coincidence network
+_UA = (0.5, 0.5, 0.5, 0.5)
+_UB = (-0.5, -0.5, 0.5, 0.5)
+_COINC = ((1, 1, 0, 0), (0, 0, 1, 1))
+_RIDER_SETS = (
+    (),
+    (("atomB", ("gL", "gR")),),
+    (("atomB", ("gL", "gR")), ("zz", ("0", "1", "2"))),     # zz sorts after ph4
+)
+
+
+def _pair_with_riders(x, riders) -> StateVector:
+    """sum x[p, q, r] |A:p>|B:q>|r>, r running over the riders' levels in canonical order."""
+    space = Space(riders)
+    out = None
+    for (p, q, *levels), amp in zip(product(POLS, POLS, *(a for _, a in riders)), x.ravel()):
+        term = tensor(one_photon(PATH_A, {p: 1.0}), one_photon(PATH_B, {q: 1.0}))
+        if riders:
+            rider = space.label(dict(zip((sid for sid, _ in riders), levels)))
+            term = tensor(term, StateVector(space, {rider: 1.0}))
+        out = term * amp if out is None else out + term * amp
+    return out
+
+
+def _reference_detection(x, overlap):
+    """Pattern weights and heralded state from the two-photon permanent, term by term.
+
+    Photon A (tag t0) in polarization p reaches detector d with _UA[d];
+    photon B in q reaches e with _UB[e], on tag t0 with weight c and on t1
+    with sqrt(1 - |c|^2).  A Fock term {(d, p, t0), (e, q, tag)} sums every
+    assignment of the two photons to its two modes, times sqrt(2) when they
+    are one mode.  Heralded columns are grouped by (arm, tag at D1, tag at D2).
+    """
+    c = complex(overlap)
+    weights = (("t0", c), ("t1", math.sqrt(max(0.0, 1.0 - abs(c) ** 2))))
+    fock: dict = {}
+    for d, e, p, q, r in product(range(4), range(4), range(2), range(2), range(x.shape[2])):
+        for tag, w in weights:
+            key = (tuple(sorted([(d, p, "t0"), (e, q, tag)])), r)
+            fock[key] = fock.get(key, 0.0) + w * x[p, q, r] * _UA[d] * _UB[e]
+    dist: dict = {}
+    columns: dict = {}
+    for (modes, r), amp in fock.items():
+        if modes[0] == modes[1]:
+            amp *= math.sqrt(2.0)
+        pattern = tuple(sum(m[0] == f for m in modes) for f in range(4))
+        dist[pattern] = dist.get(pattern, 0.0) + abs(amp) ** 2
+        if pattern in _COINC:
+            (d, p3, t3), (_, p4, t4) = modes
+            columns.setdefault((d, t3, t4), {})[(p3, p4, r)] = amp
+    heralded: dict = {}
+    for col in columns.values():
+        for row, a in col.items():
+            for other, b in col.items():
+                heralded[(row, other)] = heralded.get((row, other), 0.0) + a * b.conjugate()
+    return {k: v for k, v in dist.items() if v != 0.0}, heralded
+
+
+_sector_amplitude = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+
+
+@given(st.sampled_from(_RIDER_SETS), st.lists(_sector_amplitude, min_size=24, max_size=24),
+       st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+def test_detection_matches_the_permanent_written_out(riders, amps, overlap):
+    rest = math.prod(len(alpha) for _, alpha in riders)
+    x = np.array(amps[:4 * rest]).reshape(2, 2, rest)
+    norm = np.vdot(x, x).real
+    assume(norm > 1e-6)
+    x = x / math.sqrt(norm)
+    rep = detection_bookkeeping(_pair_with_riders(x, riders), overlap)
+    dist, heralded = _reference_detection(x, overlap)
+    assert set(rep.count_distribution) == set(dist)
+    for pat, p in dist.items():
+        assert rep.count_distribution[pat] == pytest.approx(p, abs=1e-12)
+    p_coinc = sum(dist.get(pat, 0.0) for pat in _COINC)
+    assert rep.p_coincidence == pytest.approx(p_coinc, abs=1e-12)
+    if rep.rho_conditional is None:
+        assert p_coinc < 1e-12
+        return
+    levels = list(product(*(alpha for _, alpha in riders)))
+    space = rep.rho_conditional.space
+
+    def label(p3, p4, r):
+        return space.label({"ph3": POLS[p3], "ph4": POLS[p4],
+                            **dict(zip((sid for sid, _ in riders), levels[r]))})
+
+    expect = {(label(*row), label(*col)): v for (row, col), v in heralded.items()}
+    got = rep.rho_conditional.entries
+    for key in expect.keys() | got.keys():
+        # the heralded (unnormalized) state, and the state itself where the
+        # herald is not rare enough to magnify rounding
+        assert rep.p_coincidence * got.get(key, 0.0) == pytest.approx(
+            expect.get(key, 0.0), abs=1e-12)
+        if p_coinc > 1e-3:
+            assert got.get(key, 0.0) == pytest.approx(expect.get(key, 0.0) / p_coinc, abs=1e-12)
 
 
 @given(st.sampled_from(list(Side)),

@@ -340,6 +340,19 @@ def test_pulse_csv_matches_per_cell_reference(dynamic_report):
     assert "-0," in pulse_csv(odd) and "nan" in pulse_csv(odd)
 
 
+def test_pulse_csvs_hold_no_negative_zero():
+    # alice's envelope carries the dominant channel's phase, here exactly i;
+    # that product must leave no -0 cell in either pulse file
+    alice = NodeConfig(SystemParams(side=Side.ALICE), PulseSchedule(omega_max=2.0, t_total=25.0))
+    bob = NodeConfig(SystemParams(side=Side.BOB),
+                     PulseSchedule(omega_max=2.0 * math.sqrt(2.0), t_total=25.0))
+    rep = run_dynamic(ProtocolConfig(input=InputQubit(0.6, 0.8j), mode=Mode.DYNAMIC,
+                                     alice=alice, bob=bob, dt=0.025))
+    for dyn in rep.dynamics_diags:
+        cells = [cell for row in pulse_csv(dyn).splitlines()[1:] for cell in row.split(",")]
+        assert "-0" not in cells, dyn.params.side
+
+
 def test_pulse_csv_shape(dynamic_report):
     text = pulse_csv(dynamic_report.dynamics_diags[0])
     lines = text.strip().split("\n")
