@@ -5,7 +5,7 @@ Layers, bottom up:
 - :mod:`clonesim.qstate`    labeled tensor states: sparse kets, dense density matrices
 - :mod:`clonesim.cloner`    exact 1->2 symmetric cloning algebra (oracle)
 - :mod:`clonesim.adiabatic` cavity dark-state passage and photon emission
-- :mod:`clonesim.optics`    waveplates, beam splitters, coincidence bookkeeping
+- :mod:`clonesim.optics`    the photon pair, beam splitters, coincidence bookkeeping
 - :mod:`clonesim.protocol`  end-to-end runs, detector model, reports
 - :mod:`clonesim.cli`       command-line front end (ideal/dynamics/sweep/verify)
 
@@ -31,8 +31,8 @@ _EXPORTS = {
         "DynamicsReport", "MixingAngle", "PulseSchedule", "Side", "SystemParams",
         "dark_state", "evolve", "pulse_shape_analytic"), "adiabatic"),
     **dict.fromkeys((
-        "beamsplitter", "detection_bookkeeping", "hwp0", "one_photon",
-        "polarization_singlet", "qwp_relabel", "symmetric_project"), "optics"),
+        "beamsplitter", "detection_bookkeeping", "one_photon", "photon_pair",
+        "polarization_singlet", "symmetric_project"), "optics"),
     **dict.fromkeys((
         "CloneReport", "DetectorParams", "Mode", "NodeConfig", "ProtocolConfig",
         "detector_model", "run", "run_analytic", "run_dynamic"), "protocol"),

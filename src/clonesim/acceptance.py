@@ -24,7 +24,7 @@ from . import adiabatic, cloner, optics, protocol
 from .adiabatic import PulseSchedule, Side, SystemParams
 from .cloner import InputQubit
 from .protocol import fmt
-from .qstate import Space, StateVector, inner, tensor
+from .qstate import Space, StateVector, inner
 
 __all__ = [
     "CriterionResult",
@@ -143,9 +143,7 @@ def _crit_projector_equivalence(seed: int, cache: dict):
     mat_optics = np.zeros((4, 4), dtype=complex)
     tables_ok = True
     for j, (p, q) in enumerate(basis):
-        s = tensor(optics.one_photon(optics.PATH_A, {p: 1.0}),
-                   optics.one_photon(optics.PATH_B, {q: 1.0}))
-        out = optics.symmetric_project(s)
+        out = optics.symmetric_project(optics.photon_pair(np.eye(4)[j]))
         got = {}
         for lab, amp in out.raw_amplitudes.items():
             p3 = "H" if lab.level(optics.mode_id(optics.OUT_3, "H")) == "1" else "V"
@@ -272,8 +270,7 @@ def _crit_pulse_identity(seed: int, cache: dict):
 
 
 def _crit_interference_sanity(seed: int, cache: dict):
-    same = tensor(optics.one_photon(optics.PATH_A, {"H": 1.0}),
-                  optics.one_photon(optics.PATH_B, {"H": 1.0}))
+    same = optics.photon_pair([[1.0, 0.0], [0.0, 0.0]])
     mixed = optics.beamsplitter(same, optics.PATH_A, optics.PATH_B)
     cross = 0.0
     for lab, amp in mixed.amps.items():

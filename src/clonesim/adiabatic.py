@@ -129,12 +129,15 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "side", Side(self.side))
-        if self.g <= 0:
+        # each check is written so that nan fails it
+        if not self.g > 0:
             raise ValueError("g must be positive")
-        if self.kappa < 0 or self.gamma < 0:
+        if not (self.kappa >= 0 and self.gamma >= 0):
             raise ValueError("kappa and gamma must be non-negative")
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError("epsilon must lie in [0, 1)")
+        if not (math.isfinite(self.delta) and math.isfinite(self.nu)):
+            raise ValueError("delta and nu must be finite")
 
     def g_at(self, t):
         """Coupling at time t; exactly ``g`` when modulation is off."""
@@ -158,7 +161,7 @@ class PulseSchedule:
     shape: str = "sin2"
 
     def __post_init__(self):
-        if self.omega_max <= 0 or self.t_total <= 0:
+        if not (self.omega_max > 0 and self.t_total > 0):     # also refuses nan
             raise ValueError("omega_max and t_total must be positive")
         if not (0.0 <= self.hold_fraction < 1.0):
             raise ValueError("hold_fraction must lie in [0, 1)")
@@ -352,7 +355,7 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
         raise ValueError("split must hold the photon's two (L, R) amplitudes")
     if not abs(np.linalg.norm(split) - 1.0) <= 1e-9:     # also refuses nan
         raise ValueError("split must be unit-norm")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
 
     h_diag, h_drv, h_cv = _parts(p)

@@ -76,7 +76,7 @@ class InputQubit:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         n = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:     # also refuses nan
             raise ValueError(f"|a|^2 + |b|^2 = {n:.12g}, expected 1")
 
     @classmethod

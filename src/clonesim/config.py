@@ -38,7 +38,6 @@ __all__ = [
     "parse_config_text",
     "load_config",
     "settings_from_values",
-    "example_config_text",
 ]
 
 
@@ -200,20 +199,3 @@ def load_config(path: str, mode: Mode | str = Mode.DYNAMIC) -> RunSettings:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config_text(text, mode)
 
-
-def example_config_text() -> str:
-    """A complete config with every key at its default (required ones filled)."""
-    lines = [
-        "# protocol run configuration: every optional key shown at its default",
-        "seed = 1",
-        "input.a = 0.6",
-        "input.b = 0.8",
-    ]
-    for key, (_, default) in KEY_TABLE.items():
-        if default is None:
-            continue
-        if isinstance(default, float):
-            lines.append(f"{key} = {default!r}")
-        else:
-            lines.append(f"{key} = {default}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,12 @@
-"""Waveplates, beam splitters and two-fold coincidence bookkeeping.
+"""The photon pair, beam splitters and two-fold coincidence bookkeeping.
 
 Photons are dual-rail encoded: one subsystem per (path, polarization) mode,
 id ``"<path>:<pol>"``, with occupation alphabet {0, 1} at protocol level.
+The interference stage sees one photon on each of paths A and B, so its ket
+is an array x[pol_A, pol_B, rest], rest running over the rider subsystems
+such as the remote atom; :func:`photon_pair` labels one.  The waveplates in
+front of it are no operation of their own: ``protocol.assemble_joint``
+writes them into x.
 
 Every splitter is linear, so it acts on each photon on its own
 (:func:`_transfer`): a photon reaches each output mode with a fixed transfer
@@ -55,9 +60,9 @@ from .qstate import (
     StateVector,
     label_index,
     normalize,
+    from_dense,
     partial_trace,  # noqa: F401  perfbench traces calls made through optics.partial_trace
-    rename_subsystems,
-    tensor,
+    tensor,  # noqa: F401  perfbench traces calls made through optics.tensor
 )
 
 __all__ = [
@@ -72,8 +77,7 @@ __all__ = [
     "photon_space",
     "one_photon",
     "mode_id",
-    "qwp_relabel",
-    "hwp0",
+    "photon_pair",
     "beamsplitter",
     "symmetric_project",
     "detection_bookkeeping",
@@ -93,21 +97,18 @@ def mode_id(path: str, pol: str) -> str:
     return f"{path}:{pol}"
 
 
-def photon_space(paths: Iterable[str], pols: Iterable[str] = POLS,
-                 occ: tuple[str, ...] = OCC_PROTOCOL) -> Space:
-    return Space(tuple((mode_id(p, pol), occ) for p in paths for pol in pols))
+def photon_space(paths: Iterable[str], occ: tuple[str, ...] = OCC_PROTOCOL) -> Space:
+    return Space(tuple((mode_id(p, pol), occ) for p in paths for pol in POLS))
 
 
-def one_photon(path: str, amps: Mapping[str, complex],
-               pols: Iterable[str] = POLS) -> StateVector:
+def one_photon(path: str, amps: Mapping[str, complex]) -> StateVector:
     """Single photon on ``path`` with polarization amplitudes {pol: amp}."""
-    pols = tuple(pols)
-    space = photon_space([path], pols)
+    space = photon_space([path])
     out = {}
     for pol, amp in amps.items():
-        if pol not in pols:
+        if pol not in POLS:
             raise ValueError(f"unknown polarization {pol!r}")
-        levels = {mode_id(path, q): ("1" if q == pol else "0") for q in pols}
+        levels = {mode_id(path, q): ("1" if q == pol else "0") for q in POLS}
         out[space.label(levels)] = amp
     return StateVector(space, out)
 
@@ -120,39 +121,6 @@ def _paths_and_pols(space: Space) -> dict:
         if len(parts) == 2:
             found.setdefault(parts[0], set()).add(parts[1])
     return found
-
-
-# ---------------------------------------------------------------------------
-# waveplates
-# ---------------------------------------------------------------------------
-
-
-def qwp_relabel(s: StateVector, path: str) -> StateVector:
-    """Quarter-wave plate as a basis relabel: circular L/R -> linear H/V.
-
-    The mode occupied by one left-circular photon becomes the H mode and the
-    right-circular one becomes V.  Occupations above 1 are rejected: the
-    relabel is only defined on the single-photon sector.
-    """
-    lm, rm = mode_id(path, "L"), mode_id(path, "R")
-    ids = set(s.space.ids)
-    if lm not in ids or rm not in ids:
-        raise ValueError(f"path {path!r} has no circular modes to relabel")
-    for label, amp in s.amps.items():
-        if amp != 0 and (int(label.level(lm)) > 1 or int(label.level(rm)) > 1):
-            raise ValueError(f"double occupation on {path!r}; quarter-wave relabel undefined")
-    return rename_subsystems(s, {lm: mode_id(path, "H"), rm: mode_id(path, "V")})
-
-
-def hwp0(s: StateVector, path: str) -> StateVector:
-    """Half-wave plate at 0 degrees: H -> H, V -> -V on one path."""
-    vm = mode_id(path, "V")
-    if vm not in s.space.ids:
-        raise ValueError(f"path {path!r} has no V mode")
-    amps = {}
-    for label, amp in s.amps.items():
-        amps[label] = amp * ((-1.0) ** int(label.level(vm)))
-    return StateVector(s.space, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +235,39 @@ def _pair_plan(space: Space) -> _PairPlan:
     if 4 * rest > MAX_DM_DIM:
         raise ValueError(f"one-photon-per-path sector of dimension {4 * rest} "
                          f"exceeds the cap of {MAX_DM_DIM}")
+    out_space = Space(tuple((_OUT_NAMES.get(sid, sid), alpha) for sid, alpha in space.subsystems))
     cond_space = Space((("ph3", POLS), ("ph4", POLS)) + riders)
     cond_index = label_index(cond_space)
-    index, partners, cond_pos = {}, [], []
+    index, partners, out_labels, cond_pos = {}, [], [], []
     for k, (p, q, *levels) in enumerate(product(POLS, POLS, *(alpha for _, alpha in riders))):
         modes = {mode_id(path, pol): "1" if pol == want else "0"
                  for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
         rider = dict(zip((sid for sid, _ in riders), levels))
         index[space.label({**modes, **rider})] = k
         partners.append((k,) if p == q else (rest + k % rest, 2 * rest + k % rest))
+        out_labels.append(out_space.label({**{_OUT_NAMES[m]: lv for m, lv in modes.items()}, **rider}))
         cond_pos.append(cond_index[cond_space.label({"ph3": p, "ph4": q, **rider})])
-    renamed = rename_subsystems(StateVector(space, dict.fromkeys(index, 1.0)), _OUT_NAMES)
-    return _PairPlan(MappingProxyType(index), tuple(partners), renamed.space,
-                     tuple(renamed.amps), cond_space, np.argsort(cond_pos))
+    return _PairPlan(MappingProxyType(index), tuple(partners), out_space,
+                     tuple(out_labels), cond_space, np.argsort(cond_pos))
+
+
+_PAIR_MODES = photon_space((PATH_A, PATH_B)).subsystems
+
+
+def photon_pair(x, riders: tuple = ()) -> StateVector:
+    """The ket x[pol_A, pol_B, rest]: one photon on each of paths A and B.
+
+    ``riders`` are the other subsystems, (id, alphabet) pairs, and ``rest``
+    runs over their levels in canonical (sorted-id, mixed-radix) order; the
+    inverse of :func:`_pair_array`.  Exact zeros are dropped.  An ``x`` whose
+    size is not 4 x dim(riders) raises ``ValueError``.
+    """
+    space = Space(_PAIR_MODES + tuple(riders))
+    plan = _pair_plan(space)
+    x = np.asarray(x, dtype=complex)
+    if x.size != len(plan.index):
+        raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.index)}")
+    return from_dense(space, x.ravel(), plan.index)
 
 
 def _pair_array(s: StateVector, plan: _PairPlan) -> tuple[np.ndarray, list]:
@@ -439,11 +427,7 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     )
 
 
-def polarization_singlet(path1: str = PATH_A, path2: str = PATH_B) -> StateVector:
-    """(|HV> - |VH>)/sqrt(2) across two paths (dual-rail)."""
+def polarization_singlet() -> StateVector:
+    """(|HV> - |VH>)/sqrt(2) across paths A and B (dual-rail)."""
     r = 1.0 / math.sqrt(2.0)
-    a_h = one_photon(path1, {"H": 1.0})
-    a_v = one_photon(path1, {"V": 1.0})
-    b_h = one_photon(path2, {"H": 1.0})
-    b_v = one_photon(path2, {"V": 1.0})
-    return r * tensor(a_h, b_v) - r * tensor(a_v, b_h)
+    return photon_pair([[0.0, r], [-r, 0.0]])

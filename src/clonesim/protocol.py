@@ -11,6 +11,11 @@ Two execution modes share one scoring path:
   temporal overlap of the two envelopes enters the coincidence bookkeeping as
   the complex visibility factor.
 
+Either way the two photons' circular amplitudes become one array: the
+waveplates are written into :func:`assemble_joint`'s product
+x[pol_A, pol_B, atomB], which ``optics.photon_pair`` labels as the ket both
+post-selection routes read.
+
 Detector imperfections (efficiency eta, dark counts) transform a finished
 report: the success probability picks up the eta^2 factor plus a
 false-coincidence term, and dark-count heralds dilute the heralded state
@@ -43,23 +48,14 @@ from .adiabatic import (
     step_count,
 )
 from .cloner import InputQubit
-from .optics import (
-    PATH_A,
-    PATH_B,
-    POLS,
-    detection_bookkeeping,
-    hwp0,
-    one_photon,
-    qwp_relabel,
-    symmetric_project,
-)
+from .optics import POLS, detection_bookkeeping, photon_pair, symmetric_project
 from .qstate import (
     DensityMatrix,
     Space,
     StateVector,
     fidelity_pure,
     partial_trace,
-    tensor,
+    tensor,  # noqa: F401  perfbench traces calls made through protocol.tensor
 )
 
 __all__ = [
@@ -115,12 +111,15 @@ class Mode(str, Enum):
 
 
 def _check_detector(eta: float, dark_rate: float, window: float) -> None:
-    """Ranges of the detector model, for DetectorParams and detector_model."""
+    """Ranges of the detector model, for DetectorParams and detector_model.
+
+    Each check is written so that nan fails it.
+    """
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must lie in [0, 1]")
-    if dark_rate < 0:
+    if not dark_rate >= 0:
         raise ValueError("dark_rate must be non-negative")
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
 
 
@@ -185,7 +184,7 @@ class ProtocolConfig:
             raise ValueError("alice node configured with the wrong side")
         if self.bob.params.side is not Side.BOB:
             raise ValueError("bob node configured with the wrong side")
-        if self.dt <= 0:
+        if not self.dt > 0:     # also refuses nan
             raise ValueError("dt must be positive")
         if not (0.0 <= self.emission_floor <= 1.0):
             raise ValueError("emission_floor must lie in [0, 1]")
@@ -248,11 +247,6 @@ def _atom_space() -> Space:
     return Space(((ATOM_B, ("gL", "gR")),))
 
 
-def _atom_state(level: str) -> StateVector:
-    space = _atom_space()
-    return StateVector(space, {space.label({ATOM_B: level}): 1.0})
-
-
 def assemble_joint(alpha: tuple[complex, complex],
                    beta: tuple[complex, complex]) -> StateVector:
     """Photon pair + remote atom state entering the interference stage.
@@ -261,15 +255,16 @@ def assemble_joint(alpha: tuple[complex, complex],
     the remote node's channel amplitudes, where the L photon is tied to atom
     gR and the R photon to gL.  Both photons pass their quarter-wave plate
     (L -> H, R -> V); the remote path also crosses the 0-degree half-wave
-    plate, whose V sign flip produces the pair's relative minus.
+    plate, whose V sign flip produces the pair's relative minus.  So the
+    pair array is x[p, q, atom] = alpha_p B[q, atom] with B[H, gR] = beta_L
+    and B[V, gL] = -beta_R.
     """
-    phot_a = one_photon(PATH_A, {"L": alpha[0], "R": alpha[1]}, pols=("L", "R"))
-    phot_a = qwp_relabel(phot_a, PATH_A)
-
-    pair = (tensor(_atom_state("gR"), one_photon(PATH_B, {"L": 1.0}, pols=("L", "R"))) * beta[0]
-            + tensor(_atom_state("gL"), one_photon(PATH_B, {"R": 1.0}, pols=("L", "R"))) * beta[1])
-    pair = hwp0(qwp_relabel(pair, PATH_B), PATH_B)
-    return tensor(phot_a, pair)
+    # times -1.0 as the plate multiplies, so a real beta_R keeps a +0.0
+    # imaginary part; scalar products, as numpy's array multiply can round a
+    # complex product differently in the last bit
+    b_h, b_v = complex(beta[0]), -1.0 * complex(beta[1])
+    x = [[[0.0, a * b_h], [a * b_v, 0.0]] for a in map(complex, alpha)]    # [p][q][gL, gR]
+    return photon_pair(x, _atom_space().subsystems)
 
 
 def _clone_target(sid: str, q: InputQubit) -> StateVector:

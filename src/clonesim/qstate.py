@@ -41,7 +41,6 @@ __all__ = [
     "partial_trace",
     "fidelity_pure",
     "normalize",
-    "rename_subsystems",
     "label_index",
     "to_dense",
     "from_dense",
@@ -228,9 +227,6 @@ class StateVector:
         for label, amp in other.amps.items():
             amps[label] = amps.get(label, 0.0) + amp
         return _state(self.space, _clean(amps))
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "StateVector":
         c = complex(scalar)
@@ -431,23 +427,6 @@ def normalize(s: StateVector, floor: float = NORM_FLOOR) -> tuple[StateVector, f
     if n <= floor:
         raise DegenerateNormError(f"norm {n:.3e} at or below floor {floor:.3e}")
     return (1.0 / n) * s, n2
-
-
-def rename_subsystems(s: StateVector, mapping: Mapping[str, str]) -> StateVector:
-    """Relabel subsystem ids (alphabets carried over), re-canonicalizing order."""
-    old_ids = set(s.space.ids)
-    for old in mapping:
-        if old not in old_ids:
-            raise ValueError(f"unknown subsystem {old!r}")
-    new_ids = [mapping.get(sid, sid) for sid in s.space.ids]
-    if len(set(new_ids)) != len(new_ids):
-        raise CompositionError(f"subsystem rename collides: {sorted(new_ids)}")
-    space = Space(tuple((mapping.get(sid, sid), alpha) for sid, alpha in s.space.subsystems))
-    amps = {}
-    for label, amp in s.amps.items():
-        factors = tuple(sorted((mapping.get(sid, sid), lv) for sid, lv in label.factors))
-        amps[BasisLabel(factors)] = amp
-    return _state(space, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Key=value config parsing: defaults, diagnostics, round trips."""
 
-import math
-
 import pytest
 
 from clonesim.config import (
+    KEY_TABLE,
+    REQUIRED_KEYS,
     ConfigError,
-    example_config_text,
     load_config,
     parse_config_text,
     settings_from_values,
@@ -18,12 +17,14 @@ MINIMAL = "seed = 4\ninput.a = 0.6\ninput.b = 0.8\n"
 
 
 def test_example_text_round_trips():
-    settings = parse_config_text(example_config_text(), Mode.DYNAMIC)
-    cfg = settings.config
-    assert cfg.alice.params.g == 1.0
-    assert cfg.bob.omega.omega_max == pytest.approx(20.0 * math.sqrt(2))
-    assert cfg.detector.window == 10.0
-    assert settings.max_excited == 0.1
+    # every optional key written at its default changes nothing
+    text = MINIMAL + "".join(f"{key} = {default!r}\n" if isinstance(default, float)
+                             else f"{key} = {default}\n"
+                             for key, (_, default) in KEY_TABLE.items() if default is not None)
+    full = parse_config_text(text, Mode.DYNAMIC)
+    assert set(values_from_text(text)) == set(KEY_TABLE)
+    assert full.resolved == parse_config_text(MINIMAL, Mode.DYNAMIC).resolved
+    assert set(REQUIRED_KEYS) == set(values_from_text(MINIMAL))
 
 
 def test_minimal_config_fills_defaults():

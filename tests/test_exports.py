@@ -1,13 +1,17 @@
 """Module-level conventions: every layer's ``__all__`` names only what the
-module defines, and no module keeps a memo without a size bound."""
+module defines, no module keeps a memo without a size bound, and no module
+imports a name from the package that it never uses."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import clonesim
+from test_traced_names import USED_BY_BENCHMARK
 
 LAYERS = ("qstate", "cloner", "adiabatic", "optics", "protocol", "config", "cli",
           "acceptance")
@@ -38,3 +42,21 @@ def test_no_memo_grows_without_bound():
                  if fn.cache_parameters()["maxsize"] is None
                  and inspect.signature(fn.__wrapped__).parameters]
     assert not unbounded, f"memos without a size bound: {unbounded}"
+
+
+def _unused_relative_imports(path: Path) -> list:
+    """Names a module brings in by ``from .x import`` and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(Path(clonesim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_dead_relative_import(path):
+    # a name the benchmark wraps where callers find it stays, used or not
+    kept = USED_BY_BENCHMARK.get(path.stem, ())
+    dead = [name for name in _unused_relative_imports(path) if name not in kept]
+    assert not dead, f"clonesim.{path.stem} imports {dead} and never uses them"

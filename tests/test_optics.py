@@ -1,4 +1,4 @@
-"""Linear optics: waveplates, splitter algebra, symmetric post-selection."""
+"""Linear optics: the photon pair, splitter algebra, symmetric post-selection."""
 
 import math
 from itertools import product
@@ -14,15 +14,14 @@ from clonesim.optics import (
     POLS,
     beamsplitter,
     detection_bookkeeping,
-    hwp0,
     mode_id,
     one_photon,
+    photon_pair,
     photon_space,
     polarization_singlet,
-    qwp_relabel,
     symmetric_project,
 )
-from clonesim.qstate import MAX_DM_DIM, Space, StateVector, inner, tensor
+from clonesim.qstate import MAX_DM_DIM, Space, StateVector, tensor
 
 
 def _pair(pol_a, pol_b):
@@ -34,23 +33,15 @@ def _occ(label, path, pol):
     return int(label.level(mode_id(path, pol)))
 
 
-# --- waveplates -----------------------------------------------------------
+# --- the photon pair --------------------------------------------------------
 
 
-def test_qwp_moves_circular_to_linear():
-    s = one_photon(PATH_A, {"L": 0.6, "R": 0.8j}, pols=("L", "R"))
-    out = qwp_relabel(s, PATH_A)
-    expect = one_photon(PATH_A, {"H": 0.6, "V": 0.8j})
-    assert inner(expect, out) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_hwp0_flips_v_sign_only():
-    s = one_photon(PATH_A, {"H": 0.6, "V": 0.8})
-    out = hwp0(s, PATH_A)
-    expect = one_photon(PATH_A, {"H": 0.6, "V": -0.8})
-    assert inner(expect, out) == pytest.approx(1.0, abs=1e-15)
-    # involution
-    assert inner(s, hwp0(out, PATH_A)) == pytest.approx(1.0, abs=1e-15)
+def test_photon_pair_refuses_an_array_of_the_wrong_size():
+    atom = (("atomB", ("gL", "gR")),)
+    assert photon_pair(np.ones((2, 2, 2)), atom).space.dim == 32
+    for x, riders in ((np.ones(4), atom), (np.ones(8), ()), (np.ones(3), ())):
+        with pytest.raises(ValueError, match="pair amplitudes"):
+            photon_pair(x, riders)
 
 
 # --- beam splitter --------------------------------------------------------

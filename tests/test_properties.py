@@ -222,6 +222,19 @@ def test_detection_matches_the_permanent_written_out(riders, amps, overlap):
             assert got.get(key, 0.0) == pytest.approx(expect.get(key, 0.0) / p_coinc, abs=1e-12)
 
 
+@given(st.sampled_from(_RIDER_SETS), st.lists(_sector_amplitude, min_size=24, max_size=24))
+def test_photon_pair_labels_the_array_as_the_tensor_chain_does(riders, amps):
+    rest = math.prod(len(alpha) for _, alpha in riders)
+    x = np.array(amps[:4 * rest], dtype=complex).reshape(2, 2, rest)
+    pair = optics.photon_pair(x, riders)
+    chain = _pair_with_riders(x, riders)
+    # same space, labels, amplitudes and order of the non-zero labels
+    assert pair.space == chain.space
+    assert list(pair.amps.items()) == list(chain.amps.items())
+    back, _ = optics._pair_array(pair, optics._pair_plan(pair.space))
+    assert np.array_equal(back, x)
+
+
 @given(st.sampled_from(list(Side)),
        st.floats(-50.0, 50.0), st.floats(0.01, 50.0), st.floats(0.01, 50.0))
 def test_table_hamiltonian_is_hermitian_and_dark_states_are_null(side, delta, g, omega):

@@ -12,7 +12,9 @@ import pytest
 from clonesim import protocol
 from clonesim.cloner import InputQubit, clone, clone_fidelity, haar_qubit, unot_fidelity
 from clonesim.config import ConfigError, settings_from_values
+from clonesim.optics import PATH_A, PATH_B, POLS, one_photon
 from clonesim.protocol import (
+    ATOM_B,
     MAX_MC_TRIALS,
     CloneReport,
     DetectorParams,
@@ -20,6 +22,7 @@ from clonesim.protocol import (
     NodeConfig,
     ProtocolConfig,
     SUMMARY_COLUMNS,
+    assemble_joint,
     detector_model,
     fmt,
     pulse_csv,
@@ -31,10 +34,38 @@ from clonesim.protocol import (
     summary_csv,
 )
 from clonesim.adiabatic import PulseSchedule, Side, SystemParams
+from clonesim.qstate import Space, StateVector, tensor
 
 
 def _report(a, b) -> CloneReport:
     return run_analytic(ProtocolConfig(input=InputQubit.normalized(a, b)))
+
+
+# --- the pair entering the interference stage -------------------------------
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    pytest.param((0.6, 0.8j), (1 / math.sqrt(2), 1 / math.sqrt(2)), id="analytic"),
+    pytest.param((-0.6 + 0.1j, 0.3 - 0.74j), (0.28 - 0.96j, -0.8j), id="complex"),
+    pytest.param((1.0, 0.0), (0.6, 0.8), id="alpha-L-only"),
+    pytest.param((0.0, -1j), (0.6, 0.8), id="alpha-R-only"),
+    pytest.param((0.6, 0.8), (1.0, 0.0), id="beta-L-only"),
+    pytest.param((0.6, 0.8), (0.0, 1.0), id="beta-R-only"),
+])
+def test_assemble_joint_is_the_waveplated_pair_written_out(alpha, beta):
+    # quarter-wave plates take L -> H and R -> V; the half-wave plate on path B
+    # flips V: alpha_p beta_L |p, H, gR> - alpha_p beta_R |p, V, gL>, no zero kept
+    atom = Space(((ATOM_B, ("gL", "gR")),))
+    expect = {}
+    for p, a in zip(POLS, alpha):
+        for q, level, b in (("H", "gR", beta[0]), ("V", "gL", -beta[1])):
+            term = tensor(tensor(one_photon(PATH_A, {p: 1.0}), one_photon(PATH_B, {q: 1.0})),
+                          StateVector(atom, {atom.label({ATOM_B: level}): 1.0}))
+            if a * b != 0:
+                expect[next(iter(term.amps))] = a * b
+    joint = assemble_joint(alpha, beta)
+    assert joint.space == term.space
+    assert joint.amps == expect
 
 
 # --- analytic route vs exact algebra ----------------------------------------
@@ -192,6 +223,33 @@ def test_config_validation():
         ProtocolConfig(input=InputQubit(1.0, 0.0), bob=bad_bob)
     with pytest.raises(ValueError, match="seed"):
         ProtocolConfig(input=InputQubit(1.0, 0.0), seed=-1)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: InputQubit(v, 0.0), id="InputQubit.a"),
+    pytest.param(lambda v: InputQubit(1.0, v), id="InputQubit.b"),
+    pytest.param(lambda v: DetectorParams(eta=v), id="DetectorParams.eta"),
+    pytest.param(lambda v: DetectorParams(dark_rate=v), id="DetectorParams.dark_rate"),
+    pytest.param(lambda v: DetectorParams(window=v), id="DetectorParams.window"),
+    pytest.param(lambda v: detector_model(_report(0.6, 0.8), 1.0, v, 10.0, seed=0),
+                 id="detector_model.dark_rate"),
+    pytest.param(lambda v: detector_model(_report(0.6, 0.8), 1.0, 0.0, v, seed=0),
+                 id="detector_model.window"),
+    pytest.param(lambda v: SystemParams(g=v), id="SystemParams.g"),
+    pytest.param(lambda v: SystemParams(kappa=v), id="SystemParams.kappa"),
+    pytest.param(lambda v: SystemParams(gamma=v), id="SystemParams.gamma"),
+    pytest.param(lambda v: SystemParams(delta=v), id="SystemParams.delta"),
+    pytest.param(lambda v: SystemParams(nu=v), id="SystemParams.nu"),
+    pytest.param(lambda v: PulseSchedule(omega_max=v), id="PulseSchedule.omega_max"),
+    pytest.param(lambda v: PulseSchedule(t_total=v), id="PulseSchedule.t_total"),
+    pytest.param(lambda v: ProtocolConfig(input=InputQubit(1.0, 0.0), dt=v), id="ProtocolConfig.dt"),
+])
+def test_nan_fails_every_range_check(build):
+    with pytest.raises(ValueError):
+        build(_NAN)
 
 
 def test_mc_trial_budget_is_a_config_error(monkeypatch):

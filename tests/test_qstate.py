@@ -19,7 +19,6 @@ from clonesim.qstate import (
     inner,
     normalize,
     partial_trace,
-    rename_subsystems,
     tensor,
     to_dense,
 )
@@ -111,12 +110,6 @@ def test_dense_round_trip():
     index = {label: i for i, label in enumerate(s.space.labels())}
     back = from_dense(s.space, to_dense(s, index), index)
     assert inner(s, back) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_rename_subsystems_rejects_collision():
-    s = tensor(qubit_state("q1", 1.0, 0.0), qubit_state("q2", 0.0, 1.0))
-    with pytest.raises(ValueError):
-        rename_subsystems(s, {"q1": "q2"})
 
 
 def test_density_matrix_mix_keeps_unit_trace():
