@@ -17,8 +17,9 @@ These constants are *derived* here, not assumed: tests rebuild them through
 this module and through an independent closed-form expansion
 (:func:`closed_form_output`) and require the two routes to agree.
 
-States are sparse over qubit labels and P is a dense 8x8 matrix in the
-register's canonical label order; no dynamics is involved.
+P is a dense 8x8 matrix in the register's canonical label order, and the
+oracle fidelities score the projected branch as a plain 8-vector in that
+order; :func:`clone` labels the same vector.  No dynamics is involved.
 This module doubles as the machine-checkable oracle for the photonic protocol
 in :mod:`clonesim.protocol`.
 """
@@ -34,12 +35,13 @@ import numpy as np
 from .qstate import (
     Space,
     StateVector,
-    fidelity_pure,
+    _checked_norm,
+    _fidelity,
+    fidelity_pure,  # noqa: F401  perfbench traces calls made through cloner.fidelity_pure
     from_dense,
     label_index,
-    normalize,
-    partial_trace,
-    tensor,
+    partial_trace,  # noqa: F401  perfbench traces calls made through cloner.partial_trace
+    tensor,  # noqa: F401  perfbench traces calls made through cloner.tensor
     to_dense,
 )
 
@@ -139,17 +141,32 @@ def projector_p123() -> np.ndarray:
     return mat
 
 
+def _clone_vector(q: InputQubit) -> tuple[np.ndarray, float]:
+    """The projection branch as a unit 8-vector, and its probability.
+
+    |q>_1 x |psi->_23 is written out in the order of ``qubit_space(q1, q2,
+    q3)`` (index 4 q1 + 2 q2 + q3), projected, and renormalized under the
+    floor of ``qstate.normalize``.
+    """
+    r = 1.0 / math.sqrt(2.0)
+    a, b = q.a, q.b
+    pre = np.array([0.0, a * r, a * -r, 0.0, 0.0, b * r, b * -r, 0.0])
+    projected = projector_p123() @ pre
+    n2 = float(np.vdot(projected, projected).real)
+    return projected * (1.0 / _checked_norm(n2)), n2
+
+
 def clone(q: InputQubit) -> CloneOutput:
     """Run the projection branch for one input qubit.
 
     Composes |q>_1 x |psi->_23, applies the singlet-complement projector on
-    qubits 1, 2 and renormalizes the surviving branch.
+    qubits 1, 2 and renormalizes the surviving branch; the labeled form of
+    the vector the oracle fidelities score.
     """
-    pre = tensor(qubit_state(Q1, q.a, q.b), singlet(Q2, Q3))
-    index = label_index(pre.space)
-    projected = from_dense(pre.space, projector_p123() @ to_dense(pre, index), index)
-    state, branch_prob = normalize(projected)
-    return CloneOutput(state=state, branch_prob=branch_prob)
+    space = qubit_space(Q1, Q2, Q3)
+    vec, branch_prob = _clone_vector(q)
+    return CloneOutput(state=from_dense(space, vec, label_index(space)),
+                       branch_prob=branch_prob)
 
 
 def closed_form_output(q: InputQubit) -> StateVector:
@@ -181,12 +198,15 @@ def orthogonal_state(q: InputQubit, sid: str = Q3) -> StateVector:
 
 def clone_fidelity(q: InputQubit) -> float:
     """Fidelity of clone 1 against the input (clone 2 is identical by symmetry)."""
-    return fidelity_pure(partial_trace(clone(q).state, [Q1]), qubit_state(Q1, q.a, q.b))
+    v = _clone_vector(q)[0].reshape(2, 4)       # [q1, (q2, q3)]
+    return _fidelity(np.einsum("ig,jg->ij", v, v.conj()), np.array([q.a, q.b]))
 
 
 def unot_fidelity(q: InputQubit) -> float:
     """Fidelity of the anti-clone against the orthogonal state."""
-    return fidelity_pure(partial_trace(clone(q).state, [Q3]), orthogonal_state(q, Q3))
+    v = _clone_vector(q)[0].reshape(4, 2)       # [(q1, q2), q3]
+    return _fidelity(np.einsum("gi,gj->ij", v, v.conj()),
+                     np.array([q.b.conjugate(), -q.a.conjugate()]))
 
 
 def haar_qubit(rng: np.random.Generator) -> InputQubit:

@@ -92,6 +92,14 @@ KEY_TABLE: dict = {
 }
 
 REQUIRED_KEYS = tuple(k for k, (_, d) in KEY_TABLE.items() if d is None)
+# per side, (config key, NodeConfig field) for every node key
+_NODE_FIELDS = {side: tuple((key, key[len(side.value) + 1:]) for key in KEY_TABLE
+                            if key.startswith(side.value + "."))
+                for side in Side}
+_SORTED_KEYS = tuple(sorted(KEY_TABLE))
+_DEFAULTS = {key: default for key, (_, default) in KEY_TABLE.items()}
+# keys whose parsed value is complex; a manifest lists it as [re, im]
+_COMPLEX_KEYS = tuple(key for key, (parser, _) in KEY_TABLE.items() if parser is _parse_complex)
 
 
 @dataclass(frozen=True)
@@ -104,12 +112,6 @@ class RunSettings:
     input_norm_sq: float = 1.0   # |a|^2+|b|^2 of the raw values, before renormalizing
 
 
-def _json_value(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunSettings:
     """Build settings from raw string values keyed by dotted names.
 
@@ -120,25 +122,22 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    parsed = {}
-    for key, (parser, default) in KEY_TABLE.items():
+    parsed = dict(_DEFAULTS)
+    for key, (parser, _) in KEY_TABLE.items():
         if key in values:
             raw = values[key]
             try:
                 parsed[key] = parser(raw) if isinstance(raw, str) else parser(str(raw))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-        else:
-            parsed[key] = default
 
     missing = sorted(k for k in REQUIRED_KEYS if parsed[k] is None)
     if missing:
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
     def node(side: Side) -> NodeConfig:
-        prefix = side.value + "."
-        return NodeConfig.from_values(side, {k[len(prefix):]: v for k, v in parsed.items()
-                                             if k.startswith(prefix)})
+        return NodeConfig.from_values(side, {name: parsed[key]
+                                             for key, name in _NODE_FIELDS[side]})
 
     try:
         cfg = ProtocolConfig(
@@ -160,10 +159,13 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
         raise ConfigError(str(exc)) from None
 
     raw_norm_sq = abs(parsed["input.a"]) ** 2 + abs(parsed["input.b"]) ** 2
+    resolved = {key: parsed[key] for key in _SORTED_KEYS}
+    for key in _COMPLEX_KEYS:
+        resolved[key] = [resolved[key].real, resolved[key].imag]
     return RunSettings(
         config=cfg,
         max_excited=parsed["adiabaticity.max_excited"],
-        resolved={k: _json_value(parsed[k]) for k in sorted(parsed)},
+        resolved=resolved,
         input_norm_sq=raw_norm_sq,
     )
 

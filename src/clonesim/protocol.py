@@ -14,7 +14,10 @@ Two execution modes share one scoring path:
 Either way the two photons' circular amplitudes become one array: the
 waveplates are written into :func:`assemble_joint`'s product
 x[pol_A, pol_B, atomB], which ``optics.photon_pair`` labels as the ket both
-post-selection routes read.
+post-selection routes read.  Scoring stays on arrays too: :func:`_score`
+reads the heralded 8x8 matrix as a (2,)*6 array in (atomB, ph3, ph4) order
+and takes each one-qubit reduction with one einsum; labels appear only in
+the report.
 
 Detector imperfections (efficiency eta, dark counts) transform a finished
 report: the success probability picks up the eta^2 factor plus a
@@ -29,6 +32,7 @@ against the flipped target b*|gL> - a*|gR>.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -52,9 +56,11 @@ from .optics import POLS, detection_bookkeeping, photon_pair, symmetric_project
 from .qstate import (
     DensityMatrix,
     Space,
+    SpaceMismatchError,
     StateVector,
-    fidelity_pure,
-    partial_trace,
+    _fidelity,
+    fidelity_pure,  # noqa: F401  perfbench traces calls made through protocol.fidelity_pure
+    partial_trace,  # noqa: F401  perfbench traces calls made through protocol.partial_trace
     tensor,  # noqa: F401  perfbench traces calls made through protocol.tensor
 )
 
@@ -135,6 +141,7 @@ class DetectorParams:
         _check_detector(self.eta, self.dark_rate, self.window)
 
 
+@functools.lru_cache(maxsize=8)
 def _tunable(kind) -> tuple[str, ...]:
     return tuple(f.name for f in fields(kind) if f.name != "side")
 
@@ -267,26 +274,26 @@ def assemble_joint(alpha: tuple[complex, complex],
     return photon_pair(x, _atom_space().subsystems)
 
 
-def _clone_target(sid: str, q: InputQubit) -> StateVector:
-    space = Space(((sid, POLS),))
-    return StateVector(space, {
-        space.label({sid: "H"}): q.a,
-        space.label({sid: "V"}): q.b,
-    })
-
-
-def _telenot_target(q: InputQubit) -> StateVector:
-    space = _atom_space()
-    return StateVector(space, {
-        space.label({ATOM_B: "gL"}): q.b.conjugate(),
-        space.label({ATOM_B: "gR"}): -q.a.conjugate(),
-    })
+# the heralded state's space, which _score reads as a (2,)*6 array: row axes
+# (atomB, ph3, ph4), then the column axes in the same order
+_SCORED_SPACE = Space(((ATOM_B, ("gL", "gR")), ("ph3", POLS), ("ph4", POLS)))
 
 
 def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
-    f1 = fidelity_pure(partial_trace(rho, keep={"ph3"}), _clone_target("ph3", q))
-    f2 = fidelity_pure(partial_trace(rho, keep={"ph4"}), _clone_target("ph4", q))
-    ft = fidelity_pure(partial_trace(rho, keep={ATOM_B}), _telenot_target(q))
+    """Both clones against a|H> + b|V>, the remote atom against b*|gL> - a*|gR>.
+
+    Each one-qubit reduction of the heralded 8x8 matrix is one einsum, scored
+    by ``qstate._fidelity`` against the target as a plain 2-vector.
+    """
+    if rho.space != _SCORED_SPACE:
+        raise SpaceMismatchError(f"heralded state on {rho.space.ids}, expected "
+                                 f"{_SCORED_SPACE.ids}")
+    m = rho.matrix.reshape((2,) * 6)
+    clone = np.array([q.a, q.b])
+    f1 = _fidelity(np.einsum(m, [0, 1, 2, 0, 4, 2], [1, 4]), clone)
+    f2 = _fidelity(np.einsum(m, [0, 1, 2, 0, 1, 5], [2, 5]), clone)
+    ft = _fidelity(np.einsum(m, [0, 1, 2, 3, 1, 2], [0, 3]),
+                   np.array([q.b.conjugate(), -q.a.conjugate()]))
     return f1, f2, ft
 
 
@@ -397,7 +404,7 @@ def run(cfg: ProtocolConfig) -> CloneReport:
 # ---------------------------------------------------------------------------
 
 _SINGLE_PATTERNS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_COINC_PATTERNS = ((1, 1, 0, 0), (0, 0, 1, 1))
+_COINC_PATTERNS = ((0, 0, 1, 1), (1, 1, 0, 0))     # sorted, as the sums take them
 # the 16 click configurations of the four detectors (row k: detector i clicks
 # when bit i of k is set) and the ones that herald: both detectors of an arm
 _CLICKS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
@@ -416,6 +423,42 @@ def _branches(report: CloneReport) -> list[tuple[float, dict]]:
     if w_none > 0:
         out.append((w_none, {(0, 0, 0, 0): 1.0}))
     return out
+
+
+def _pattern_table(branches: list) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns x 4) count matrix of every branch's click patterns and their
+    probabilities weight * q; each branch's patterns in sorted order, so
+    nothing computed from the table depends on insertion order."""
+    pats = []
+    probs = []
+    for weight, dist in branches:
+        for pat in sorted(dist):
+            pats.append(pat)
+            probs.append(weight * dist[pat])
+    return np.array(pats, dtype=int).reshape(-1, 4), np.array(probs)
+
+
+def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, float]:
+    """(herald probability, its true-coincidence part) over the branches.
+
+    A detector facing n photons clicks unless all n and the dark count miss;
+    an arm heralds when both its detectors click.  Both sums run in the
+    per-pattern order, so they are the per-pattern sums to the last bit.
+    """
+    counts, probs = _pattern_table(branches)
+    click = np.array([1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
+                      for n in range(int(counts.max(initial=0)) + 1)])
+    c1, c2, c3, c4 = click[counts].T
+    both = c1 * c2
+    p_detected = 0.0
+    for term in (probs * (both + c3 * c4 - both * c3 * c4)).tolist():
+        p_detected += term
+    p_true = 0.0
+    for weight, dist in branches:
+        for pat in _COINC_PATTERNS:
+            if pat in dist:
+                p_true += weight * dist[pat] * eta * eta
+    return p_detected, p_true
 
 
 def detector_model(report: CloneReport, eta: float, dark_rate: float,
@@ -443,51 +486,37 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
     branches = _branches(report)
 
-    def click_prob(n: int) -> float:
-        return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
-
-    # patterns summed in sorted order: the closed form, like the Monte Carlo,
-    # depends only on the distributions, not on their insertion order
-    p_detected = 0.0
-    p_true = 0.0
-    for weight, dist in branches:
-        for pat in sorted(dist):
-            q = dist[pat]
-            p1, p2, p3, p4 = (click_prob(n) for n in pat)
-            herald = p1 * p2 + p3 * p4 - p1 * p2 * p3 * p4
-            p_detected += weight * q * herald
-            if pat in _COINC_PATTERNS:
-                p_true += weight * q * eta * eta
-
     if dark_rate == 0.0:
         # exact eta^2 law; fidelities and state bit-identical by construction
-        new = replace(report, p_detected=report.p_operational * eta * eta,
-                      false_herald_fraction=0.0)
+        changes = {"p_detected": report.p_operational * eta * eta,
+                   "false_herald_fraction": 0.0}
     else:
+        p_detected, p_true = _closed_form(branches, eta, p_dark)
         w_false = 1.0 - p_true / p_detected if p_detected > 0 else 0.0
         rho = report.rho_post
         if rho is not None:
-            mixed = DensityMatrix.from_array(rho.space, np.eye(rho.space.dim) / rho.space.dim)
-            rho = rho * (1.0 - w_false) + mixed * w_false
-        new = replace(
-            report,
-            p_detected=p_detected,
-            false_herald_fraction=w_false,
-            rho_post=rho,
-            clone_fidelity_1=(1.0 - w_false) * report.clone_fidelity_1 + w_false * 0.5,
-            clone_fidelity_2=(1.0 - w_false) * report.clone_fidelity_2 + w_false * 0.5,
-            telenot_fidelity=(1.0 - w_false) * report.telenot_fidelity + w_false * 0.5,
-        )
+            d = rho.space.dim
+            rho = DensityMatrix.from_array(
+                rho.space, rho.matrix * (1.0 - w_false) + np.eye(d) / d * w_false)
+        changes = {
+            "p_detected": p_detected,
+            "false_herald_fraction": w_false,
+            "rho_post": rho,
+            "clone_fidelity_1": (1.0 - w_false) * report.clone_fidelity_1 + w_false * 0.5,
+            "clone_fidelity_2": (1.0 - w_false) * report.clone_fidelity_2 + w_false * 0.5,
+            "telenot_fidelity": (1.0 - w_false) * report.telenot_fidelity + w_false * 0.5,
+        }
 
     if trials > 0:
-        est = _detection_mc(branches, eta, p_dark, seed, trials)
-        sigma = math.sqrt(max(new.p_detected * (1.0 - new.p_detected), 0.0) / trials)
-        new = replace(new, mc_p_detected=est, mc_trials=trials, mc_sigma=sigma)
+        p = changes["p_detected"]
+        changes.update(mc_p_detected=_detection_mc(branches, eta, p_dark, seed, trials),
+                       mc_trials=trials,
+                       mc_sigma=math.sqrt(max(p * (1.0 - p), 0.0) / trials))
     if dark_rate * window > 0.2:
-        new = replace(new, diagnostics=new.diagnostics + (
+        changes["diagnostics"] = report.diagnostics + (
             f"dark_rate*window = {dark_rate * window:.3g} is not small; "
-            "the per-window dark-click model assumes << 1",))
-    return new
+            "the per-window dark-click model assumes << 1",)
+    return replace(report, **changes)
 
 
 def _detection_mc(branches: list, eta: float, p_dark: float,
@@ -502,13 +531,7 @@ def _detection_mc(branches: list, eta: float, p_dark: float,
     in sorted order, so a seeded estimate depends only on the distributions,
     not on their insertion order.
     """
-    pats = []
-    probs = []
-    for weight, dist in branches:
-        for pat in sorted(dist):
-            pats.append(pat)
-            probs.append(weight * dist[pat])
-    probs = np.asarray(probs)
+    counts, probs = _pattern_table(branches)
     total = probs.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
         raise RuntimeError(f"branch probabilities sum to {total:.12g}, not 1")
@@ -518,7 +541,7 @@ def _detection_mc(branches: list, eta: float, p_dark: float,
     per_pattern = rng.multinomial(trials, probs)
     drawn = per_pattern > 0
     # a detector facing n photons clicks unless all n and the dark count miss
-    click = 1.0 - (1.0 - eta) ** np.asarray(pats)[drawn] * (1.0 - p_dark)
+    click = 1.0 - (1.0 - eta) ** counts[drawn] * (1.0 - p_dark)
     config_p = np.where(_CLICKS, click[:, None, :], 1.0 - click[:, None, :]).prod(axis=2)
     # renormalized rows keep multinomial's sum(pvals[:-1]) <= 1 check from
     # tripping on rounding

@@ -396,37 +396,56 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix.from_array(sub, np.einsum("ig,jg->ij", m, m.conj()))
 
 
+def _fidelity(matrix: np.ndarray, t: np.ndarray, tol: float = 1e-10) -> float:
+    """<t|matrix|t>, clipped to [0, 1], for a dense target in the matrix's order.
+
+    ``t`` must be normalized; the value must be real and inside [0, 1] within
+    ``tol`` slack (projector/trace arithmetic can stray by rounding).  Each
+    check is written so that nan fails it.
+    """
+    n = math.sqrt(np.vdot(t, t).real)
+    if not abs(n - 1.0) <= 1e-9:
+        raise ValueError(f"target not normalized: |t| = {n:.12g}")
+    total = complex(np.vdot(t, matrix.dot(t)))
+    if not abs(total.imag) <= tol:
+        raise ValueError(f"fidelity has non-real value {total:.3e}")
+    val = total.real
+    if not -tol <= val <= 1.0 + tol:
+        raise ValueError(f"fidelity {val:.12g} outside [0,1] beyond slack")
+    return min(max(val, 0.0), 1.0)
+
+
 def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -> float:
     """<target|rho|target> as a real number clipped to [0, 1].
 
-    The target must be normalized; the value must be real and inside [0, 1]
-    within ``tol`` slack (projector/trace arithmetic can stray by rounding).
+    The labeled form of :func:`_fidelity`, which holds the checks.
     """
     if rho.space != target.space:
         raise SpaceMismatchError("fidelity between objects on different spaces")
-    if abs(target.norm() - 1.0) > 1e-9:
-        raise ValueError(f"target not normalized: |t| = {target.norm():.12g}")
-    t = to_dense(target, label_index(rho.space))
-    total = complex(np.vdot(t, rho.matrix.dot(t)))
-    if abs(total.imag) > tol:
-        raise ValueError(f"fidelity has non-real value {total:.3e}")
-    val = total.real
-    if val < -tol or val > 1.0 + tol:
-        raise ValueError(f"fidelity {val:.12g} outside [0,1] beyond slack")
-    return min(max(val, 0.0), 1.0)
+    return _fidelity(rho.matrix, to_dense(target, label_index(rho.space)), tol)
+
+
+def _checked_norm(n2: float, floor: float = NORM_FLOOR) -> float:
+    """sqrt(n2), refused at or below ``floor`` (DegenerateNormError: a
+    heralded-failure branch) and when nan (a plain ValueError, which no
+    caller may take for a failed herald)."""
+    n = math.sqrt(n2)
+    if math.isnan(n):
+        raise ValueError("norm is nan")
+    if n <= floor:
+        raise DegenerateNormError(f"norm {n:.3e} at or below floor {floor:.3e}")
+    return n
 
 
 def normalize(s: StateVector, floor: float = NORM_FLOOR) -> tuple[StateVector, float]:
     """Return (unit-norm state, original squared norm).
 
     Raises DegenerateNormError when the norm is at or below ``floor``; the
-    caller is looking at a heralded-failure branch and must handle it.
+    caller is looking at a heralded-failure branch and must handle it.  A nan
+    norm raises a plain ValueError.
     """
     n2 = s.norm_sq()
-    n = math.sqrt(n2)
-    if n <= floor:
-        raise DegenerateNormError(f"norm {n:.3e} at or below floor {floor:.3e}")
-    return (1.0 / n) * s, n2
+    return (1.0 / _checked_norm(n2, floor)) * s, n2
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,20 @@ def test_closed_form_matches_projection_up_to_global_phase(q):
     assert abs(ov) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oracle_kernel_agrees_with_the_labeled_and_closed_form_routes():
+    # the oracle scores the projected 8-vector directly; clone() labels the
+    # same vector, closed_form_output derives it without the projector
+    rng = np.random.default_rng(2016)
+    for _ in range(200):
+        q = haar_qubit(rng)
+        f_clone, f_unot = clone_fidelity(q), unot_fidelity(q)
+        for state in (clone(q).state, closed_form_output(q)):
+            assert abs(f_clone - fidelity_pure(partial_trace(state, [Q1]),
+                                               qubit_state(Q1, q.a, q.b))) <= 1e-15
+            assert abs(f_unot - fidelity_pure(partial_trace(state, [Q3]),
+                                              orthogonal_state(q))) <= 1e-15
+
+
 def test_projector_is_rank6_idempotent_hermitian():
     mat = projector_p123()
     assert mat.shape == (8, 8) and not mat.flags.writeable   # one shared matrix

@@ -119,6 +119,13 @@ def test_singlet_projection_is_heralded_failure():
     assert out.probability == 0.0
 
 
+def test_nan_pair_is_an_error_not_a_heralded_failure():
+    # normalize refuses a nan norm with a plain ValueError, which
+    # symmetric_project does not catch as a failed herald
+    with pytest.raises(ValueError, match="nan"):
+        symmetric_project(photon_pair([[0.0, math.nan], [1.0, 0.0]]))
+
+
 def test_projection_probability_of_triplet_is_one():
     sym = (_pair("H", "V") + _pair("V", "H")) * (1 / math.sqrt(2))
     out = symmetric_project(sym)

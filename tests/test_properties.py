@@ -25,12 +25,14 @@ import clonesim
 from clonesim.config import KEY_TABLE, ConfigError, settings_from_values, values_from_text
 from clonesim import optics
 from clonesim.optics import PATH_A, PATH_B, POLS, beamsplitter, detection_bookkeeping, one_photon
-from clonesim.protocol import ProtocolConfig, detector_model, run_analytic
+from clonesim import protocol
+from clonesim.protocol import ProtocolConfig, assemble_joint, detector_model, run_analytic
 from clonesim.qstate import (
     BasisLabel,
     DensityMatrix,
     Space,
     StateVector,
+    fidelity_pure,
     label_index,
     partial_trace,
     tensor,
@@ -494,3 +496,93 @@ def test_detection_monte_carlo_mean_agrees_with_closed_form(pa, pb, eta, p_dark)
     mean = sum(r.mc_p_detected for r in runs) / len(runs)
     sigma = runs[0].mc_sigma / math.sqrt(len(runs))
     assert abs(mean - closed) <= 5.0 * sigma + 1e-12
+
+
+def _closed_form_loop(report, eta: float, dark_rate: float, window: float) -> tuple:
+    """(p_detected, false_herald_fraction) of the dark-count closed form,
+    written out pattern by pattern over the emission branches."""
+    p_dark = 1.0 - math.exp(-dark_rate * window)
+
+    def click_prob(n):
+        return 1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
+
+    pa, pb = report.emission_prob_alice, report.emission_prob_bob
+    branches = [(pa * pb, report.count_distribution)]
+    w_one = pa * (1.0 - pb) + (1.0 - pa) * pb
+    if w_one > 0:
+        branches.append((w_one, {pat: 0.25 for pat in
+                                 ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}))
+    w_none = (1.0 - pa) * (1.0 - pb)
+    if w_none > 0:
+        branches.append((w_none, {(0, 0, 0, 0): 1.0}))
+    p_detected = p_true = 0.0
+    for weight, dist in branches:
+        for pat in sorted(dist):
+            q = dist[pat]
+            p1, p2, p3, p4 = (click_prob(n) for n in pat)
+            p_detected += weight * q * (p1 * p2 + p3 * p4 - p1 * p2 * p3 * p4)
+            if pat in _COINC:
+                p_true += weight * q * eta * eta
+    return p_detected, (1.0 - p_true / p_detected if p_detected > 0 else 0.0)
+
+
+@example(pa=1.0, pb=1.0, eta=0.0, dark_rate=1e-4)
+@example(pa=0.0, pb=0.0, eta=1.0, dark_rate=1e-4)
+@given(_unit, _unit, _unit, st.floats(1e-9, 0.02))
+def test_dark_count_closed_form_is_the_per_pattern_loop(pa, pb, eta, dark_rate):
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     p_operational=pa * pb * 0.375)
+    got = detector_model(report, eta, dark_rate, 10.0, seed=0)
+    p_detected, w_false = _closed_form_loop(report, eta, dark_rate, 10.0)
+    assert got.p_detected == pytest.approx(p_detected, rel=1e-15, abs=0.0)
+    assert got.false_herald_fraction == pytest.approx(w_false, rel=1e-15, abs=0.0)
+
+
+# --- scores on arrays against the labeled route ------------------------------
+
+_SCORED = Space((("atomB", ("gL", "gR")), ("ph3", POLS), ("ph4", POLS)))
+
+
+def _one_qubit(sid: str, levels: tuple, amps: tuple) -> StateVector:
+    space = Space(((sid, levels),))
+    return StateVector(space, {space.label({sid: lv}): amp for lv, amp in zip(levels, amps)})
+
+
+def _labeled_score(rho: DensityMatrix, q: InputQubit) -> tuple:
+    """The three scores through partial_trace and fidelity_pure on labeled targets."""
+    clone = (q.a, q.b)
+    return (fidelity_pure(partial_trace(rho, {"ph3"}), _one_qubit("ph3", POLS, clone)),
+            fidelity_pure(partial_trace(rho, {"ph4"}), _one_qubit("ph4", POLS, clone)),
+            fidelity_pure(partial_trace(rho, {"atomB"}),
+                          _one_qubit("atomB", ("gL", "gR"), (q.b.conjugate(), -q.a.conjugate()))))
+
+
+def _input(a, b) -> InputQubit:
+    assume(abs(a) ** 2 + abs(b) ** 2 > 1e-6)
+    return InputQubit.normalized(a, b)
+
+
+@given(st.lists(amplitude, min_size=64, max_size=64), amplitude, amplitude)
+def test_array_score_is_the_labeled_route_on_any_state(g, a, b):
+    # a random positive semidefinite unit-trace matrix on the conditional space
+    g = np.array(g).reshape(8, 8)
+    rho = np.einsum("ig,jg->ij", g, g.conj())
+    trace = np.trace(rho).real
+    assume(trace > 1e-6)
+    rho = DensityMatrix.from_array(_SCORED, rho / trace)
+    q = _input(a, b)
+    assert np.abs(np.subtract(protocol._score(rho, q), _labeled_score(rho, q))).max() <= 1e-15
+
+
+@given(amplitude, amplitude, amplitude, amplitude, st.floats(0.0, 1.0),
+       st.floats(0.0, 2 * math.pi))
+def test_array_score_is_the_labeled_route_on_heralded_states(a, b, beta_l, beta_r, r, phi):
+    # the heralded states both routes produce: any input, any remote channel
+    # split, any envelope overlap c
+    assume(abs(beta_l) ** 2 + abs(beta_r) ** 2 > 1e-6)
+    q = _input(a, b)
+    joint = assemble_joint((q.a, q.b), (beta_l, beta_r))
+    rho = detection_bookkeeping(joint, r * complex(math.cos(phi), math.sin(phi))).rho_conditional
+    assume(rho is not None)
+    assert rho.space == _SCORED
+    assert np.abs(np.subtract(protocol._score(rho, q), _labeled_score(rho, q))).max() <= 1e-15

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clonesim import protocol
+from clonesim import cloner, optics, protocol, qstate
 from clonesim.cloner import InputQubit, clone, clone_fidelity, haar_qubit, unot_fidelity
 from clonesim.config import ConfigError, settings_from_values
 from clonesim.optics import PATH_A, PATH_B, POLS, one_photon
@@ -169,6 +169,45 @@ def test_dark_count_closed_form_ignores_pattern_order():
         f = detector_model(flipped, eta, dark, 10.0, seed=0)
         assert f.p_detected == d.p_detected
         assert f.false_herald_fraction == d.false_herald_fraction
+
+
+def test_detection_monte_carlo_never_calls_the_closed_form(monkeypatch):
+    rep = _report(0.6, 0.8)
+    d = detector_model(rep, 0.5, 2e-4, 10.0, seed=11, trials=40_000)
+
+    def never(*args):
+        raise AssertionError("the Monte Carlo read the closed form")
+
+    monkeypatch.setattr(protocol, "_closed_form", never)
+    p_dark = 1.0 - math.exp(-2e-4 * 10.0)
+    assert protocol._detection_mc(protocol._branches(rep), 0.5, p_dark, 11, 40_000) \
+        == d.mc_p_detected
+
+
+def test_analytic_request_scores_without_the_labeled_layer(monkeypatch):
+    # the analytic request scores on arrays: partial_trace, fidelity_pure and
+    # tensor raise at every name protocol and cloner (and the modules they
+    # call) look them up by, and the request still passes
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on the analytic route")
+        return call
+
+    for mod, names in ((protocol, ("partial_trace", "fidelity_pure", "tensor")),
+                       (cloner, ("partial_trace", "fidelity_pure", "tensor")),
+                       (optics, ("partial_trace", "tensor")),
+                       (qstate, ("partial_trace", "fidelity_pure", "tensor"))):
+        for name in names:
+            monkeypatch.setattr(mod, name, refuse(name))
+    q = InputQubit(0.6, 0.8j)
+    for detector, trials in ((DetectorParams(), 0), (DetectorParams(0.9, 2e-3), 1_000)):
+        rep = run_analytic(ProtocolConfig(input=q, detector=detector, mc_trials=trials))
+        w = rep.false_herald_fraction
+        for f, const in ((rep.clone_fidelity_1, 5 / 6), (rep.clone_fidelity_2, 5 / 6),
+                         (rep.telenot_fidelity, 2 / 3)):
+            assert (f - 0.5 * w) / (1.0 - w) == pytest.approx(const, abs=1e-12)
+    assert clone_fidelity(q) == pytest.approx(5 / 6, abs=1e-12)
+    assert unot_fidelity(q) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_detector_params_validation():

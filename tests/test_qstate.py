@@ -14,9 +14,11 @@ from clonesim.qstate import (
     Space,
     SpaceMismatchError,
     StateVector,
+    _fidelity,
     fidelity_pure,
     from_dense,
     inner,
+    label_index,
     normalize,
     partial_trace,
     tensor,
@@ -90,6 +92,42 @@ def test_fidelity_requires_normalized_target():
     bad = StateVector(qubit_space("q1"), {qubit_space("q1").label({"q1": "0"}): 0.5})
     with pytest.raises(ValueError):
         fidelity_pure(rho, bad)
+
+
+@pytest.mark.parametrize("where", ["rho", "target"])
+def test_fidelity_refuses_nan(where):
+    # abs(nan) > tol is False, so each check must be written to fail on nan
+    rho = partial_trace(qubit_state("q1", 0.6, 0.8), ["q1"])
+    target = qubit_state("q1", 0.6, 0.8)
+    if where == "rho":
+        rho = DensityMatrix.from_array(rho.space, rho.matrix * math.nan)
+    else:
+        target = qubit_state("q1", 0.6, math.nan)
+    with pytest.raises(ValueError):
+        fidelity_pure(rho, target)
+    with pytest.raises(ValueError):
+        _fidelity(rho.matrix, to_dense(target, label_index(rho.space)))
+
+
+def test_fidelity_kernel_holds_the_checks():
+    rho = partial_trace(qubit_state("q1", 0.6, 0.8), ["q1"])
+    assert _fidelity(rho.matrix, np.array([0.6, 0.8])) == \
+        fidelity_pure(rho, qubit_state("q1", 0.6, 0.8))
+    with pytest.raises(ValueError, match="not normalized"):
+        _fidelity(rho.matrix, np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="non-real"):
+        _fidelity(np.array([[0.5, 1j], [0.0, 0.5]]), np.array([1.0, 1.0]) / math.sqrt(2))
+    with pytest.raises(ValueError, match="outside"):
+        _fidelity(2.0 * np.eye(2), np.array([1.0, 0.0]))
+
+
+def test_normalize_refuses_a_nan_norm():
+    # a plain ValueError: a caller catching DegenerateNormError as a failed
+    # herald must not take a nan state for one
+    s = qubit_state("q1", 0.6, math.nan)
+    with pytest.raises(ValueError, match="nan") as info:
+        normalize(s)
+    assert not isinstance(info.value, DegenerateNormError)
 
 
 def test_normalize_returns_weight():
