@@ -84,8 +84,7 @@ def _literal_expected(q: InputQubit) -> StateVector:
     on photons out3, out4 (dual rail) and the remote atom.
     """
     space = optics.photon_space([optics.OUT_3, optics.OUT_4])
-    atom = protocol._atom_space()
-    full = Space(space.subsystems + atom.subsystems)
+    full = Space(space.subsystems + protocol._ATOM_RIDERS)
 
     def lab(p3: str, p4: str, atom_lv: str):
         return full.label({protocol.ATOM_B: atom_lv, **{

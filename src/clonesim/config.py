@@ -98,6 +98,12 @@ _NODE_FIELDS = {side: tuple((key, key[len(side.value) + 1:]) for key in KEY_TABL
                 for side in Side}
 _SORTED_KEYS = tuple(sorted(KEY_TABLE))
 _DEFAULTS = {key: default for key, (_, default) in KEY_TABLE.items()}
+# per side, the node every default value gives, built and validated once, and
+# the keys whose presence asks for another
+_DEFAULT_NODES = {side: NodeConfig.from_values(side, {name: _DEFAULTS[key]
+                                                      for key, name in _NODE_FIELDS[side]})
+                  for side in Side}
+_NODE_KEYS = {side: frozenset(key for key, _ in _NODE_FIELDS[side]) for side in Side}
 # keys whose parsed value is complex; a manifest lists it as [re, im]
 _COMPLEX_KEYS = tuple(key for key, (parser, _) in KEY_TABLE.items() if parser is _parse_complex)
 
@@ -136,6 +142,8 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
     def node(side: Side) -> NodeConfig:
+        if _NODE_KEYS[side].isdisjoint(values):
+            return _DEFAULT_NODES[side]
         return NodeConfig.from_values(side, {name: parsed[key]
                                              for key, name in _NODE_FIELDS[side]})
 

@@ -5,8 +5,7 @@ id ``"<path>:<pol>"``, with occupation alphabet {0, 1} at protocol level.
 The interference stage sees one photon on each of paths A and B, so its ket
 is an array x[pol_A, pol_B, rest], rest running over the rider subsystems
 such as the remote atom; :func:`photon_pair` labels one.  The waveplates in
-front of it are no operation of their own: ``protocol.assemble_joint``
-writes them into x.
+front of it are no operation of their own: ``protocol`` writes them into x.
 
 Every splitter is linear, so it acts on each photon on its own
 (:func:`_transfer`): a photon reaches each output mode with a fixed transfer
@@ -15,12 +14,19 @@ amplitude is the product of its photons' amplitudes, summed into one Fock
 term, with sqrt(m!) for m photons sharing a mode (Hong-Ou-Mandel bunching).
 Only :func:`beamsplitter`'s output labels carry the bunched occupations.
 
-Two independent routes to the post-selected two-photon output coexist here,
-both on the pair as one array x[pol_A, pol_B, rest], laid out once per space:
+Two independent routes to the post-selected two-photon output coexist here.
+Both read the pair as one array x[pol_A, pol_B, rest], handed in directly
+(with its ``riders``, as :func:`photon_pair` takes it) or gathered once from
+a labeled ket, and both are written in exchange form: with one photon per
+path every statistic of the network is fixed by the norm n = ||x||^2, the
+exchange overlap sigma = sum x[p,q,r] x*[q,p,r] (real) and the Gram matrix
+of x and its photon swap xT[p,q,r] = x[q,p,r], Hong-Ou-Mandel interference
+(Hong, Ou & Mandel, PRL 59, 2044 (1987)) in array form.
 
 - :func:`symmetric_project` applies the singlet-complement projector
   I - |psi-><psi-| directly to the two polarization qubits (the algebraic
-  shortcut), with the basis action
+  shortcut): the branch is (x + xT)/2, of probability (n + sigma)/2, with
+  the basis action
 
       |HH> -> |HH>        |HV> -> (|HV> + |VH>)/2
       |VV> -> |VV>        |VH> -> (|HV> + |VH>)/2
@@ -30,9 +36,11 @@ both on the pair as one array x[pol_A, pol_B, rest], laid out once per space:
   to the detectors (D1, D2, D1', D2') with amplitudes (1/2, 1/2, 1/2, 1/2)
   and photon B with (-1/2, -1/2, 1/2, 1/2) (one table, routed once through
   :func:`_transfer`), and post-selects one photon at each detector of an
-  arm.  This is the route an experiment takes; it also handles partially
-  distinguishable photons via an orthogonal temporal tag, and it never calls
-  :func:`symmetric_project`.
+  arm.  Each count pattern's weight is n u + |c|^2 sigma v, and the heralded
+  state k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over its probability, with
+  u, v and k read off that table at import.  This is the route an
+  experiment takes; it also handles partially distinguishable photons via
+  their envelope overlap c, and it never calls :func:`symmetric_project`.
 
 Tests require both routes to agree on the conditional output state for
 indistinguishable photons.  The operational coincidence probability they
@@ -58,8 +66,9 @@ from .qstate import (
     DensityMatrix,
     Space,
     StateVector,
+    _checked_norm,
+    _state,
     label_index,
-    normalize,
     from_dense,
     partial_trace,  # noqa: F401  perfbench traces calls made through optics.partial_trace
     tensor,  # noqa: F401  perfbench traces calls made through optics.tensor
@@ -214,12 +223,12 @@ _OUT_NAMES = {mode_id(path, pol): mode_id(out, pol)
 class _PairPlan(NamedTuple):
     """x[pol_A, pol_B, rest] of a joint space, rest over its riders in canonical order."""
 
+    space: Space                      # the joint space itself
     index: Mapping[BasisLabel, int]   # sector label -> flat position in x
-    partners: tuple                   # per position: itself, or the (HV, VH) pair it mixes into
     out_space: Space                  # paths A, B renamed out3, out4
-    out_labels: tuple                 # per position, its label on out_space
     cond_space: Space                 # ph3, ph4 and the riders
-    cond_order: np.ndarray            # the flat positions in cond_space's label order
+    exchange_order: np.ndarray        # (2, d): flat positions of x and of xT, in cond_space order
+    out_labels: tuple                 # per cond_space position, its label on out_space
 
 
 @lru_cache(maxsize=64)
@@ -238,17 +247,19 @@ def _pair_plan(space: Space) -> _PairPlan:
     out_space = Space(tuple((_OUT_NAMES.get(sid, sid), alpha) for sid, alpha in space.subsystems))
     cond_space = Space((("ph3", POLS), ("ph4", POLS)) + riders)
     cond_index = label_index(cond_space)
-    index, partners, out_labels, cond_pos = {}, [], [], []
+    index, out_labels, cond_pos, swapped = {}, [], [], []
     for k, (p, q, *levels) in enumerate(product(POLS, POLS, *(alpha for _, alpha in riders))):
         modes = {mode_id(path, pol): "1" if pol == want else "0"
                  for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
         rider = dict(zip((sid for sid, _ in riders), levels))
         index[space.label({**modes, **rider})] = k
-        partners.append((k,) if p == q else (rest + k % rest, 2 * rest + k % rest))
         out_labels.append(out_space.label({**{_OUT_NAMES[m]: lv for m, lv in modes.items()}, **rider}))
         cond_pos.append(cond_index[cond_space.label({"ph3": p, "ph4": q, **rider})])
-    return _PairPlan(MappingProxyType(index), tuple(partners), out_space,
-                     tuple(out_labels), cond_space, np.argsort(cond_pos))
+        swapped.append((2 * POLS.index(q) + POLS.index(p)) * rest + k % rest)
+    order = np.argsort(cond_pos)
+    return _PairPlan(space, MappingProxyType(index), out_space, cond_space,
+                     np.stack([order, np.take(swapped, order)]),
+                     tuple(out_labels[k] for k in order))
 
 
 _PAIR_MODES = photon_space((PATH_A, PATH_B)).subsystems
@@ -262,23 +273,45 @@ def photon_pair(x, riders: tuple = ()) -> StateVector:
     inverse of :func:`_pair_array`.  Exact zeros are dropped.  An ``x`` whose
     size is not 4 x dim(riders) raises ``ValueError``.
     """
-    space = Space(_PAIR_MODES + tuple(riders))
-    plan = _pair_plan(space)
-    x = np.asarray(x, dtype=complex)
-    if x.size != len(plan.index):
-        raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.index)}")
-    return from_dense(space, x.ravel(), plan.index)
+    x, plan = _pair_input(np.asarray(x, dtype=complex), riders)
+    return from_dense(plan.space, x.ravel(), plan.index)
 
 
-def _pair_array(s: StateVector, plan: _PairPlan) -> tuple[np.ndarray, list]:
-    """x[pol_A, pol_B, rest] of ``s``, each label's flat position; off-sector labels raise."""
+def _pair_array(s: StateVector, plan: _PairPlan) -> np.ndarray:
+    """x[pol_A, pol_B, rest] of ``s``; a label outside the sector raises."""
     where = list(map(plan.index.get, s.amps))
     if None in where:
         weight = sum(abs(amp) ** 2 for k, amp in zip(where, s.amps.values()) if k is None)
         raise ValueError(f"amplitude weight {weight:.3e} outside the one-photon-per-path sector")
     x = np.zeros(len(plan.index), dtype=complex)
     x[where] = list(s.amps.values())
-    return x.reshape(2, 2, -1), where
+    return x.reshape(2, 2, -1)
+
+
+def _pair_input(s, riders: tuple) -> tuple[np.ndarray, _PairPlan]:
+    """x[pol_A, pol_B, rest] and its layout, from a labeled ket (gathered once
+    through :func:`_pair_array`) or from an array and its ``riders``, as
+    :func:`photon_pair` takes them."""
+    if isinstance(s, StateVector):
+        plan = _pair_plan(s.space)
+        return _pair_array(s, plan), plan
+    plan = _pair_plan(Space(_PAIR_MODES + tuple(riders)))
+    x = np.asarray(s, dtype=complex)
+    if x.size != len(plan.index):
+        raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.index)}")
+    return x, plan
+
+
+def _exchange_form(s, riders: tuple) -> tuple[np.ndarray, float, float, _PairPlan]:
+    """(x, xT) as the rows of one array in cond_space order, n = ||x||^2, the
+    exchange overlap sigma = sum x[p,q,r] x*[q,p,r], and the pair layout.
+
+    sigma is real, as renaming p <-> q turns its sum into its own conjugate.
+    """
+    x, plan = _pair_input(s, riders)
+    rows = x.ravel()[plan.exchange_order]
+    n, sigma = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[0]).real
+    return rows, float(n), float(sigma), plan
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +328,27 @@ class CoincidenceOutcome:
     raw_amplitudes: dict                  # pre-normalization label -> amp
 
 
-def symmetric_project(s: StateVector) -> CoincidenceOutcome:
+def symmetric_project(s, riders: tuple = ()) -> CoincidenceOutcome:
     """Project the A/B photon pair onto the symmetric polarization subspace.
 
-    Applies I - |psi-><psi-| to the two polarization qubits (any extra
+    ``s`` is a labeled ket, or the array x[pol_A, pol_B, rest] with its
+    ``riders`` as :func:`photon_pair` takes them.  Applies I - |psi-><psi-|
+    to the two polarization qubits, which turns x into (x + xT)/2 (any extra
     subsystems ride along untouched), renames paths A -> out3, B -> out4 and
-    normalizes.  ``probability`` is the squared norm of the projection; a
-    singlet input is a heralded failure (probability 0, no state).
+    normalizes.  ``probability`` is the squared norm of the projection,
+    (n + sigma)/2; a singlet input is a heralded failure (probability 0, no
+    state) and a nan pair raises ``ValueError``.
     """
-    plan = _pair_plan(s.space)
-    x, where = _pair_array(s, plan)
-    x[0, 1] = x[1, 0] = 0.5 * x[0, 1] + 0.5 * x[1, 0]
-    values = (x.ravel() + 0.0).tolist()      # + 0.0: no signed zeros
-    # labels in the ket's own order, a mixed one followed by both partners,
-    # so the norm sums the same terms in the same order on every call
-    order = dict.fromkeys(j for k in where for j in plan.partners[k])
-    renamed = StateVector(plan.out_space, {plan.out_labels[k]: values[k]
-                                           for k in order if values[k] != 0.0})
+    rows, n, sigma, plan = _exchange_form(s, riders)
+    prob = 0.5 * (n + sigma)
+    values = (0.5 * (rows[0] + rows[1]) + 0.0).tolist()   # + 0.0: no signed zeros
+    raw = {label: v for label, v in zip(plan.out_labels, values) if v != 0.0}
     try:
-        state, prob = normalize(renamed)
+        scale = 1.0 / _checked_norm(prob)
     except DegenerateNormError:
-        state, prob = None, 0.0
-    return CoincidenceOutcome(state, prob, dict(renamed.amps))
+        return CoincidenceOutcome(None, 0.0, raw)
+    return CoincidenceOutcome(_state(plan.out_space, {label: scale * v for label, v in raw.items()}),
+                              prob, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +380,8 @@ _NETWORK = (
     (("arm1", (("d2", _R), ("d1", _R))), ("arm2", (("d2x", _R), ("d1x", _R)))),
 )
 _DETECTORS = ("d1", "d2", "d1x", "d2x")
+# smallest pair norm ||x|| routed: below it n/16 leaves the normal range
+_PAIR_NORM_FLOOR = 1e-150
 
 
 def _detector_amplitudes(path: str) -> np.ndarray:
@@ -356,74 +390,95 @@ def _detector_amplitudes(path: str) -> np.ndarray:
     return np.array([reached[(((d,),), ())] for d in _DETECTORS])
 
 
-# per ordered detector pair [d, e], photon A at d and B at e: its amplitude and
-# (row-major) its count pattern
+# A[d, e]: photon A at detector d and B at e
 _PAIR_AMPS = np.multiply.outer(_detector_amplitudes(PATH_A), _detector_amplitudes(PATH_B))
-_PATTERNS = tuple(tuple((d == f) + (e == f) for f in _DETECTORS)
-                  for d in _DETECTORS for e in _DETECTORS)
 _COINCIDENCES = ((1, 1, 0, 0), (0, 0, 1, 1))
-_ARMS = ([0, 2], [1, 3])    # [d, e] of (D1, D2) and (D1', D2')
 
 
-def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:
+def _count_weights() -> tuple:
+    """(pattern, u, v) per count pattern over the four detectors, in the
+    order the ordered detector pairs (d, e) first reach it.
+
+    A pattern's probability is n u + |c|^2 sigma v, summed over the (d, e)
+    that give it: u = sum A[d, e]^2 and v = sum A[d, e] A[e, d].  Both photon
+    orderings of one Fock term land on the same pattern, so the n part of
+    the partly distinguishable term is independent of c.
+    """
+    out: dict = {}
+    for (d, e), a in np.ndenumerate(_PAIR_AMPS):
+        pattern = tuple((d == f) + (e == f) for f in range(len(_DETECTORS)))
+        u, v = out.get(pattern, (0.0, 0.0))
+        out[pattern] = (u + float(a * a), v + float(a * _PAIR_AMPS[e, d]))
+    return tuple((pattern, u, v) for pattern, (u, v) in out.items())
+
+
+_COUNT_WEIGHTS = _count_weights()
+# k of the heralded state k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)]: a
+# coincidence is photon A at the first detector of an arm and B at the second,
+# or the reverse, and over both arms A[d, e]^2, A[e, d]^2 and A[d, e] A[e, d]
+# sum to the same k, so each exchange pair can be added as a + b
+_K = float(np.sum(_PAIR_AMPS[[0, 2], [1, 3]] ** 2))
+
+
+def detection_bookkeeping(s, overlap_c: complex = 1.0, riders: tuple = ()) -> DetectionReport:
     """Push the photon pair through the splitter network and post-select.
 
-    Network: paths A, B meet on a 50:50 splitter; each output arm is split
-    again on its own 50:50 splitter whose two outputs are detectors (D1, D2)
-    and (D1', D2').  A two-fold coincidence is one photon at each detector of
-    the same arm.  Each photon reaches each detector with a fixed amplitude,
-    worked out once by routing it through :func:`_transfer`, so the pair
-    array x[pol_A, pol_B, rest] reaches detectors (d, e) with
-    ``_PAIR_AMPS[d, e] * x``.  Where both photons share a temporal tag, one
-    Fock term adds both photon orderings (the permanent of the 2x2 transfer
-    submatrix); weighting every ordered detector pair by 1/2 then counts each
-    term once, a bunched one with its sqrt(2).
+    ``s`` is a labeled ket, or the array x[pol_A, pol_B, rest] with its
+    ``riders`` as :func:`photon_pair` takes them.  Network: paths A, B meet
+    on a 50:50 splitter; each output arm is split again on its own 50:50
+    splitter whose two outputs are detectors (D1, D2) and (D1', D2').  A
+    two-fold coincidence is one photon at each detector of the same arm.
 
     ``overlap_c`` is the complex temporal-mode overlap of the B photon's
     emission envelope against the A photon's.  |overlap_c| = 1 means fully
-    indistinguishable photons; the orthogonal remainder is carried by a
-    second temporal tag that never interferes with the first.  Extra
-    (non-photonic) subsystems of ``s`` ride along and stay in the conditional
-    output, the Gram matrix of the six (arm, tag at D1, tag at D2) columns.
+    indistinguishable photons; the orthogonal remainder never interferes, so
+    only the part |c|^2 of the exchange terms survives.  In exchange form
+    (module docstring): each count pattern has weight n u + |c|^2 sigma v,
+    and the heralded state over ph3, ph4 and the riders (temporal tags
+    traced out) is k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over the
+    coincidence weight, with u, v and k read off the per-photon detector
+    amplitudes, which one pass through :func:`_transfer` gives.  Each
+    exchange pair is summed as a + b, so the state is bitwise symmetric
+    under ph3 <-> ph4.
+
+    A nan overlap or pair raises ``ValueError``; a pair whose norm is zero,
+    or so small that its pattern weights would underflow, raises
+    ``DegenerateNormError``.
     """
     c = complex(overlap_c)
-    if abs(c) > 1.0 + 1e-12:
-        raise ValueError(f"|overlap| = {abs(c):.6g} exceeds 1")
-    s_perp = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
-    plan = _pair_plan(s.space)
+    if not abs(c) <= 1.0 + 1e-12:     # also refuses nan
+        raise ValueError(f"|overlap| = {abs(c):.6g} is not at most 1")
+    visibility = abs(c) ** 2
+    rows, n, sigma, plan = _exchange_form(s, riders)
     for sid in plan.cond_space.ids:
         if ":" in sid:
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")
-    x, _ = _pair_array(s, plan)
-    norm_in = s.norm_sq()
+    _checked_norm(n, _PAIR_NORM_FLOOR)
 
-    # photon A rides tag t0; photon B splits c|t0> + s_perp|t1>
-    t = np.multiply.outer(_PAIR_AMPS, x)           # [d, e, pol at d, pol at e, rest]
-    swapped = t.transpose(1, 0, 3, 2, 4)           # the same Fock term, photons exchanged
-    same, cross = c * (t + swapped), s_perp * t
-    weight = 0.5 * (same.real ** 2 + same.imag ** 2) + cross.real ** 2 + cross.imag ** 2
-    dist: dict = {}
-    for pat, w in zip(_PATTERNS, weight.sum(axis=(2, 3, 4)).ravel().tolist()):
-        dist[pat] = dist.get(pat, 0.0) + w
-    dist = {pat: p for pat, p in dist.items() if p != 0.0}
-
+    exchange = visibility * sigma
+    dist = {pattern: w for pattern, u, v in _COUNT_WEIGHTS if (w := n * u + exchange * v) != 0.0}
     p_coincidence = dist.get(_COINCIDENCES[0], 0.0) + dist.get(_COINCIDENCES[1], 0.0)
     rho = None
-    if p_coincidence / max(norm_in, 1e-300) > 1e-30:
-        # columns (arm, t0, t0), (arm, t0, t1), (arm, t1, t0), rows in cond_space order
-        cols = np.concatenate([same[_ARMS], cross[_ARMS], s_perp * swapped[_ARMS]])
-        cols = cols.reshape(6, -1)[:, plan.cond_order]
-        gram = np.einsum("gi,gj->ij", cols, cols.conj())
+    if p_coincidence / n > 1e-30:
+        outer = rows[:, None, :, None] * rows.conj()[None, :, None, :]    # [i, j]: row i (row j)+
+        gram = outer[0, 0] + outer[1, 1]
+        gram *= _K
+        cross = outer[0, 1] + outer[1, 0]
+        cross *= _K * visibility
+        gram += cross
         # real and imaginary parts divided apart: numpy divides a complex
-        # array by a real through its reciprocal, one rounding more
-        rho = DensityMatrix.from_array(plan.cond_space,
-                                       (gram.view(float) / p_coincidence).view(complex))
+        # array by a real through its reciprocal, one rounding more; + 0.0:
+        # no signed zeros
+        parts = gram.view(float)
+        parts /= p_coincidence
+        parts += 0.0
+        rho = DensityMatrix.from_array(plan.cond_space, gram)
 
     return DetectionReport(
-        p_coincidence=p_coincidence / norm_in,
-        count_distribution={k: v / norm_in for k, v in dist.items()},
+        p_coincidence=p_coincidence / n,
+        count_distribution={k: v / n for k, v in dist.items()},
         rho_conditional=rho,
-        visibility=abs(c) ** 2,
+        visibility=visibility,
     )
 
 

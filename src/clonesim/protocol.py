@@ -12,12 +12,13 @@ Two execution modes share one scoring path:
   the complex visibility factor.
 
 Either way the two photons' circular amplitudes become one array: the
-waveplates are written into :func:`assemble_joint`'s product
-x[pol_A, pol_B, atomB], which ``optics.photon_pair`` labels as the ket both
-post-selection routes read.  Scoring stays on arrays too: :func:`_score`
-reads the heralded 8x8 matrix as a (2,)*6 array in (atomB, ph3, ph4) order
-and takes each one-qubit reduction with one einsum; labels appear only in
-the report.
+waveplates are written into the product x[pol_A, pol_B, atomB]
+(:func:`_pair_x`), which both post-selection routes read as it is, in
+exchange form; :func:`assemble_joint` labels the same array as a ket.
+Scoring stays on arrays too: :func:`_score` reads the heralded 8x8 matrix as
+a (2,)*6 array in (atomB, ph3, ph4) order and takes each one-qubit
+reduction with one einsum; labels appear only in the report (the heralded
+pure state, labeled once from the symmetrized array).
 
 Detector imperfections (efficiency eta, dark counts) transform a finished
 report: the success probability picks up the eta^2 factor plus a
@@ -250,8 +251,18 @@ class CloneReport:
 # ---------------------------------------------------------------------------
 
 
-def _atom_space() -> Space:
-    return Space(((ATOM_B, ("gL", "gR")),))
+# the remote atom, the one rider of the photon pair
+_ATOM_RIDERS = ((ATOM_B, ("gL", "gR")),)
+
+
+def _pair_x(alpha: tuple[complex, complex], beta: tuple[complex, complex]) -> np.ndarray:
+    """The pair array x[pol_A, pol_B, atomB] of :func:`assemble_joint`."""
+    # times -1.0 as the plate multiplies, so a real beta_R keeps a +0.0
+    # imaginary part; scalar products, as numpy's array multiply can round a
+    # complex product differently in the last bit
+    b_h, b_v = complex(beta[0]), -1.0 * complex(beta[1])
+    return np.array([[[0.0, a * b_h], [a * b_v, 0.0]]      # [p][q][gL, gR]
+                     for a in map(complex, alpha)])
 
 
 def assemble_joint(alpha: tuple[complex, complex],
@@ -266,17 +277,12 @@ def assemble_joint(alpha: tuple[complex, complex],
     pair array is x[p, q, atom] = alpha_p B[q, atom] with B[H, gR] = beta_L
     and B[V, gL] = -beta_R.
     """
-    # times -1.0 as the plate multiplies, so a real beta_R keeps a +0.0
-    # imaginary part; scalar products, as numpy's array multiply can round a
-    # complex product differently in the last bit
-    b_h, b_v = complex(beta[0]), -1.0 * complex(beta[1])
-    x = [[[0.0, a * b_h], [a * b_v, 0.0]] for a in map(complex, alpha)]    # [p][q][gL, gR]
-    return photon_pair(x, _atom_space().subsystems)
+    return photon_pair(_pair_x(alpha, beta), _ATOM_RIDERS)
 
 
 # the heralded state's space, which _score reads as a (2,)*6 array: row axes
 # (atomB, ph3, ph4), then the column axes in the same order
-_SCORED_SPACE = Space(((ATOM_B, ("gL", "gR")), ("ph3", POLS), ("ph4", POLS)))
+_SCORED_SPACE = Space(_ATOM_RIDERS + (("ph3", POLS), ("ph4", POLS)))
 
 
 def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
@@ -297,26 +303,27 @@ def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
     return f1, f2, ft
 
 
-def _finish(cfg: ProtocolConfig, joint: StateVector | None, overlap_c: complex,
+def _finish(cfg: ProtocolConfig, x: np.ndarray | None, overlap_c: complex,
             emit_a: float, emit_b: float,
             diags: tuple[DynamicsReport, DynamicsReport] | None,
             notes: tuple[str, ...]) -> CloneReport:
     """Common tail: project, herald, score, apply the configured detectors.
 
-    ``joint`` is None when a node emitted no photon: nothing enters the
-    interference stage, so nothing heralds and the heralded state is
-    undefined.
+    ``x`` is the pair array x[pol_A, pol_B, atomB] of :func:`_pair_x`, which
+    both post-selection routes read as it is; it is None when a node emitted
+    no photon: nothing enters the interference stage, so nothing heralds and
+    the heralded state is undefined.
     """
-    if joint is None:
+    if x is None:
         post, rho, p_sym, p_op, dist = None, None, math.nan, 0.0, {}
         visibility = abs(complex(overlap_c)) ** 2
     else:
-        sym = symmetric_project(joint)
-        detection = detection_bookkeeping(joint, overlap_c)
+        sym = symmetric_project(x, _ATOM_RIDERS)
+        detection = detection_bookkeeping(x, overlap_c, _ATOM_RIDERS)
         if detection.rho_conditional is None:
             raise RuntimeError("no coincidence support in the assembled state")
         post, rho = sym.projected_state, detection.rho_conditional
-        p_sym = sym.probability / joint.norm_sq()     # joint may be sub-normalized
+        p_sym = sym.probability / float(np.vdot(x, x).real)     # x may be sub-normalized
         p_op = emit_a * emit_b * detection.p_coincidence
         dist, visibility = dict(detection.count_distribution), detection.visibility
 
@@ -354,8 +361,7 @@ def run_analytic(cfg: ProtocolConfig) -> CloneReport:
     if cfg.mode is not Mode.ANALYTIC:
         raise ValueError("run_analytic requires mode=analytic")
     q = cfg.input
-    joint = assemble_joint((q.a, q.b), _REMOTE_SPLIT)
-    return _finish(cfg, joint, 1.0, 1.0, 1.0, None, ())
+    return _finish(cfg, _pair_x((q.a, q.b), _REMOTE_SPLIT), 1.0, 1.0, 1.0, None, ())
 
 
 def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
@@ -386,10 +392,10 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
 
     c = pulse_overlap_complex(rep_a.t_grid, rep_a.pulse_shape,
                               rep_b.t_grid, rep_b.pulse_shape)
-    joint = None
+    x = None
     if rep_a.polarization is not None and rep_b.polarization is not None:
-        joint = assemble_joint(rep_a.polarization, rep_b.polarization)
-    return _finish(cfg, joint, c, rep_a.emission_prob, rep_b.emission_prob,
+        x = _pair_x(rep_a.polarization, rep_b.polarization)
+    return _finish(cfg, x, c, rep_a.emission_prob, rep_b.emission_prob,
                    (rep_a, rep_b), tuple(notes))
 
 

@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, artifacts, seed plumbing."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -52,13 +54,50 @@ def test_ideal_runs_are_byte_reproducible(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 
+def _moved_fields(name: str, golden: bytes, new: bytes) -> list[str]:
+    """'path: golden -> new' for every field that differs between two outputs.
+
+    report.json is compared as JSON (a path per nested key and list index),
+    summary.csv column by column; values compare by repr, so a signed zero
+    or a last digit shows.
+    """
+    if name.endswith(".json"):
+        def walk(a, b, path):
+            if isinstance(a, dict) and isinstance(b, dict):
+                for key in sorted(a.keys() | b.keys()):
+                    yield from walk(a.get(key), b.get(key), f"{path}/{key}")
+            elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+                for i, (u, v) in enumerate(zip(a, b)):
+                    yield from walk(u, v, f"{path}/{i}")
+            elif repr(a) != repr(b):
+                yield f"{path}: {a!r} -> {b!r}"
+        return list(walk(json.loads(golden), json.loads(new), ""))
+    (g_head, g_row), (n_head, n_row) = (list(csv.reader(io.StringIO(text.decode())))
+                                        for text in (golden, new))
+    if g_head != n_head:
+        return [f"header: {g_head} -> {n_head}"]
+    return [f"{col}: {g} -> {n}" for col, g, n in zip(g_head, g_row, n_row) if g != n]
+
+
 def test_ideal_output_matches_the_golden_files(tmp_path):
     # ideal reports are pinned byte for byte; a change that moves a digit
-    # regenerates these files and lists the moved digits in CHANGES.md
+    # regenerates these files and lists the moved digits in CHANGES.md, and
+    # the failure message names each of them
     assert cli.main(["ideal", "--a", "0.6", "--b", "0.8", "--out", str(tmp_path)]) == 0
     for name in ("report.json", "summary.csv"):
-        golden = GOLDEN / f"ideal_a0.6_b0.8.{name}"
-        assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+        golden = (GOLDEN / f"ideal_a0.6_b0.8.{name}").read_bytes()
+        new = (tmp_path / name).read_bytes()
+        assert new == golden, "\n".join(
+            [f"{name} moved (path: golden -> new):"]
+            + (_moved_fields(name, golden, new) or ["no field; the layout differs"]))
+
+
+def test_moved_fields_names_each_moved_value():
+    golden = json.dumps({"a": {"b": [0.1, 0.0]}, "c": 1}).encode()
+    new = json.dumps({"a": {"b": [0.10000000000000002, -0.0]}, "c": 1}).encode()
+    assert _moved_fields("report.json", golden, new) == [
+        "/a/b/0: 0.1 -> 0.10000000000000002", "/a/b/1: 0.0 -> -0.0"]
+    assert _moved_fields("summary.csv", b"x,y\n1,2\n", b"x,y\n1,3\n") == ["y: 2 -> 3"]
 
 
 def test_ideal_renormalizes_with_warning(tmp_path, capsys):

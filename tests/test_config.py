@@ -11,7 +11,9 @@ from clonesim.config import (
     settings_from_values,
     values_from_text,
 )
-from clonesim.protocol import Mode
+from clonesim import config
+from clonesim.adiabatic import Side
+from clonesim.protocol import Mode, NodeConfig, default_node
 
 MINIMAL = "seed = 4\ninput.a = 0.6\ninput.b = 0.8\n"
 
@@ -105,6 +107,21 @@ def test_node_overrides_apply():
     assert cfg.bob.omega.shape == "tanh"
     assert cfg.mc_trials == 500
     assert cfg.alice.omega.shape == "sin2"   # untouched default
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_default_node_is_built_once_and_equals_its_defaults(side):
+    # a parse that sets no key of a side reuses the node built at import,
+    # which is the node the default values give and default_node(side)
+    rebuilt = NodeConfig.from_values(side, {name: config._DEFAULTS[key]
+                                            for key, name in config._NODE_FIELDS[side]})
+    assert config._DEFAULT_NODES[side] == rebuilt == default_node(side)
+    cfg = parse_config_text(MINIMAL, Mode.ANALYTIC).config
+    assert getattr(cfg, side.value) is config._DEFAULT_NODES[side]
+    other = Side.BOB if side is Side.ALICE else Side.ALICE
+    cfg = parse_config_text(MINIMAL + f"{other.value}.gamma = 0.2\n", Mode.ANALYTIC).config
+    assert getattr(cfg, side.value) is config._DEFAULT_NODES[side]
+    assert getattr(cfg, other.value).params.gamma == 0.2
 
 
 def test_load_config_missing_file(tmp_path):

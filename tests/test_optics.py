@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from clonesim import optics
 from clonesim.optics import (
     OUT_3,
     OUT_4,
@@ -21,7 +22,9 @@ from clonesim.optics import (
     polarization_singlet,
     symmetric_project,
 )
-from clonesim.qstate import MAX_DM_DIM, Space, StateVector, tensor
+from clonesim.cloner import InputQubit
+from clonesim.protocol import _pair_x, _score
+from clonesim.qstate import MAX_DM_DIM, DegenerateNormError, Space, StateVector, tensor
 
 
 def _pair(pol_a, pol_b):
@@ -257,6 +260,30 @@ def test_overlap_magnitude_above_one_is_rejected():
         detection_bookkeeping(_pair("H", "V"), overlap_c=1.0 + 1e-6)
 
 
+def test_nan_overlap_is_refused():
+    # nan passes a plain |c| > 1 check
+    for c in (complex(math.nan, 0.0), complex(0.3, math.nan)):
+        with pytest.raises(ValueError, match="nan"):
+            detection_bookkeeping(_pair("H", "V"), overlap_c=c)
+
+
+def test_nan_pair_is_refused_by_both_routes():
+    nan_pair = photon_pair([[0.0, math.nan], [1.0, 0.0]])
+    for route in (symmetric_project, detection_bookkeeping):
+        with pytest.raises(ValueError, match="nan"):
+            route(nan_pair)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-170])
+def test_zero_pair_is_a_degenerate_norm(scale):
+    # 1e-170 squares to below the smallest float: the norm is zero either way
+    x = scale * np.ones((2, 2, 2))
+    riders = (("atomB", ("gL", "gR")),)
+    for s, args in ((photon_pair(x, riders), ()), (x, (1.0, riders))):
+        with pytest.raises(DegenerateNormError):
+            detection_bookkeeping(s, *args)
+
+
 def test_arm_split_is_symmetric():
     sym = (_pair("H", "V") + _pair("V", "H")) * (1 / math.sqrt(2))
     rep = detection_bookkeeping(sym)
@@ -287,3 +314,89 @@ def test_dualrail_collapse_roundtrip():
 def test_one_photon_rejects_unknown_polarization():
     with pytest.raises(ValueError):
         one_photon(PATH_A, {"X": 1.0})
+
+
+# --- the exchange form ------------------------------------------------------
+
+_ATOM = (("atomB", ("gL", "gR")),)
+_RIDER_SETS = ((), _ATOM, _ATOM + (("zz", ("0", "1", "2")),))
+
+
+def _random_pair(rng, riders):
+    rest = math.prod(len(alpha) for _, alpha in riders)
+    x = rng.normal(size=(2, 2, rest)) + 1j * rng.normal(size=(2, 2, rest))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    return x
+
+
+def _swap_photons(rho):
+    """rho on (atomB, ph3, ph4) with ph3 and ph4 exchanged."""
+    m = rho.matrix.reshape((2,) * 6)
+    return m.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+
+
+def test_the_three_heralded_terms_share_one_weight():
+    # photon A at the first detector of an arm and B at the second (own), or
+    # the reverse (swapped): over both arms the x x+, xT xT+ and exchange
+    # terms weigh the same, the k the heralded state is built with
+    own = optics._PAIR_AMPS[[0, 2], [1, 3]]
+    swapped = optics._PAIR_AMPS[[1, 3], [0, 2]]
+    assert optics._K == np.sum(own * own) == np.sum(swapped * swapped) == np.sum(own * swapped)
+
+
+def test_exchange_pairs_keep_the_clones_bitwise_equal():
+    # x xT+ and xT x+ (and x x+, xT xT+) are added as a + b, which IEEE
+    # addition keeps commutative: the heralded state is bitwise symmetric
+    # under ph3 <-> ph4 and so are the two clone scores
+    rng = np.random.default_rng(17)
+    for _ in range(2_000):
+        alpha, beta = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        c = math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
+        rho = detection_bookkeeping(_pair_x(alpha, beta), c, _ATOM).rho_conditional
+        assert np.array_equal(_swap_photons(rho), rho.matrix)
+        f1, f2, _ = _score(rho, InputQubit.normalized(*alpha))
+        assert f1 == f2
+
+
+@pytest.mark.parametrize("rider", [("atomB", ("gL", "gR")), ("m", ("0", "1", "2"))])
+def test_a_unitary_on_the_riders_commutes_with_detection(rider):
+    # x -> U on the rest index leaves n, sigma and so every count weight
+    # unchanged, and carries the heralded state to (I x U) rho (I x U)+
+    rng = np.random.default_rng(5)
+    dim = len(rider[1])
+    for _ in range(50):
+        u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        x = _random_pair(rng, (rider,))
+        x /= np.linalg.norm(x)
+        c = math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
+        before = detection_bookkeeping(x, c, (rider,))
+        after = detection_bookkeeping(np.einsum("sr,pqr->pqs", u, x), c, (rider,))
+        assert before.count_distribution.keys() == after.count_distribution.keys()
+        for pat, p in before.count_distribution.items():
+            assert abs(after.count_distribution[pat] - p) <= 1e-15
+        # the rider's axis sits before ph3, ph4 or after them, by its id
+        ops = [np.eye(2), np.eye(2)]
+        ops.insert(0 if rider[0] < "ph3" else 2, u)
+        full = np.kron(np.kron(ops[0], ops[1]), ops[2])
+        expect = full @ before.rho_conditional.matrix @ full.conj().T
+        assert np.abs(after.rho_conditional.matrix - expect).max() <= 1e-14
+
+
+@pytest.mark.parametrize("riders", _RIDER_SETS, ids=["none", "atomB", "atomB+zz"])
+def test_ket_and_array_inputs_give_bit_identical_outcomes(riders):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = _random_pair(rng, riders)
+        ket = photon_pair(x, riders)
+        sym_ket, sym_arr = symmetric_project(ket), symmetric_project(x, riders)
+        assert sym_ket.probability == sym_arr.probability
+        assert list(sym_ket.raw_amplitudes.items()) == list(sym_arr.raw_amplitudes.items())
+        assert list(sym_ket.projected_state.amps.items()) \
+            == list(sym_arr.projected_state.amps.items())
+        c = 0.9 * np.exp(1j * rng.random())
+        det_ket, det_arr = detection_bookkeeping(ket, c), detection_bookkeeping(x, c, riders)
+        assert det_ket.p_coincidence == det_arr.p_coincidence
+        assert list(det_ket.count_distribution.items()) \
+            == list(det_arr.count_distribution.items())
+        assert det_ket.rho_conditional.space == det_arr.rho_conditional.space
+        assert det_ket.rho_conditional.matrix.tobytes() == det_arr.rho_conditional.matrix.tobytes()

@@ -233,7 +233,7 @@ def test_photon_pair_labels_the_array_as_the_tensor_chain_does(riders, amps):
     # same space, labels, amplitudes and order of the non-zero labels
     assert pair.space == chain.space
     assert list(pair.amps.items()) == list(chain.amps.items())
-    back, _ = optics._pair_array(pair, optics._pair_plan(pair.space))
+    back = optics._pair_array(pair, optics._pair_plan(pair.space))
     assert np.array_equal(back, x)
 
 

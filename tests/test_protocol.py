@@ -210,6 +210,30 @@ def test_analytic_request_scores_without_the_labeled_layer(monkeypatch):
     assert unot_fidelity(q) == pytest.approx(2 / 3, abs=1e-12)
 
 
+def test_analytic_request_never_labels_the_pair(monkeypatch):
+    # both post-selection routes read the pair array as assembled: labeling
+    # it (photon_pair) or gathering a ket back (_pair_array) raises at every
+    # name protocol and optics hold them by, and the request still passes
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on the analytic route")
+        return call
+
+    for mod, names in ((protocol, ("photon_pair",)), (optics, ("photon_pair", "_pair_array"))):
+        for name in names:
+            monkeypatch.setattr(mod, name, refuse(name))
+    q = InputQubit(0.6, 0.8j)
+    for detector, trials in ((DetectorParams(), 0), (DetectorParams(0.9, 2e-3), 0),
+                             (DetectorParams(0.9, 2e-3), 20_000)):
+        rep = run_analytic(ProtocolConfig(input=q, detector=detector, mc_trials=trials))
+        w = rep.false_herald_fraction
+        assert rep.clone_fidelity_1 == rep.clone_fidelity_2
+        assert (rep.clone_fidelity_1 - 0.5 * w) / (1.0 - w) == pytest.approx(5 / 6, abs=1e-12)
+        assert rep.p_symmetric == pytest.approx(0.75, abs=1e-12)
+        assert rep.p_operational == pytest.approx(0.375, abs=1e-12)
+        assert rep.post_state is not None and rep.mc_trials == trials
+
+
 def test_detector_params_validation():
     with pytest.raises(ValueError):
         DetectorParams(eta=1.5)
