@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- :mod:`clonesim.qstate`    labeled tensor states: sparse kets, dense density matrices
+- :mod:`clonesim.qstate`    labeled tensor states: kets and density matrices as dense arrays
 - :mod:`clonesim.cloner`    exact 1->2 symmetric cloning algebra (oracle)
 - :mod:`clonesim.adiabatic` cavity dark-state passage and photon emission
 - :mod:`clonesim.optics`    the photon pair, beam splitters, coincidence bookkeeping

@@ -19,7 +19,7 @@ this module and through an independent closed-form expansion
 
 P is a dense 8x8 matrix in the register's canonical label order, and the
 oracle fidelities score the projected branch as a plain 8-vector in that
-order; :func:`clone` labels the same vector.  No dynamics is involved.
+order; :func:`clone` wraps the same vector as the register's ket.  No dynamics is involved.
 This module doubles as the machine-checkable oracle for the photonic protocol
 in :mod:`clonesim.protocol`.
 """
@@ -38,11 +38,8 @@ from .qstate import (
     _checked_norm,
     _fidelity,
     fidelity_pure,  # noqa: F401  perfbench traces calls made through cloner.fidelity_pure
-    from_dense,
-    label_index,
     partial_trace,  # noqa: F401  perfbench traces calls made through cloner.partial_trace
     tensor,  # noqa: F401  perfbench traces calls made through cloner.tensor
-    to_dense,
 )
 
 __all__ = [
@@ -134,8 +131,7 @@ def projector_p123() -> np.ndarray:
     exactly the singlet sector of qubits 1, 2.  Built once per process and
     read-only: callers share the one matrix.
     """
-    s12 = singlet(Q1, Q2)
-    s = to_dense(s12, label_index(s12.space))
+    s = singlet(Q1, Q2).vector
     mat = np.eye(8) - np.kron(np.outer(s, s.conj()), np.eye(2))
     mat.flags.writeable = False
     return mat
@@ -160,12 +156,11 @@ def clone(q: InputQubit) -> CloneOutput:
     """Run the projection branch for one input qubit.
 
     Composes |q>_1 x |psi->_23, applies the singlet-complement projector on
-    qubits 1, 2 and renormalizes the surviving branch; the labeled form of
-    the vector the oracle fidelities score.
+    qubits 1, 2 and renormalizes the surviving branch; the ket of the
+    vector the oracle fidelities score.
     """
-    space = qubit_space(Q1, Q2, Q3)
     vec, branch_prob = _clone_vector(q)
-    return CloneOutput(state=from_dense(space, vec, label_index(space)),
+    return CloneOutput(state=StateVector.from_array(qubit_space(Q1, Q2, Q3), vec),
                        branch_prob=branch_prob)
 
 

@@ -3,9 +3,10 @@
 Photons are dual-rail encoded: one subsystem per (path, polarization) mode,
 id ``"<path>:<pol>"``, with occupation alphabet {0, 1} at protocol level.
 The interference stage sees one photon on each of paths A and B, so its ket
-is an array x[pol_A, pol_B, rest], rest running over the rider subsystems
-such as the remote atom; :func:`photon_pair` labels one.  The waveplates in
-front of it are no operation of their own: ``protocol`` writes them into x.
+is fixed by an array x[pol_A, pol_B, rest], rest running over the rider
+subsystems such as the remote atom; :func:`photon_pair` scatters one into
+the joint vector.  The waveplates in front of it are no operation of their
+own: ``protocol`` writes them into x.
 
 Every splitter is linear, so it acts on each photon on its own
 (:func:`_transfer`): a photon reaches each output mode with a fixed transfer
@@ -15,10 +16,9 @@ term, with sqrt(m!) for m photons sharing a mode (Hong-Ou-Mandel bunching).
 Only :func:`beamsplitter`'s output labels carry the bunched occupations.
 
 Two independent routes to the post-selected two-photon output coexist here.
-Both read the pair as one array x[pol_A, pol_B, rest], handed in directly
-(with its ``riders``, as :func:`photon_pair` takes it) or gathered once from
-a labeled ket, and both are written in exchange form: with one photon per
-path every statistic of the network is fixed by the norm n = ||x||^2, the
+Both take the pair's ket, read x[pol_A, pol_B, rest] out of its vector with
+one gather, and are written in exchange form: with one photon per path every
+statistic of the network is fixed by the norm n = ||x||^2, the
 exchange overlap sigma = sum x[p,q,r] x*[q,p,r] (real) and the Gram matrix
 of x and its photon swap xT[p,q,r] = x[q,p,r], Hong-Ou-Mandel interference
 (Hong, Ou & Mandel, PRL 59, 2044 (1987)) in array form.
@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -67,9 +66,7 @@ from .qstate import (
     Space,
     StateVector,
     _checked_norm,
-    _state,
-    label_index,
-    from_dense,
+    _position,
     partial_trace,  # noqa: F401  perfbench traces calls made through optics.partial_trace
     tensor,  # noqa: F401  perfbench traces calls made through optics.tensor
 )
@@ -213,7 +210,7 @@ def beamsplitter(s: StateVector, in1: str, in2: str) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# the photon pair as one array
+# the photon pair and its array
 # ---------------------------------------------------------------------------
 
 _OUT_NAMES = {mode_id(path, pol): mode_id(out, pol)
@@ -221,14 +218,14 @@ _OUT_NAMES = {mode_id(path, pol): mode_id(out, pol)
 
 
 class _PairPlan(NamedTuple):
-    """x[pol_A, pol_B, rest] of a joint space, rest over its riders in canonical order."""
+    """x[pol_A, pol_B, rest] in a joint space, rest over its riders in canonical order."""
 
-    space: Space                      # the joint space itself
-    index: Mapping[BasisLabel, int]   # sector label -> flat position in x
-    out_space: Space                  # paths A, B renamed out3, out4
-    cond_space: Space                 # ph3, ph4 and the riders
-    exchange_order: np.ndarray        # (2, d): flat positions of x and of xT, in cond_space order
-    out_labels: tuple                 # per cond_space position, its label on out_space
+    space: Space                  # the joint space itself
+    sector: np.ndarray            # per entry of x, its flat position on space
+    out_space: Space              # paths A, B renamed out3, out4
+    out_positions: np.ndarray     # per cond_space position, its flat position on out_space
+    cond_space: Space             # ph3, ph4 and the riders
+    exchange_order: np.ndarray    # (2, d): flat positions on space of x and of xT, in cond_space order
 
 
 @lru_cache(maxsize=64)
@@ -246,70 +243,66 @@ def _pair_plan(space: Space) -> _PairPlan:
                          f"exceeds the cap of {MAX_DM_DIM}")
     out_space = Space(tuple((_OUT_NAMES.get(sid, sid), alpha) for sid, alpha in space.subsystems))
     cond_space = Space((("ph3", POLS), ("ph4", POLS)) + riders)
-    cond_index = label_index(cond_space)
-    index, out_labels, cond_pos, swapped = {}, [], [], []
+    sector, out_pos, cond_pos, swapped = [], [], [], []
     for k, (p, q, *levels) in enumerate(product(POLS, POLS, *(alpha for _, alpha in riders))):
         modes = {mode_id(path, pol): "1" if pol == want else "0"
                  for path, want in ((PATH_A, p), (PATH_B, q)) for pol in POLS}
         rider = dict(zip((sid for sid, _ in riders), levels))
-        index[space.label({**modes, **rider})] = k
-        out_labels.append(out_space.label({**{_OUT_NAMES[m]: lv for m, lv in modes.items()}, **rider}))
-        cond_pos.append(cond_index[cond_space.label({"ph3": p, "ph4": q, **rider})])
+        sector.append(_position(space, space.label({**modes, **rider})))
+        out_modes = {_OUT_NAMES[m]: lv for m, lv in modes.items()}
+        out_pos.append(_position(out_space, out_space.label({**out_modes, **rider})))
+        cond_pos.append(_position(cond_space, cond_space.label({"ph3": p, "ph4": q, **rider})))
         swapped.append((2 * POLS.index(q) + POLS.index(p)) * rest + k % rest)
     order = np.argsort(cond_pos)
-    return _PairPlan(space, MappingProxyType(index), out_space, cond_space,
-                     np.stack([order, np.take(swapped, order)]),
-                     tuple(out_labels[k] for k in order))
+    sector = np.array(sector)
+    return _PairPlan(space, sector, out_space, np.take(out_pos, order), cond_space,
+                     sector[np.stack([order, np.take(swapped, order)])])
 
 
 _PAIR_MODES = photon_space((PATH_A, PATH_B)).subsystems
+
+
+@lru_cache(maxsize=64)
+def _rider_plan(riders: tuple) -> _PairPlan:
+    """The pair layout of paths A, B and ``riders``, found once per rider set."""
+    return _pair_plan(Space(_PAIR_MODES + riders))
 
 
 def photon_pair(x, riders: tuple = ()) -> StateVector:
     """The ket x[pol_A, pol_B, rest]: one photon on each of paths A and B.
 
     ``riders`` are the other subsystems, (id, alphabet) pairs, and ``rest``
-    runs over their levels in canonical (sorted-id, mixed-radix) order; the
-    inverse of :func:`_pair_array`.  Exact zeros are dropped.  An ``x`` whose
-    size is not 4 x dim(riders) raises ``ValueError``.
+    runs over their levels in canonical (sorted-id, mixed-radix) order; x is
+    scattered into the joint vector through the cached pair layout.  An
+    ``x`` whose size is not 4 x dim(riders) raises ``ValueError``.
     """
-    x, plan = _pair_input(np.asarray(x, dtype=complex), riders)
-    return from_dense(plan.space, x.ravel(), plan.index)
+    try:
+        plan = _rider_plan(tuple(riders))
+    except TypeError:   # unhashable alphabets (e.g. lists): looked up uncached
+        plan = _rider_plan.__wrapped__(tuple(riders))
+    x = np.asarray(x, dtype=complex)
+    if x.size != len(plan.sector):
+        raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.sector)}")
+    vector = np.zeros(plan.space.dim, dtype=complex)
+    vector[plan.sector] = x.ravel()
+    return StateVector.from_array(plan.space, vector)
 
 
-def _pair_array(s: StateVector, plan: _PairPlan) -> np.ndarray:
-    """x[pol_A, pol_B, rest] of ``s``; a label outside the sector raises."""
-    where = list(map(plan.index.get, s.amps))
-    if None in where:
-        weight = sum(abs(amp) ** 2 for k, amp in zip(where, s.amps.values()) if k is None)
-        raise ValueError(f"amplitude weight {weight:.3e} outside the one-photon-per-path sector")
-    x = np.zeros(len(plan.index), dtype=complex)
-    x[where] = list(s.amps.values())
-    return x.reshape(2, 2, -1)
-
-
-def _pair_input(s, riders: tuple) -> tuple[np.ndarray, _PairPlan]:
-    """x[pol_A, pol_B, rest] and its layout, from a labeled ket (gathered once
-    through :func:`_pair_array`) or from an array and its ``riders``, as
-    :func:`photon_pair` takes them."""
-    if isinstance(s, StateVector):
-        plan = _pair_plan(s.space)
-        return _pair_array(s, plan), plan
-    plan = _pair_plan(Space(_PAIR_MODES + tuple(riders)))
-    x = np.asarray(s, dtype=complex)
-    if x.size != len(plan.index):
-        raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.index)}")
-    return x, plan
-
-
-def _exchange_form(s, riders: tuple) -> tuple[np.ndarray, float, float, _PairPlan]:
+def _exchange_form(s: StateVector) -> tuple[np.ndarray, float, float, _PairPlan]:
     """(x, xT) as the rows of one array in cond_space order, n = ||x||^2, the
     exchange overlap sigma = sum x[p,q,r] x*[q,p,r], and the pair layout.
 
+    Both rows are gathered from ``s``'s vector at once; any non-zero
+    amplitude outside the one-photon-per-path sector raises ``ValueError``.
     sigma is real, as renaming p <-> q turns its sum into its own conjugate.
     """
-    x, plan = _pair_input(s, riders)
-    rows = x.ravel()[plan.exchange_order]
+    plan = _pair_plan(s.space)
+    rows = s.vector[plan.exchange_order]
+    if np.count_nonzero(rows[0]) != np.count_nonzero(s.vector):
+        outside = s.vector.copy()
+        outside[plan.sector] = 0.0
+        raise ValueError(f"amplitude weight {np.vdot(outside, outside).real:.3e} "
+                         "outside the one-photon-per-path sector")
     n, sigma = np.vdot(rows[0], rows[0]).real, np.vdot(rows[1], rows[0]).real
     return rows, float(n), float(sigma), plan
 
@@ -325,30 +318,34 @@ class CoincidenceOutcome:
 
     projected_state: StateVector | None   # normalized; None on heralded failure
     probability: float                    # squared norm of the projected branch
-    raw_amplitudes: dict                  # pre-normalization label -> amp
+    raw_state: StateVector                # the projected branch before normalizing
+
+    @property
+    def raw_amplitudes(self) -> Mapping:
+        """Read-only {label: amplitude} of the branch before normalizing."""
+        return self.raw_state.amps
 
 
-def symmetric_project(s, riders: tuple = ()) -> CoincidenceOutcome:
+def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     """Project the A/B photon pair onto the symmetric polarization subspace.
 
-    ``s`` is a labeled ket, or the array x[pol_A, pol_B, rest] with its
-    ``riders`` as :func:`photon_pair` takes them.  Applies I - |psi-><psi-|
-    to the two polarization qubits, which turns x into (x + xT)/2 (any extra
-    subsystems ride along untouched), renames paths A -> out3, B -> out4 and
-    normalizes.  ``probability`` is the squared norm of the projection,
-    (n + sigma)/2; a singlet input is a heralded failure (probability 0, no
-    state) and a nan pair raises ``ValueError``.
+    Applies I - |psi-><psi-| to the two polarization qubits, which turns x
+    into (x + xT)/2 (any extra subsystems ride along untouched), renames
+    paths A -> out3, B -> out4 and normalizes.  ``probability`` is the
+    squared norm of the projection, (n + sigma)/2; a singlet input is a
+    heralded failure (probability 0, no state) and a nan pair raises
+    ``ValueError``.
     """
-    rows, n, sigma, plan = _exchange_form(s, riders)
+    rows, n, sigma, plan = _exchange_form(s)
     prob = 0.5 * (n + sigma)
-    values = (0.5 * (rows[0] + rows[1]) + 0.0).tolist()   # + 0.0: no signed zeros
-    raw = {label: v for label, v in zip(plan.out_labels, values) if v != 0.0}
+    raw = np.zeros(plan.out_space.dim, dtype=complex)
+    raw[plan.out_positions] = 0.5 * (rows[0] + rows[1]) + 0.0   # + 0.0: no signed zeros
+    raw_state = StateVector.from_array(plan.out_space, raw)
     try:
         scale = 1.0 / _checked_norm(prob)
     except DegenerateNormError:
-        return CoincidenceOutcome(None, 0.0, raw)
-    return CoincidenceOutcome(_state(plan.out_space, {label: scale * v for label, v in raw.items()}),
-                              prob, raw)
+        return CoincidenceOutcome(None, 0.0, raw_state)
+    return CoincidenceOutcome(StateVector.from_array(plan.out_space, scale * raw), prob, raw_state)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +417,13 @@ _COUNT_WEIGHTS = _count_weights()
 _K = float(np.sum(_PAIR_AMPS[[0, 2], [1, 3]] ** 2))
 
 
-def detection_bookkeeping(s, overlap_c: complex = 1.0, riders: tuple = ()) -> DetectionReport:
+def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:
     """Push the photon pair through the splitter network and post-select.
 
-    ``s`` is a labeled ket, or the array x[pol_A, pol_B, rest] with its
-    ``riders`` as :func:`photon_pair` takes them.  Network: paths A, B meet
-    on a 50:50 splitter; each output arm is split again on its own 50:50
-    splitter whose two outputs are detectors (D1, D2) and (D1', D2').  A
-    two-fold coincidence is one photon at each detector of the same arm.
+    Network: paths A, B meet on a 50:50 splitter; each output arm is split
+    again on its own 50:50 splitter whose two outputs are detectors (D1, D2)
+    and (D1', D2').  A two-fold coincidence is one photon at each detector
+    of the same arm.
 
     ``overlap_c`` is the complex temporal-mode overlap of the B photon's
     emission envelope against the A photon's.  |overlap_c| = 1 means fully
@@ -449,7 +445,7 @@ def detection_bookkeeping(s, overlap_c: complex = 1.0, riders: tuple = ()) -> De
     if not abs(c) <= 1.0 + 1e-12:     # also refuses nan
         raise ValueError(f"|overlap| = {abs(c):.6g} is not at most 1")
     visibility = abs(c) ** 2
-    rows, n, sigma, plan = _exchange_form(s, riders)
+    rows, n, sigma, plan = _exchange_form(s)
     for sid in plan.cond_space.ids:
         if ":" in sid:
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")

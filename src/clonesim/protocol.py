@@ -13,12 +13,12 @@ Two execution modes share one scoring path:
 
 Either way the two photons' circular amplitudes become one array: the
 waveplates are written into the product x[pol_A, pol_B, atomB]
-(:func:`_pair_x`), which both post-selection routes read as it is, in
-exchange form; :func:`assemble_joint` labels the same array as a ket.
-Scoring stays on arrays too: :func:`_score` reads the heralded 8x8 matrix as
-a (2,)*6 array in (atomB, ph3, ph4) order and takes each one-qubit
-reduction with one einsum; labels appear only in the report (the heralded
-pure state, labeled once from the symmetrized array).
+(:func:`_pair_x`), which ``optics.photon_pair`` scatters once into the
+joint ket (:func:`assemble_joint`) that both post-selection routes take and
+read in exchange form.  Scoring stays on arrays too: :func:`_score` reads
+the heralded 8x8 matrix as a (2,)*6 array in (atomB, ph3, ph4) order and
+takes each one-qubit reduction with one einsum; labels appear only in the
+report (the non-zero entries of the heralded pure state).
 
 Detector imperfections (efficiency eta, dark counts) transform a finished
 report: the success probability picks up the eta^2 factor plus a
@@ -309,17 +309,18 @@ def _finish(cfg: ProtocolConfig, x: np.ndarray | None, overlap_c: complex,
             notes: tuple[str, ...]) -> CloneReport:
     """Common tail: project, herald, score, apply the configured detectors.
 
-    ``x`` is the pair array x[pol_A, pol_B, atomB] of :func:`_pair_x`, which
-    both post-selection routes read as it is; it is None when a node emitted
-    no photon: nothing enters the interference stage, so nothing heralds and
-    the heralded state is undefined.
+    ``x`` is the pair array x[pol_A, pol_B, atomB] of :func:`_pair_x`,
+    scattered once into the ket both post-selection routes take; it is None
+    when a node emitted no photon: nothing enters the interference stage, so
+    nothing heralds and the heralded state is undefined.
     """
     if x is None:
         post, rho, p_sym, p_op, dist = None, None, math.nan, 0.0, {}
         visibility = abs(complex(overlap_c)) ** 2
     else:
-        sym = symmetric_project(x, _ATOM_RIDERS)
-        detection = detection_bookkeeping(x, overlap_c, _ATOM_RIDERS)
+        pair = photon_pair(x, _ATOM_RIDERS)
+        sym = symmetric_project(pair)
+        detection = detection_bookkeeping(pair, overlap_c)
         if detection.rho_conditional is None:
             raise RuntimeError("no coincidence support in the assembled state")
         post, rho = sym.projected_state, detection.rho_conditional

@@ -1,12 +1,14 @@
-"""Labeled tensor-product states: sparse kets, dense density matrices.
+"""Labeled tensor-product states: kets and density matrices as dense arrays.
 
 Quantum states here live on a labeled tensor product of small subsystems
-(atomic levels, cavity/photonic mode occupations).  Kets are sparse maps from
-basis labels to complex amplitudes: a protocol state touches a handful of the
-labels of its space.  Density matrices are dense (dim, dim) arrays, at most
-``MAX_DM_DIM`` wide (the package builds none above 8x8), and operators are
-dense matrices; both follow the canonical label order :func:`label_index`
-gives, and kets cross to that layout through :func:`to_dense`/:func:`from_dense`.
+(atomic levels, cavity/photonic mode occupations).  A ket is a read-only
+complex vector and a density matrix a read-only (dim, dim) array, both in
+the canonical (mixed-radix) label order of their space; a ket holds at most
+``MAX_DM_DIM**2`` entries, the 4 MiB a capped matrix holds, and a density
+matrix is at most ``MAX_DM_DIM`` wide (the package builds none above 8x8).
+A label's position follows from per-subsystem strides worked out once per
+layout; labels are built only where a reader asks for them
+(``StateVector.amps``, ``DensityMatrix.entries``).
 
 A subsystem is identified by a string id and carries a finite level alphabet,
 e.g. ``("atomB", ("gp0", "gL", "gR", "e0"))`` or ``("A:H", ("0", "1"))`` for a
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -41,9 +42,6 @@ __all__ = [
     "partial_trace",
     "fidelity_pure",
     "normalize",
-    "label_index",
-    "to_dense",
-    "from_dense",
     "MAX_DM_DIM",
 ]
 
@@ -70,8 +68,12 @@ class DegenerateNormError(ValueError):
 
 @lru_cache(maxsize=256)
 def _canonical(subsystems: tuple) -> tuple:
-    """(sorted subsystems, their ids, dimension) of a raw layout, validated.
+    """(sorted subsystems, their ids, dimension, shape, offsets) of a raw
+    layout, validated.
 
+    ``offsets`` pairs each id with {level: level index x stride}, the stride
+    being the product of the alphabet sizes after it, so a label's flat
+    position in the mixed-radix order is the sum of its levels' offsets.
     Pure in its argument, so each distinct layout is sorted and checked once
     per process; a bad layout raises on every call (exceptions are not
     cached).
@@ -85,7 +87,11 @@ def _canonical(subsystems: tuple) -> tuple:
             raise ValueError(f"subsystem {sid!r} has an empty alphabet")
         if len(set(alpha)) != len(alpha):
             raise ValueError(f"subsystem {sid!r} has duplicate levels: {alpha}")
-    return ordered, ids, math.prod(len(alpha) for _, alpha in ordered)
+    shape = tuple(len(alpha) for _, alpha in ordered)
+    strides = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    offsets = tuple((sid, {lv: i * stride for i, lv in enumerate(alpha)})
+                    for (sid, alpha), stride in zip(ordered, strides))
+    return ordered, ids, math.prod(shape), shape, offsets
 
 
 # a level missing from a label mapping (no alphabet holds it)
@@ -99,20 +105,24 @@ class Space:
     ``subsystems`` is a tuple of ``(id, alphabet)`` pairs.  The constructor
     canonicalizes the order (sorted by subsystem id) so any two spaces built
     from the same subsystems compare equal.  ``ids`` lists the subsystem ids
-    in that order; ``dim`` is the product of the alphabet sizes.
+    in that order; ``shape`` holds the alphabet sizes and ``dim`` their
+    product.
     """
 
     subsystems: tuple[tuple[str, tuple[str, ...]], ...]
     ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = tuple(self.subsystems)
         try:
-            ordered, ids, dim = _canonical(raw)
+            ordered, ids, dim, shape, offsets = _canonical(raw)
         except TypeError:   # unhashable alphabets (e.g. lists): validate uncached
-            ordered, ids, dim = _canonical.__wrapped__(raw)
-        self.__dict__.update(subsystems=ordered, ids=ids, dim=dim)
+            ordered, ids, dim, shape, offsets = _canonical.__wrapped__(raw)
+        self.__dict__.update(subsystems=ordered, ids=ids, dim=dim, shape=shape,
+                             offsets=offsets)
 
     def label(self, levels: Mapping[str, str]) -> "BasisLabel":
         """Build a basis label from a {subsystem id: level} mapping.
@@ -172,21 +182,41 @@ class BasisLabel(NamedTuple):
         return "|" + ",".join(f"{s}={lv}" for s, lv in self.factors) + ">"
 
 
-def _clean(amps: dict) -> dict:
-    return {k: v for k, v in amps.items() if v != 0.0}
+def _position(space: Space, label: BasisLabel) -> int:
+    """Flat position of ``label`` in the canonical order of ``space``.
 
-
-@lru_cache(maxsize=64)
-def label_index(space: Space) -> Mapping[BasisLabel, int]:
-    """Read-only {label: position} in the mixed-radix order of ``space.labels()``.
-
-    Cached per layout.  It enumerates the whole space, so it serves the
-    spaces dense vectors and matrices cover: one above ``MAX_DM_DIM``
-    dimensions raises ``ValueError`` before anything is enumerated.
+    A label of another space (other subsystems, or a level outside an
+    alphabet) raises ``SpaceMismatchError``.
     """
-    if space.dim > MAX_DM_DIM:
-        raise ValueError(f"space of dimension {space.dim} exceeds the cap of {MAX_DM_DIM}")
-    return MappingProxyType({label: i for i, label in enumerate(space.labels())})
+    factors = label.factors
+    if len(factors) == len(space.offsets):
+        pos = 0
+        for (sid, lv), (own, offsets) in zip(factors, space.offsets):
+            if sid != own or lv not in offsets:
+                break
+            pos += offsets[lv]
+        else:
+            return pos
+    raise SpaceMismatchError(f"label {label} is not a label of the space {list(space.ids)}")
+
+
+def _labels_at(space: Space, flat: Iterable[int]) -> list:
+    """The basis labels at flat positions of ``space``'s canonical order."""
+    labels = []
+    for pos in flat:
+        factors = []
+        for sid, alpha in reversed(space.subsystems):
+            pos, i = divmod(pos, len(alpha))
+            factors.append((sid, alpha[i]))
+        labels.append(BasisLabel(tuple(reversed(factors))))
+    return labels
+
+
+def _capped(dim: int, cap: int, what: str) -> int:
+    """``dim``, refused with ``ValueError`` above ``cap``."""
+    if dim > cap:
+        raise ValueError(f"{what} of dimension {dim} exceeds the cap of {cap}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -194,52 +224,60 @@ def label_index(space: Space) -> Mapping[BasisLabel, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class StateVector:
-    """Sparse ket: map from basis labels to complex amplitudes.
+    """Ket: a read-only complex vector in the canonical label order of ``space``.
 
-    Amplitudes may be sub-normalized (projection branches) and raw operator
-    applications may exceed unit norm; physical protocol states are validated
-    where that matters rather than in the constructor.
+    The public constructor takes a sparse {label: amplitude} map.  Amplitudes
+    may be sub-normalized (projection branches) and raw operator applications
+    may exceed unit norm; physical protocol states are validated where that
+    matters rather than in the constructor.  A space above ``MAX_DM_DIM**2``
+    dimensions raises ``ValueError`` before anything is allocated.
     """
 
     space: Space
-    amps: dict
+    vector: np.ndarray
 
-    def __post_init__(self):
-        coerced = {}
-        for label, amp in self.amps.items():
+    def __init__(self, space: Space, amps: Mapping):
+        vector = np.zeros(_capped(space.dim, MAX_DM_DIM ** 2, "ket space"), dtype=complex)
+        for label, amp in amps.items():
             if not isinstance(label, BasisLabel):
                 raise TypeError("amplitude keys must be BasisLabel instances")
-            coerced[label] = complex(amp)
-        object.__setattr__(self, "amps", coerced)
+            vector[_position(space, label)] = complex(amp)
+        vector.flags.writeable = False
+        self.__dict__.update(space=space, vector=vector)
+
+    @classmethod
+    def from_array(cls, space: Space, vector: np.ndarray) -> "StateVector":
+        """Wrap a (dim,) array in canonical label order: kept, made read-only."""
+        d = _capped(space.dim, MAX_DM_DIM ** 2, "ket space")
+        if vector.shape != (d,):
+            raise ValueError(f"vector of shape {vector.shape} on a space of dimension {d}")
+        vector = vector.astype(complex, copy=False)
+        vector.flags.writeable = False
+        s = object.__new__(cls)
+        s.__dict__.update(space=space, vector=vector)
+        return s
+
+    @property
+    def amps(self) -> Mapping:
+        """Read-only {label: amplitude} of the non-zero entries, in canonical order."""
+        (where,) = np.nonzero(self.vector)
+        return MappingProxyType(dict(zip(_labels_at(self.space, where.tolist()),
+                                         self.vector[where].tolist())))
 
     def norm_sq(self) -> float:
-        return sum((amp.real ** 2 + amp.imag ** 2) for amp in self.amps.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return float(np.vdot(self.vector, self.vector).real)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.space != other.space:
             raise SpaceMismatchError("cannot add states on different spaces")
-        amps = dict(self.amps)
-        for label, amp in other.amps.items():
-            amps[label] = amps.get(label, 0.0) + amp
-        return _state(self.space, _clean(amps))
+        return StateVector.from_array(self.space, self.vector + other.vector)
 
     def __mul__(self, scalar) -> "StateVector":
-        c = complex(scalar)
-        return _state(self.space, _clean({k: c * v for k, v in self.amps.items()}))
+        return StateVector.from_array(self.space, self.vector * complex(scalar))
 
     __rmul__ = __mul__
-
-
-def _state(space: Space, amps: dict) -> StateVector:
-    """Trusted constructor: ``amps`` already has label keys and complex values."""
-    s = object.__new__(StateVector)
-    s.__dict__.update(space=space, amps=amps)
-    return s
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -256,19 +294,19 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, space: Space, entries: Mapping):
-        index = label_index(space)      # refuses a space above the cap
-        matrix = np.zeros((len(index), len(index)), dtype=complex)
+        d = _capped(space.dim, MAX_DM_DIM, "space")
+        matrix = np.zeros((d, d), dtype=complex)
         for (r, c), v in entries.items():
             if not (isinstance(r, BasisLabel) and isinstance(c, BasisLabel)):
                 raise TypeError("entry keys must be (BasisLabel, BasisLabel) pairs")
-            matrix[index[r], index[c]] = complex(v)
+            matrix[_position(space, r), _position(space, c)] = complex(v)
         matrix.flags.writeable = False
         self.__dict__.update(space=space, matrix=matrix)
 
     @classmethod
     def from_array(cls, space: Space, matrix: np.ndarray) -> "DensityMatrix":
         """Wrap a (dim, dim) array in canonical label order: kept, made read-only."""
-        d = len(label_index(space))
+        d = _capped(space.dim, MAX_DM_DIM, "space")
         if matrix.shape != (d, d):
             raise ValueError(f"matrix of shape {matrix.shape} on a space of dimension {d}")
         matrix = matrix.astype(complex, copy=False)
@@ -285,7 +323,7 @@ class DensityMatrix:
     @property
     def entries(self) -> Mapping:
         """Read-only {(row, col): value} of the non-zero entries, in canonical order."""
-        labels = list(label_index(self.space))
+        labels = list(self.space.labels())
         rows, cols = np.nonzero(self.matrix)
         values = self.matrix[rows, cols].tolist()
         return MappingProxyType({(labels[r], labels[c]): v
@@ -311,61 +349,50 @@ class DensityMatrix:
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of states on disjoint subsystem sets."""
+    """Tensor product of states on disjoint subsystem sets.
+
+    The outer product of the two vectors, its axes permuted into sorted-id
+    order.  A product above ``MAX_DM_DIM**2`` entries raises ``ValueError``
+    before it is formed.
+    """
     overlap = set(a.space.ids) & set(b.space.ids)
     if overlap:
         raise CompositionError(f"overlapping subsystem ids: {sorted(overlap)}")
     space = Space(a.space.subsystems + b.space.subsystems)
-    amps = {}
-    for la, va in a.amps.items():
-        for lb, vb in b.amps.items():
-            merged = tuple(sorted(la.factors + lb.factors))
-            amps[BasisLabel(merged)] = va * vb
-    return _state(space, amps)
+    _capped(space.dim, MAX_DM_DIM ** 2, "ket space")
+    ids = a.space.ids + b.space.ids
+    outer = np.multiply.outer(a.vector, b.vector).reshape(a.space.shape + b.space.shape)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return StateVector.from_array(space, outer.transpose(order).reshape(-1))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.space != b.space:
         raise SpaceMismatchError("inner product between states on different spaces")
-    total = 0.0 + 0.0j
-    for label in (a.amps if len(a.amps) <= len(b.amps) else b.amps):
-        if label in a.amps and label in b.amps:
-            total += a.amps[label].conjugate() * b.amps[label]
-    return total
-
-
-def _picker(positions: list):
-    """Factor tuple -> the factors at ``positions``, always as a tuple."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda factors: (factors[i],)
-    if not positions:
-        return lambda factors: ()
-    return itemgetter(*positions)
+    return complex(np.vdot(a.vector, b.vector))
 
 
 @lru_cache(maxsize=256)
 def _trace_plan(space: Space, keep: frozenset) -> tuple:
     """How to reduce a state on ``space`` to ``keep``, worked out once per layout.
 
-    (kept subspace, kept-factor picker, traced-factor picker, its label
-    index, the shape giving a matrix one row and one column axis per
-    subsystem, and the einsum subscripts that trace it).
+    (kept subspace, axis shape, einsum subscripts of the row axes, of the
+    column axes and of the result), one axis per subsystem of more than one
+    level (the others change nothing, and einsum takes only 52 subscripts):
+    row axis i pairs with column axis n + i, and a traced pair shares one
+    subscript.
     """
     if not keep:
         raise ValueError("empty keep set")
-    ids = space.ids
     sub = space.subspace(keep)      # raises on unknown ids
-    index = label_index(sub)        # and above the cap
-    kept = [i for i, sid in enumerate(ids) if sid in keep]
-    traced = [i for i, sid in enumerate(ids) if sid not in keep]
-    n = len(ids)
-    dims = [len(alpha) for _, alpha in space.subsystems]
-    # row axis i pairs with column axis n + i; a traced pair shares one subscript
-    subscripts = list(range(n)) + [i if i in traced else n + i for i in range(n)]
-    return (sub, _picker(kept), _picker(traced), index,
-            tuple(dims + dims), subscripts, kept + [n + i for i in kept])
+    _capped(sub.dim, MAX_DM_DIM, "reduced space")
+    axes = [(sid in keep, size) for sid, size in zip(space.ids, space.shape) if size > 1]
+    n = len(axes)
+    kept = [i for i, (is_kept, _) in enumerate(axes) if is_kept]
+    cols = [n + i if is_kept else i for i, (is_kept, _) in enumerate(axes)]
+    return (sub, tuple(size for _, size in axes), list(range(n)), cols,
+            kept + [n + i for i in kept])
 
 
 def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
@@ -373,27 +400,21 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
 
     Accepts a StateVector or a DensityMatrix; the trace of the result equals
     the squared norm of the input state (or the trace of the input matrix).
-    A ket's amplitudes are grouped by their traced factors into the columns
-    of a (dim(keep), groups) array A, and the result is A A^dagger, so a large
-    sparse space never becomes dense.  A reduced dimension above ``MAX_DM_DIM``
-    raises ``ValueError``.
+    Either way it is one einsum over the array reshaped to one axis per
+    subsystem (a matrix: a row and a column axis each), on a plan cached per
+    layout.  A reduced dimension above ``MAX_DM_DIM`` raises ``ValueError``.
     """
     if not isinstance(s, (StateVector, DensityMatrix)):
         raise TypeError("partial_trace expects a StateVector or DensityMatrix")
-    sub, kept, traced, index, shape, subscripts, out = _trace_plan(s.space, frozenset(keep))
+    sub, shape, rows, cols, out = _trace_plan(s.space, frozenset(keep))
     if isinstance(s, DensityMatrix):
-        reduced = np.einsum(s.matrix.reshape(shape), subscripts, out)
-        return DensityMatrix.from_array(sub, reduced.reshape(sub.dim, sub.dim))
-    groups: dict = {}
-    m = np.zeros((sub.dim, len(s.amps)), dtype=complex)   # column per traced group
-    for label, amp in s.amps.items():
-        f = label.factors
-        # (factors,) is the kept label: a BasisLabel is the 1-tuple of its factors
-        m[index[(kept(f),)], groups.setdefault(traced(f), len(groups))] = amp
-    m = m[:, :len(groups)]
-    # einsum, not a BLAS product: a process's first complex gemm call
-    # allocates ~0.4 MB of buffers that its peak RSS then carries
-    return DensityMatrix.from_array(sub, np.einsum("ig,jg->ij", m, m.conj()))
+        reduced = np.einsum(s.matrix.reshape(shape + shape), rows + cols, out)
+    else:
+        # einsum, not a BLAS product: a process's first complex gemm call
+        # allocates ~0.4 MB of buffers that its peak RSS then carries
+        v = s.vector.reshape(shape)
+        reduced = np.einsum(v, rows, v.conj(), cols, out)
+    return DensityMatrix.from_array(sub, reduced.reshape(sub.dim, sub.dim))
 
 
 def _fidelity(matrix: np.ndarray, t: np.ndarray, tol: float = 1e-10) -> float:
@@ -422,7 +443,7 @@ def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -
     """
     if rho.space != target.space:
         raise SpaceMismatchError("fidelity between objects on different spaces")
-    return _fidelity(rho.matrix, to_dense(target, label_index(rho.space)), tol)
+    return _fidelity(rho.matrix, target.vector, tol)
 
 
 def _checked_norm(n2: float, floor: float = NORM_FLOOR) -> float:
@@ -446,22 +467,3 @@ def normalize(s: StateVector, floor: float = NORM_FLOOR) -> tuple[StateVector, f
     """
     n2 = s.norm_sq()
     return (1.0 / _checked_norm(n2, floor)) * s, n2
-
-
-# ---------------------------------------------------------------------------
-# dense conversion
-# ---------------------------------------------------------------------------
-
-
-def to_dense(s: StateVector, index: Mapping[BasisLabel, int]) -> np.ndarray:
-    """Dense vector over a label index {label: position}."""
-    vec = np.zeros(len(index), dtype=complex)
-    for label, amp in s.amps.items():
-        vec[index[label]] = amp
-    return vec
-
-
-def from_dense(space: Space, vec: np.ndarray, index: Mapping[BasisLabel, int]) -> StateVector:
-    """Inverse of :func:`to_dense`: the non-zero entries of ``vec`` as a state."""
-    values = np.asarray(vec, dtype=complex).tolist()
-    return _state(space, {label: values[i] for label, i in index.items() if values[i] != 0})

@@ -26,7 +26,7 @@ from clonesim.cloner import (
     singlet,
     unot_fidelity,
 )
-from clonesim.qstate import fidelity_pure, inner, partial_trace, tensor, to_dense
+from clonesim.qstate import fidelity_pure, inner, partial_trace, tensor
 
 BRANCH_PROB = 0.75
 CLONE_F = 5.0 / 6.0
@@ -96,9 +96,9 @@ def test_projector_is_rank6_idempotent_hermitian():
 
 def test_projector_annihilates_singlet_sector():
     # rows and columns follow the canonical label order of the register
-    index = {label: i for i, label in enumerate(qubit_space(Q1, Q2, Q3).labels())}
     pre = tensor(singlet(Q1, Q2), qubit_state(Q3, 0.6, 0.8))
-    assert np.linalg.norm(projector_p123() @ to_dense(pre, index)) ** 2 < 1e-24
+    assert pre.space == qubit_space(Q1, Q2, Q3)
+    assert np.linalg.norm(projector_p123() @ pre.vector) ** 2 < 1e-24
 
 
 def test_input_validation():

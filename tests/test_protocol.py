@@ -211,17 +211,19 @@ def test_analytic_request_scores_without_the_labeled_layer(monkeypatch):
 
 
 def test_analytic_request_never_labels_the_pair(monkeypatch):
-    # both post-selection routes read the pair array as assembled: labeling
-    # it (photon_pair) or gathering a ket back (_pair_array) raises at every
-    # name protocol and optics hold them by, and the request still passes
+    # once a first request has filled the layout caches, no basis label is
+    # built or read on the analytic route: Space.label, Space.labels and
+    # StateVector.amps raise, and the request still passes
+    run_analytic(ProtocolConfig(input=InputQubit(0.6, 0.8j)))
+
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called on the analytic route")
         return call
 
-    for mod, names in ((protocol, ("photon_pair",)), (optics, ("photon_pair", "_pair_array"))):
-        for name in names:
-            monkeypatch.setattr(mod, name, refuse(name))
+    monkeypatch.setattr(Space, "label", refuse("Space.label"))
+    monkeypatch.setattr(Space, "labels", refuse("Space.labels"))
+    monkeypatch.setattr(StateVector, "amps", property(refuse("StateVector.amps")))
     q = InputQubit(0.6, 0.8j)
     for detector, trials in ((DetectorParams(), 0), (DetectorParams(0.9, 2e-3), 0),
                              (DetectorParams(0.9, 2e-3), 20_000)):

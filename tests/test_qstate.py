@@ -8,6 +8,7 @@ import pytest
 
 from clonesim.qstate import (
     MAX_DM_DIM,
+    BasisLabel,
     CompositionError,
     DegenerateNormError,
     DensityMatrix,
@@ -16,13 +17,10 @@ from clonesim.qstate import (
     StateVector,
     _fidelity,
     fidelity_pure,
-    from_dense,
     inner,
-    label_index,
     normalize,
     partial_trace,
     tensor,
-    to_dense,
 )
 from clonesim.cloner import qubit_space, qubit_state, singlet
 
@@ -106,7 +104,7 @@ def test_fidelity_refuses_nan(where):
     with pytest.raises(ValueError):
         fidelity_pure(rho, target)
     with pytest.raises(ValueError):
-        _fidelity(rho.matrix, to_dense(target, label_index(rho.space)))
+        _fidelity(rho.matrix, target.vector)
 
 
 def test_fidelity_kernel_holds_the_checks():
@@ -145,9 +143,15 @@ def test_normalize_rejects_zero():
 
 def test_dense_round_trip():
     s = tensor(qubit_state("q1", 0.6, 0.8j), qubit_state("q2", 0.8, -0.6))
-    index = {label: i for i, label in enumerate(s.space.labels())}
-    back = from_dense(s.space, to_dense(s, index), index)
+    back = StateVector.from_array(s.space, np.array(s.vector))
     assert inner(s, back) == pytest.approx(1.0, abs=1e-15)
+    assert list(back.amps.items()) == list(s.amps.items())
+    # the vector follows the order of space.labels(): q1 slowest, q2 fastest
+    assert list(s.amps) == list(s.space.labels())
+    assert np.array_equal(s.vector, [0.6 * 0.8, 0.6 * -0.6, 0.8j * 0.8, 0.8j * -0.6])
+    assert not back.vector.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        StateVector.from_array(s.space, np.zeros(3))
 
 
 def test_density_matrix_mix_keeps_unit_trace():
@@ -196,3 +200,50 @@ def test_partial_trace_above_the_cap_is_refused():
     with pytest.raises(ValueError, match="exceeds the cap"):
         partial_trace(ket, ket.space.ids)
     assert partial_trace(ket, ["q0"]).trace() == 0.0
+
+
+def test_a_label_from_another_space_is_refused():
+    q1 = qubit_space("q1")
+    foreign = qubit_space("q2").label({"q2": "0"})
+    wider = qubit_space("q1", "q2").label({"q1": "0", "q2": "0"})
+    off_alphabet = BasisLabel((("q1", "2"),))
+    for label in (foreign, wider, off_alphabet):
+        with pytest.raises(SpaceMismatchError, match="not a label of the space"):
+            StateVector(q1, {label: 1.0})
+        with pytest.raises(SpaceMismatchError, match="not a label of the space"):
+            DensityMatrix(q1, {(label, label): 1.0})
+
+
+def test_ket_above_the_cap_is_refused_before_allocation():
+    # nineteen qubits: a 2**19-entry complex vector would take 8 MiB
+    def qubits(prefix, n):
+        return Space(tuple((f"{prefix}{i}", ("0", "1")) for i in range(n)))
+
+    space = qubits("q", 19)
+    assert space.dim == 2 * MAX_DM_DIM ** 2
+    assert StateVector(qubits("q", 18), {}).vector.size == MAX_DM_DIM ** 2
+    ten, nine = StateVector(qubits("q", 10), {}), StateVector(qubits("r", 9), {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            StateVector(space, {})
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            StateVector.from_array(space, np.zeros(0))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            tensor(ten, nine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_partial_trace_leaves_out_single_level_subsystems():
+    # einsum takes only 52 subscripts, two per subsystem of a matrix; the
+    # plan leaves the one-level axes, which change nothing, out of them
+    space = Space(tuple((f"s{i:02d}", ("0",)) for i in range(60)) + (("zz", ("0", "1")),))
+    labels = list(space.labels())
+    s = StateVector(space, {labels[0]: 0.6, labels[1]: 0.8j})
+    expect = np.outer([0.6, 0.8j], [0.6, -0.8j])
+    for state in (s, DensityMatrix.from_pure(s)):
+        np.testing.assert_allclose(partial_trace(state, ["zz"]).matrix, expect, rtol=0, atol=1e-15)
+        assert partial_trace(state, ["zz", "s59"]).trace() == pytest.approx(1.0, abs=1e-15)
