@@ -19,9 +19,9 @@ this module and through an independent closed-form expansion
 
 P is a dense 8x8 matrix in the register's canonical label order, and the
 oracle fidelities score the projected branch as a plain 8-vector in that
-order; :func:`clone` wraps the same vector as the register's ket.  No dynamics is involved.
-This module doubles as the machine-checkable oracle for the photonic protocol
-in :mod:`clonesim.protocol`.
+order; :func:`clone` wraps the same vector as the register's ket.  No
+dynamics is involved.  This module doubles as the machine-checkable oracle
+for the photonic protocol in :mod:`clonesim.protocol`.
 """
 
 from __future__ import annotations

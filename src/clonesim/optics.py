@@ -225,7 +225,7 @@ class _PairPlan(NamedTuple):
     out_space: Space              # paths A, B renamed out3, out4
     out_positions: np.ndarray     # per cond_space position, its flat position on out_space
     cond_space: Space             # ph3, ph4 and the riders
-    exchange_order: np.ndarray    # (2, d): flat positions on space of x and of xT, in cond_space order
+    exchange_order: np.ndarray    # (2, d): positions on space of x and of xT, in cond_space order
 
 
 @lru_cache(maxsize=64)

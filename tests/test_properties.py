@@ -387,7 +387,8 @@ def test_dense_ket_operations_match_a_dict_reference(case, c, data):
     space_a, a1, a2, space_b, b = case
     ref_a1, ref_a2, ref_b = ({label: complex(v) for label, v in m.items() if v != 0}
                              for m in (a1, a2, b))
-    ket_a1, ket_a2, ket_b = StateVector(space_a, a1), StateVector(space_a, a2), StateVector(space_b, b)
+    ket_a1, ket_a2 = StateVector(space_a, a1), StateVector(space_a, a2)
+    ket_b = StateVector(space_b, b)
     # the non-zero entries, in canonical order
     assert list(ket_a1.amps.items()) == [(label, ref_a1[label]) for label in space_a.labels()
                                          if label in ref_a1]
