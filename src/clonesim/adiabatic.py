@@ -41,8 +41,9 @@ photon) with
 fanout being the number of cavity couplings per excited level (1 at the
 source node, 2 at the remote one).  The photon is exactly the node's (L, R)
 split times the block's envelope sqrt(kappa) c(t): the input (a, b) at the
-source, (1, 1)/sqrt(2) at the remote node.  The emission and loss fluxes are
-diagonal, so they come from the block alone.
+source, (1, 1)/sqrt(2) at the remote node.  The envelope does not depend on
+the split, and the emission and loss fluxes are diagonal, so they come from
+the block alone.
 
 Time evolution is an error-controlled uniform-step RK4 integration of the
 non-Hermitian Schrodinger equation i d|psi>/dt = H_eff |psi> of the block.
@@ -253,10 +254,8 @@ def dark_state(p: SystemParams, omega: PulseSchedule, t: float) -> np.ndarray:
 class DynamicsReport:
     """Everything one passage produces, on the integration grid.
 
-    The emitted photon is ``polarization`` (L, R) times the envelope
-    ``pulse_shape``.  The dominant channel (the larger of
-    ``channel_weights``) sets the phase of both: its polarization component
-    is real positive and the envelope carries its phase in time.
+    The emitted photon is ``polarization``, the node's (L, R) split, times
+    the envelope ``pulse_shape``, which does not depend on the split.
     """
 
     final_state: np.ndarray       # block amplitudes (g, e, c) at t_total
@@ -266,10 +265,10 @@ class DynamicsReport:
     closure_error: float          # |emission + loss + final norm^2 - initial norm^2|
     error_bound: float            # summed step-doubling estimate, <= STEP_TOL
     t_grid: np.ndarray
-    pulse_shape: np.ndarray       # complex envelope f(t), common to both channels
+    pulse_shape: np.ndarray       # sqrt(kappa) c(t) of the block, common to both channels
     channel_pulses: dict          # 'L'/'R' -> sqrt(kappa) * cavity amplitude samples
     channel_weights: dict         # 'L'/'R' -> integrated |f_ch|^2
-    polarization: tuple | None    # (L, R) amplitudes of the photon; None: nothing emitted
+    polarization: tuple | None    # the (L, R) split; None: nothing emitted
     params: SystemParams
     omega: PulseSchedule
 
@@ -334,8 +333,8 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
     in turn, one matrix-vector product per step.  The flux quadratures use
     the same RK4 stage states.  Cavity emission is recorded as the amplitude
     density sqrt(kappa) c(t) at every grid point; each polarization channel
-    is its split amplitude times that envelope, and the photon is the split
-    times the envelope, phased as ``DynamicsReport`` describes.
+    is its split amplitude times that envelope, so the photon is the split
+    times one envelope that every split of the node shares.
 
     Error control: over each pair of steps the two h-step result is compared
     with one RK4 step of size 2h built from the same grid generators; the
@@ -444,19 +443,10 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
 
     closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
 
-    # the photon as (polarization) x (envelope), with the dominant channel's
-    # phase moved from the split onto the envelope
-    envelope = math.sqrt(p.kappa) * photon
-    ch_names = ("L", "R")
-    channels = {name: s * envelope for name, s in zip(ch_names, split)}
+    envelope = math.sqrt(p.kappa) * photon + 0.0     # + 0.0: no signed zeros
+    channels = {name: s * envelope for name, s in zip(("L", "R"), split)}
     weights = {name: float(np.trapezoid(np.abs(f) ** 2, t_grid))
                for name, f in channels.items()}
-    polarization = None
-    if sum(weights.values()) > 0.0:                        # else nothing was emitted
-        s_dom = split[ch_names.index(max(ch_names, key=weights.get))]
-        phase = s_dom / abs(s_dom)
-        polarization = tuple(split * phase.conjugate())
-        envelope = envelope * phase + 0.0     # + 0.0: no signed zeros
 
     return DynamicsReport(
         final_state=psi,
@@ -469,7 +459,7 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
         pulse_shape=envelope,
         channel_pulses=channels,
         channel_weights=weights,
-        polarization=polarization,
+        polarization=tuple(split) if sum(weights.values()) > 0.0 else None,
         params=p,
         omega=omega,
     )

@@ -8,9 +8,10 @@ subsystems such as the remote atom; :func:`photon_pair` scatters one into
 the joint vector.  The waveplates in front of it are no operation of their
 own: ``protocol`` writes them into x.
 
-Every splitter is linear, so it acts on each photon on its own
-(:func:`_transfer`): a photon reaches each output mode with a fixed transfer
-amplitude, its polarization and temporal tag riding along.  A multi-photon
+Every splitter is linear, so it acts on each photon on its own: a photon
+reaches each output mode with a fixed transfer amplitude, its polarization
+and temporal tag riding along (:func:`_transfer` for :func:`beamsplitter`,
+one transfer matrix per stage for the detection network).  A multi-photon
 amplitude is the product of its photons' amplitudes, summed into one Fock
 term, with sqrt(m!) for m photons sharing a mode (Hong-Ou-Mandel bunching).
 Only :func:`beamsplitter`'s output labels carry the bunched occupations.
@@ -34,11 +35,12 @@ of x and its photon swap xT[p,q,r] = x[q,p,r], Hong-Ou-Mandel interference
 - :func:`detection_bookkeeping` routes both photons through a 50:50
   splitter and one more 50:50 splitter per output arm, which takes photon A
   to the detectors (D1, D2, D1', D2') with amplitudes (1/2, 1/2, 1/2, 1/2)
-  and photon B with (-1/2, -1/2, 1/2, 1/2) (one table, routed once through
-  :func:`_transfer`), and post-selects one photon at each detector of an
-  arm.  Each count pattern's weight is n u + |c|^2 sigma v, and the heralded
-  state k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over its probability, with
-  u, v and k read off that table at import.  This is the route an
+  and photon B with (-1/2, -1/2, 1/2, 1/2) (one table, the product of the
+  two stages' transfer matrices), and post-selects one photon at each
+  detector of an arm.  Each count pattern's probability is
+  u + |c|^2 (sigma/n) v, and the heralded state
+  k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over n times its probability,
+  with u, v and k read off that table at import.  This is the route an
   experiment takes; it also handles partially distinguishable photons via
   their envelope overlap c, and it never calls :func:`symmetric_project`.
 
@@ -276,10 +278,7 @@ def photon_pair(x, riders: tuple = ()) -> StateVector:
     scattered into the joint vector through the cached pair layout.  An
     ``x`` whose size is not 4 x dim(riders) raises ``ValueError``.
     """
-    try:
-        plan = _rider_plan(tuple(riders))
-    except TypeError:   # unhashable alphabets (e.g. lists): looked up uncached
-        plan = _rider_plan.__wrapped__(tuple(riders))
+    plan = _rider_plan(tuple((sid, tuple(alpha)) for sid, alpha in riders))
     x = np.asarray(x, dtype=complex)
     if x.size != len(plan.sector):
         raise ValueError(f"{x.size} pair amplitudes for a sector of dimension {len(plan.sector)}")
@@ -370,40 +369,33 @@ class DetectionReport:
     visibility: float
 
 
-# The coincidence network, one splitter stage at a time (arm1 holds D1, D2;
-# arm2 holds D1', D2').
-_NETWORK = (
-    ((PATH_A, (("arm1", _R), ("arm2", _R))), (PATH_B, (("arm1", -_R), ("arm2", _R)))),
-    (("arm1", (("d2", _R), ("d1", _R))), ("arm2", (("d2x", _R), ("d1x", _R)))),
-)
-_DETECTORS = ("d1", "d2", "d1x", "d2x")
-# smallest pair norm ||x|| routed: below it n/16 leaves the normal range
-_PAIR_NORM_FLOOR = 1e-150
-
-
-def _detector_amplitudes(path: str) -> np.ndarray:
-    """Amplitude of one photon entering on ``path`` at each of ``_DETECTORS``."""
-    reached = _transfer(_transfer({(((path,),), ()): 1.0}, _NETWORK[0]), _NETWORK[1])
-    return np.array([reached[(((d,),), ())] for d in _DETECTORS])
-
-
+# The coincidence network as one photon's transfer matrices: the arm splitter
+# takes paths (A, B) to arms (arm1, arm2), and each arm's splitter takes it on
+# to its two detectors, in the order D1, D2, D1', D2'.
+_ARM_SPLITTER = np.array([[_R, -_R], [_R, _R]])
+_DETECTOR_STAGE = np.array([[_R, 0.0], [_R, 0.0], [0.0, _R], [0.0, _R]])
+# U[d, path]: a photon entering on path A (0) or B (1) at detector d;
 # A[d, e]: photon A at detector d and B at e
-_PAIR_AMPS = np.multiply.outer(_detector_amplitudes(PATH_A), _detector_amplitudes(PATH_B))
+_U = _DETECTOR_STAGE @ _ARM_SPLITTER
+_PAIR_AMPS = np.multiply.outer(_U[:, 0], _U[:, 1])
 _COINCIDENCES = ((1, 1, 0, 0), (0, 0, 1, 1))
+# smallest pair norm ||x|| routed: below it the heralded state's entries,
+# of order n/16, leave the normal range
+_PAIR_NORM_FLOOR = 1e-150
 
 
 def _count_weights() -> tuple:
     """(pattern, u, v) per count pattern over the four detectors, in the
     order the ordered detector pairs (d, e) first reach it.
 
-    A pattern's probability is n u + |c|^2 sigma v, summed over the (d, e)
-    that give it: u = sum A[d, e]^2 and v = sum A[d, e] A[e, d].  Both photon
-    orderings of one Fock term land on the same pattern, so the n part of
-    the partly distinguishable term is independent of c.
+    A pattern's probability is u + |c|^2 (sigma/n) v, summed over the
+    (d, e) that give it: u = sum A[d, e]^2 and v = sum A[d, e] A[e, d].  Both
+    photon orderings of one Fock term land on the same pattern, so the u part
+    of the partly distinguishable term is independent of c.
     """
     out: dict = {}
     for (d, e), a in np.ndenumerate(_PAIR_AMPS):
-        pattern = tuple((d == f) + (e == f) for f in range(len(_DETECTORS)))
+        pattern = tuple((d == f) + (e == f) for f in range(len(_U)))
         u, v = out.get(pattern, (0.0, 0.0))
         out[pattern] = (u + float(a * a), v + float(a * _PAIR_AMPS[e, d]))
     return tuple((pattern, u, v) for pattern, (u, v) in out.items())
@@ -429,16 +421,17 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
     emission envelope against the A photon's.  |overlap_c| = 1 means fully
     indistinguishable photons; the orthogonal remainder never interferes, so
     only the part |c|^2 of the exchange terms survives.  In exchange form
-    (module docstring): each count pattern has weight n u + |c|^2 sigma v,
-    and the heralded state over ph3, ph4 and the riders (temporal tags
-    traced out) is k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over the
-    coincidence weight, with u, v and k read off the per-photon detector
-    amplitudes, which one pass through :func:`_transfer` gives.  Each
+    (module docstring): each count pattern has probability
+    u + |c|^2 (sigma/n) v, a function of the ratio sigma/n alone, and the
+    heralded state over ph3, ph4 and the riders (temporal tags traced out)
+    is k [x x+ + xT xT+ + |c|^2 (x xT+ + xT x+)] over n times the
+    coincidence probability, with u, v and k read off the per-photon detector
+    amplitudes, the product of the two stages' transfer matrices.  Each
     exchange pair is summed as a + b, so the state is bitwise symmetric
     under ph3 <-> ph4.
 
     A nan overlap or pair raises ``ValueError``; a pair whose norm is zero,
-    or so small that its pattern weights would underflow, raises
+    or so small that its heralded state would underflow, raises
     ``DegenerateNormError``.
     """
     c = complex(overlap_c)
@@ -451,11 +444,11 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
             raise ValueError(f"unexpected photonic mode {sid!r}; only paths A and B are routed")
     _checked_norm(n, _PAIR_NORM_FLOOR)
 
-    exchange = visibility * sigma
-    dist = {pattern: w for pattern, u, v in _COUNT_WEIGHTS if (w := n * u + exchange * v) != 0.0}
+    exchange = visibility * (sigma / n)
+    dist = {pattern: w for pattern, u, v in _COUNT_WEIGHTS if (w := u + exchange * v) != 0.0}
     p_coincidence = dist.get(_COINCIDENCES[0], 0.0) + dist.get(_COINCIDENCES[1], 0.0)
     rho = None
-    if p_coincidence / n > 1e-30:
+    if p_coincidence > 1e-30:
         outer = rows[:, None, :, None] * rows.conj()[None, :, None, :]    # [i, j]: row i (row j)+
         gram = outer[0, 0] + outer[1, 1]
         gram *= _K
@@ -466,13 +459,13 @@ def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> Detection
         # array by a real through its reciprocal, one rounding more; + 0.0:
         # no signed zeros
         parts = gram.view(float)
-        parts /= p_coincidence
+        parts /= n * p_coincidence
         parts += 0.0
         rho = DensityMatrix.from_array(plan.cond_space, gram)
 
     return DetectionReport(
-        p_coincidence=p_coincidence / n,
-        count_distribution={k: v / n for k, v in dist.items()},
+        p_coincidence=p_coincidence,
+        count_distribution=dist,
         rho_conditional=rho,
         visibility=visibility,
     )

@@ -7,9 +7,11 @@ Two execution modes share one scoring path:
   (|gR>|H> - |gL>|V>)/sqrt(2), and both photons are perfectly
   indistinguishable.
 - dynamic: both nodes are integrated with ``adiabatic.evolve``, which returns
-  each emitted photon as a polarization vector and an envelope; the
-  temporal overlap of the two envelopes enters the coincidence bookkeeping as
-  the complex visibility factor.
+  each emitted photon as its node's (L, R) split times an envelope that does
+  not depend on the split.  So the pair is built from the same splits as the
+  analytic one; the passages add only the emission probabilities, the
+  temporal overlap of the two envelopes (the complex visibility factor of the
+  coincidence bookkeeping) and diagnostics.
 
 Either way the two photons' circular amplitudes become one array: the
 waveplates are written into the product x[pol_A, pol_B, atomB]
@@ -395,7 +397,7 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
                               rep_b.t_grid, rep_b.pulse_shape)
     x = None
     if rep_a.polarization is not None and rep_b.polarization is not None:
-        x = _pair_x(rep_a.polarization, rep_b.polarization)
+        x = _pair_x((q.a, q.b), _REMOTE_SPLIT)     # the splits, as run_analytic pairs them
     return _finish(cfg, x, c, rep_a.emission_prob, rep_b.emission_prob,
                    (rep_a, rep_b), tuple(notes))
 

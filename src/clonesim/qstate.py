@@ -69,7 +69,7 @@ class DegenerateNormError(ValueError):
 @lru_cache(maxsize=256)
 def _canonical(subsystems: tuple) -> tuple:
     """(sorted subsystems, their ids, dimension, shape, offsets) of a raw
-    layout, validated.
+    layout of (id, alphabet tuple) pairs, validated.
 
     ``offsets`` pairs each id with {level: level index x stride}, the stride
     being the product of the alphabet sizes after it, so a label's flat
@@ -78,7 +78,7 @@ def _canonical(subsystems: tuple) -> tuple:
     per process; a bad layout raises on every call (exceptions are not
     cached).
     """
-    ordered = tuple(sorted(((sid, tuple(alpha)) for sid, alpha in subsystems)))
+    ordered = tuple(sorted(subsystems))
     ids = tuple(sid for sid, _ in ordered)
     if len(set(ids)) != len(ids):
         raise CompositionError(f"duplicate subsystem ids in space: {list(ids)}")
@@ -116,11 +116,8 @@ class Space:
     offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = tuple(self.subsystems)
-        try:
-            ordered, ids, dim, shape, offsets = _canonical(raw)
-        except TypeError:   # unhashable alphabets (e.g. lists): validate uncached
-            ordered, ids, dim, shape, offsets = _canonical.__wrapped__(raw)
+        raw = tuple((sid, tuple(alpha)) for sid, alpha in self.subsystems)
+        ordered, ids, dim, shape, offsets = _canonical(raw)
         self.__dict__.update(subsystems=ordered, ids=ids, dim=dim, shape=shape,
                              offsets=offsets)
 

@@ -43,6 +43,9 @@ def _occ(label, path, pol):
 def test_photon_pair_refuses_an_array_of_the_wrong_size():
     atom = (("atomB", ("gL", "gR")),)
     assert photon_pair(np.ones((2, 2, 2)), atom).space.dim == 32
+    # a list alphabet names the same layout as its tuple
+    assert photon_pair(np.ones((2, 2, 2)), [["atomB", ["gL", "gR"]]]).space \
+        == photon_pair(np.ones((2, 2, 2)), atom).space
     for x, riders in ((np.ones(4), atom), (np.ones(8), ()), (np.ones(3), ())):
         with pytest.raises(ValueError, match="pair amplitudes"):
             photon_pair(x, riders)
@@ -332,6 +335,23 @@ def _swap_photons(rho):
     """rho on (atomB, ph3, ph4) with ph3 and ph4 exchanged."""
     m = rho.matrix.reshape((2,) * 6)
     return m.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+
+
+def test_detector_table_routes_each_photon_through_both_stages():
+    # the stage matrices' product is the table the general Fock transfer
+    # gives when it routes one photon at a time, bit for bit
+    r = 1.0 / math.sqrt(2.0)
+    stages = (((PATH_A, (("arm1", r), ("arm2", r))), (PATH_B, (("arm1", -r), ("arm2", r)))),
+              (("arm1", (("d1", r), ("d2", r))), ("arm2", (("d1x", r), ("d2x", r)))))
+
+    def reached(path):
+        terms = {(((path,),), ()): 1.0}
+        for stage in stages:
+            terms = optics._transfer(terms, stage)
+        return np.array([terms[(((d,),), ())] for d in ("d1", "d2", "d1x", "d2x")])
+
+    table = np.multiply.outer(reached(PATH_A), reached(PATH_B))
+    assert optics._PAIR_AMPS.tobytes() == table.tobytes()
 
 
 def test_the_three_heralded_terms_share_one_weight():

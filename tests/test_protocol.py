@@ -382,22 +382,38 @@ def test_dynamic_diagnostics_recorded(dynamic_report):
         assert dyn.closure_error < 1e-8
 
 
-def test_integrated_scores_are_input_independent():
-    # every input rides the same integrated envelope, so the integrated
-    # clone and tele-NOT fidelities are universal, as the ideal ones are
-    alice = NodeConfig(SystemParams(side=Side.ALICE), PulseSchedule(omega_max=2.0, t_total=25.0))
+def _brisk(q: InputQubit, kappa_alice: float = 1.0) -> ProtocolConfig:
+    """The dynamic config of ``q`` on the brisk t_total-25 schedule, matched drives."""
+    alice = NodeConfig(SystemParams(side=Side.ALICE, kappa=kappa_alice),
+                       PulseSchedule(omega_max=2.0, t_total=25.0))
     bob = NodeConfig(SystemParams(side=Side.BOB),
                      PulseSchedule(omega_max=2.0 * math.sqrt(2.0), t_total=25.0))
+    return ProtocolConfig(input=q, mode=Mode.DYNAMIC, alice=alice, bob=bob, dt=0.025)
+
+
+def test_integrated_scores_are_input_independent():
+    # every input rides the same integrated envelope and enters only as its
+    # split, so the visibility, the probabilities and the emissions take one
+    # value and the fidelities are universal, as the ideal ones are
     rng = np.random.default_rng(31)
-    reps = [run_dynamic(ProtocolConfig(input=haar_qubit(rng), mode=Mode.DYNAMIC,
-                                       alice=alice, bob=bob, dt=0.025))
-            for _ in range(100)]
-    for name in ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity",
-                 "overlap_visibility"):
+    reps = [run_dynamic(_brisk(haar_qubit(rng))) for _ in range(100)]
+    for name in ("clone_fidelity_1", "clone_fidelity_2", "telenot_fidelity"):
         assert np.var([getattr(r, name) for r in reps]) <= 1e-20, name
-    for name in ("emission_prob_alice", "emission_prob_bob"):
+    for name in ("overlap_visibility", "p_operational", "emission_prob_alice",
+                 "emission_prob_bob"):
         assert len({getattr(r, name) for r in reps}) == 1, name
     assert reps[0].clone_fidelity_1 == pytest.approx(5.0 / 6.0, abs=2e-3)
+
+
+def test_integrated_post_state_is_the_analytic_one():
+    # both routes pair the same splits, so the heralded pure state agrees bit
+    # for bit, global phase included, whichever channel is the larger
+    for a, b in ((0.6, 0.8j), (0.8j, 0.6)):
+        q = InputQubit(a, b)
+        dynamic = run_dynamic(_brisk(q)).post_state
+        ideal = run_analytic(ProtocolConfig(input=q)).post_state
+        assert dynamic.space == ideal.space
+        assert dynamic.vector.tobytes() == ideal.vector.tobytes(), (a, b)
 
 
 def test_degenerate_emission_is_noted():
@@ -464,16 +480,14 @@ def test_pulse_csv_matches_per_cell_reference(dynamic_report):
 
 
 def test_pulse_csvs_hold_no_negative_zero():
-    # alice's envelope carries the dominant channel's phase, here exactly i;
-    # that product must leave no -0 cell in either pulse file
-    alice = NodeConfig(SystemParams(side=Side.ALICE), PulseSchedule(omega_max=2.0, t_total=25.0))
-    bob = NodeConfig(SystemParams(side=Side.BOB),
-                     PulseSchedule(omega_max=2.0 * math.sqrt(2.0), t_total=25.0))
-    rep = run_dynamic(ProtocolConfig(input=InputQubit(0.6, 0.8j), mode=Mode.DYNAMIC,
-                                     alice=alice, bob=bob, dt=0.025))
-    for dyn in rep.dynamics_diags:
-        cells = [cell for row in pulse_csv(dyn).splitlines()[1:] for cell in row.split(",")]
-        assert "-0" not in cells, dyn.params.side
+    # each envelope is sqrt(kappa) c(t) of its block; a negative amplitude
+    # times sqrt(0) is -0.0, so a kappa = 0 node must not leave a -0 cell in
+    # its pulse file either
+    for kappa in (1.0, 0.0):
+        rep = run_dynamic(_brisk(InputQubit(0.6, 0.8j), kappa_alice=kappa))
+        for dyn in rep.dynamics_diags:
+            cells = [cell for row in pulse_csv(dyn).splitlines()[1:] for cell in row.split(",")]
+            assert "-0" not in cells, (kappa, dyn.params.side)
 
 
 def test_pulse_csv_shape(dynamic_report):

@@ -33,7 +33,7 @@ def test_space_order_is_canonical():
 
 
 def test_space_accepts_list_alphabets():
-    # lists are unhashable, so this layout is validated without the memo
+    # lists are unhashable; the layout is memoized with its alphabets as tuples
     assert Space([["b", ["0", "1"]], ("a", ["x", "y"])]) == Space((("a", ("x", "y")),
                                                                    ("b", ("0", "1"))))
 
