@@ -453,6 +453,9 @@ def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, floa
     A detector facing n photons clicks unless all n and the dark count miss;
     an arm heralds when both its detectors click.  Both sums run in the
     per-pattern order, so they are the per-pattern sums to the last bit.
+    The herald probability is capped at 1: branch weights that sum to 1 only
+    up to rounding can carry a certain herald (every detector sure to click)
+    an ulp above it.
     """
     counts, probs = _pattern_table(branches)
     click = np.array([1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
@@ -467,7 +470,7 @@ def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, floa
         for pat in _COINC_PATTERNS:
             if pat in dist:
                 p_true += weight * dist[pat] * eta * eta
-    return p_detected, p_true
+    return min(p_detected, 1.0), p_true
 
 
 def detector_model(report: CloneReport, eta: float, dark_rate: float,

@@ -535,6 +535,8 @@ _MC_ALPHA = 2.0 * norm.sf(5.0)     # a two-sided 5 sigma normal tail, ~5.7e-7
 
 
 @example(pa=0.0, pb=0.0625, eta=0.0625, p_dark=1e-5)     # one herald where 0.006 are due
+# every detector sure to click: the branch weights' rounding once read 1 + 1 ulp
+@example(pa=0.23432210290692496, pb=0.23432210290692496, eta=0.0, p_dark=0.9999999999999999)
 @example(pa=1.0, pb=1.0, eta=0.0, p_dark=0.0)
 @example(pa=1.0, pb=1.0, eta=1.0, p_dark=0.0)
 @example(pa=0.5, pb=0.25, eta=1.0, p_dark=0.5)
