@@ -137,19 +137,23 @@ def projector_p123() -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=32)
 def _clone_vector(q: InputQubit) -> tuple[np.ndarray, float]:
     """The projection branch as a unit 8-vector, and its probability.
 
     |q>_1 x |psi->_23 is written out in the order of ``qubit_space(q1, q2,
     q3)`` (index 4 q1 + 2 q2 + q3), projected, and renormalized under the
-    floor of ``qstate.normalize``.
+    floor of ``qstate.normalize``.  Memoized per input, so both oracle
+    fidelities of one input share one branch; the vector is read-only.
     """
     r = 1.0 / math.sqrt(2.0)
     a, b = q.a, q.b
     pre = np.array([0.0, a * r, a * -r, 0.0, 0.0, b * r, b * -r, 0.0])
     projected = projector_p123() @ pre
     n2 = float(np.vdot(projected, projected).real)
-    return projected * (1.0 / _checked_norm(n2)), n2
+    vec = projected * (1.0 / _checked_norm(n2))
+    vec.flags.writeable = False
+    return vec, n2
 
 
 def clone(q: InputQubit) -> CloneOutput:

@@ -96,8 +96,10 @@ REQUIRED_KEYS = tuple(k for k, (_, d) in KEY_TABLE.items() if d is None)
 _NODE_FIELDS = {side: tuple((key, key[len(side.value) + 1:]) for key in KEY_TABLE
                             if key.startswith(side.value + "."))
                 for side in Side}
-_SORTED_KEYS = tuple(sorted(KEY_TABLE))
-_DEFAULTS = {key: default for key, (_, default) in KEY_TABLE.items()}
+# every key's default, in sorted order: the order ``resolved`` lists them
+_DEFAULTS = {key: KEY_TABLE[key][1] for key in sorted(KEY_TABLE)}
+# a key's position in KEY_TABLE, the order the parse reports bad values in
+_POSITION = {key: k for k, key in enumerate(KEY_TABLE)}
 # per side, the node every default value gives, built and validated once, and
 # the keys whose presence asks for another
 _DEFAULT_NODES = {side: NodeConfig.from_values(side, {name: _DEFAULTS[key]
@@ -124,18 +126,18 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
     Unknown keys raise; absent optional keys take their defaults; required
     keys (seed, input.a, input.b) must be present.
     """
-    unknown = sorted(set(values) - set(KEY_TABLE))
+    unknown = sorted(key for key in values if key not in _POSITION)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     parsed = dict(_DEFAULTS)
-    for key, (parser, _) in KEY_TABLE.items():
-        if key in values:
-            raw = values[key]
-            try:
-                parsed[key] = parser(raw) if isinstance(raw, str) else parser(str(raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
+    # only the given keys, in KEY_TABLE order so the first bad one is named
+    for key in sorted(values, key=_POSITION.__getitem__):
+        raw = values[key]
+        try:
+            parsed[key] = KEY_TABLE[key][0](raw if isinstance(raw, str) else str(raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
 
     missing = sorted(k for k in REQUIRED_KEYS if parsed[k] is None)
     if missing:
@@ -167,13 +169,14 @@ def settings_from_values(values: dict, mode: Mode | str = Mode.ANALYTIC) -> RunS
         raise ConfigError(str(exc)) from None
 
     raw_norm_sq = abs(parsed["input.a"]) ** 2 + abs(parsed["input.b"]) ** 2
-    resolved = {key: parsed[key] for key in _SORTED_KEYS}
+    # parsed lists every key in sorted order (as _DEFAULTS does); it becomes
+    # the manifest's record once the complex values are [re, im] pairs
     for key in _COMPLEX_KEYS:
-        resolved[key] = [resolved[key].real, resolved[key].imag]
+        parsed[key] = [parsed[key].real, parsed[key].imag]
     return RunSettings(
         config=cfg,
         max_excited=parsed["adiabaticity.max_excited"],
-        resolved=resolved,
+        resolved=parsed,
         input_norm_sq=raw_norm_sq,
     )
 

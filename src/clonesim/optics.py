@@ -318,6 +318,8 @@ class CoincidenceOutcome:
     projected_state: StateVector | None   # normalized; None on heralded failure
     probability: float                    # squared norm of the projected branch
     raw_state: StateVector                # the projected branch before normalizing
+    norm_sq: float                        # n = ||x||^2 of the pair
+    sigma: float                          # its exchange overlap
 
     @property
     def raw_amplitudes(self) -> Mapping:
@@ -331,9 +333,9 @@ def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     Applies I - |psi-><psi-| to the two polarization qubits, which turns x
     into (x + xT)/2 (any extra subsystems ride along untouched), renames
     paths A -> out3, B -> out4 and normalizes.  ``probability`` is the
-    squared norm of the projection, (n + sigma)/2; a singlet input is a
-    heralded failure (probability 0, no state) and a nan pair raises
-    ``ValueError``.
+    squared norm of the projection, (n + sigma)/2, and the outcome keeps n
+    and sigma themselves; a singlet input is a heralded failure (probability
+    0, no state) and a nan pair raises ``ValueError``.
     """
     rows, n, sigma, plan = _exchange_form(s)
     prob = 0.5 * (n + sigma)
@@ -343,8 +345,9 @@ def symmetric_project(s: StateVector) -> CoincidenceOutcome:
     try:
         scale = 1.0 / _checked_norm(prob)
     except DegenerateNormError:
-        return CoincidenceOutcome(None, 0.0, raw_state)
-    return CoincidenceOutcome(StateVector.from_array(plan.out_space, scale * raw), prob, raw_state)
+        return CoincidenceOutcome(None, 0.0, raw_state, n, sigma)
+    return CoincidenceOutcome(StateVector.from_array(plan.out_space, scale * raw), prob, raw_state,
+                              n, sigma)
 
 
 # ---------------------------------------------------------------------------

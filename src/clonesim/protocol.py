@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -326,7 +326,9 @@ def _finish(cfg: ProtocolConfig, x: np.ndarray | None, overlap_c: complex,
         if detection.rho_conditional is None:
             raise RuntimeError("no coincidence support in the assembled state")
         post, rho = sym.projected_state, detection.rho_conditional
-        p_sym = sym.probability / float(np.vdot(x, x).real)     # x may be sub-normalized
+        # the branch probability of the normalized pair, in the ratio sigma/n
+        # the pattern probabilities use (x may be sub-normalized)
+        p_sym = 0.5 * (1.0 + sym.sigma / sym.norm_sq)
         p_op = emit_a * emit_b * detection.p_coincidence
         dist, visibility = dict(detection.count_distribution), detection.visibility
 
@@ -436,8 +438,9 @@ def _branches(report: CloneReport) -> list[tuple[float, dict]]:
 
 def _pattern_table(branches: list) -> tuple[np.ndarray, np.ndarray]:
     """(patterns x 4) count matrix of every branch's click patterns and their
-    probabilities weight * q; each branch's patterns in sorted order, so
-    nothing computed from the table depends on insertion order."""
+    probabilities weight * q, the table the Monte Carlo draws from; each
+    branch's patterns in sorted order, so no draw depends on insertion
+    order."""
     pats = []
     probs = []
     for weight, dist in branches:
@@ -451,26 +454,34 @@ def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, floa
     """(herald probability, its true-coincidence part) over the branches.
 
     A detector facing n photons clicks unless all n and the dark count miss;
-    an arm heralds when both its detectors click.  Both sums run in the
-    per-pattern order, so they are the per-pattern sums to the last bit.
-    The herald probability is capped at 1: branch weights that sum to 1 only
-    up to rounding can carry a certain herald (every detector sure to click)
-    an ulp above it.
+    an arm heralds when both its detectors click.  Both sums run over each
+    branch's patterns in sorted order, so they do not depend on insertion
+    order.  The herald probability is capped at 1: branch weights that sum
+    to 1 only up to rounding can carry a certain herald (every detector sure
+    to click) an ulp above it.
     """
-    counts, probs = _pattern_table(branches)
-    click = np.array([1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
-                      for n in range(int(counts.max(initial=0)) + 1)])
-    c1, c2, c3, c4 = click[counts].T
-    both = c1 * c2
-    p_detected = 0.0
-    for term in (probs * (both + c3 * c4 - both * c3 * c4)).tolist():
-        p_detected += term
-    p_true = 0.0
+    # click probability of a detector facing 0, 1 or 2 photons: two photons
+    # enter the network, so no detector faces more
+    click = [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
+    p_detected = p_true = 0.0
     for weight, dist in branches:
+        for pat in sorted(dist):
+            n1, n2, n3, n4 = pat
+            c3, c4 = click[n3], click[n4]
+            both = click[n1] * click[n2]
+            p_detected += weight * dist[pat] * (both + c3 * c4 - both * c3 * c4)
         for pat in _COINC_PATTERNS:
             if pat in dist:
                 p_true += weight * dist[pat] * eta * eta
     return min(p_detected, 1.0), p_true
+
+
+@functools.lru_cache(maxsize=8)
+def _maximally_mixed(d: int) -> np.ndarray:
+    """I/d, the state dark-count heralds dilute toward; shared and read-only."""
+    mixed = np.eye(d) / d
+    mixed.flags.writeable = False
+    return mixed
 
 
 def detector_model(report: CloneReport, eta: float, dark_rate: float,
@@ -498,37 +509,50 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
     branches = _branches(report)
 
+    rho, f1, f2, ft = (report.rho_post, report.clone_fidelity_1, report.clone_fidelity_2,
+                       report.telenot_fidelity)
     if dark_rate == 0.0:
         # exact eta^2 law; fidelities and state bit-identical by construction
-        changes = {"p_detected": report.p_operational * eta * eta,
-                   "false_herald_fraction": 0.0}
+        p_detected, w_false = report.p_operational * eta * eta, 0.0
     else:
         p_detected, p_true = _closed_form(branches, eta, p_dark)
         w_false = 1.0 - p_true / p_detected if p_detected > 0 else 0.0
-        rho = report.rho_post
         if rho is not None:
-            d = rho.space.dim
-            rho = DensityMatrix.from_array(
-                rho.space, rho.matrix * (1.0 - w_false) + np.eye(d) / d * w_false)
-        changes = {
-            "p_detected": p_detected,
-            "false_herald_fraction": w_false,
-            "rho_post": rho,
-            "clone_fidelity_1": (1.0 - w_false) * report.clone_fidelity_1 + w_false * 0.5,
-            "clone_fidelity_2": (1.0 - w_false) * report.clone_fidelity_2 + w_false * 0.5,
-            "telenot_fidelity": (1.0 - w_false) * report.telenot_fidelity + w_false * 0.5,
-        }
+            mixed = _maximally_mixed(rho.space.dim) * w_false
+            rho = DensityMatrix.from_array(rho.space, rho.matrix * (1.0 - w_false) + mixed)
+        f1 = (1.0 - w_false) * f1 + w_false * 0.5
+        f2 = (1.0 - w_false) * f2 + w_false * 0.5
+        ft = (1.0 - w_false) * ft + w_false * 0.5
 
+    mc_p, mc_trials, mc_sigma = report.mc_p_detected, report.mc_trials, report.mc_sigma
     if trials > 0:
-        p = changes["p_detected"]
-        changes.update(mc_p_detected=_detection_mc(branches, eta, p_dark, seed, trials),
-                       mc_trials=trials,
-                       mc_sigma=math.sqrt(max(p * (1.0 - p), 0.0) / trials))
+        mc_p, mc_trials = _detection_mc(branches, eta, p_dark, seed, trials), trials
+        mc_sigma = math.sqrt(max(p_detected * (1.0 - p_detected), 0.0) / trials)
+    notes = report.diagnostics
     if dark_rate * window > 0.2:
-        changes["diagnostics"] = report.diagnostics + (
-            f"dark_rate*window = {dark_rate * window:.3g} is not small; "
-            "the per-window dark-click model assumes << 1",)
-    return replace(report, **changes)
+        notes = notes + (f"dark_rate*window = {dark_rate * window:.3g} is not small; "
+                         "the per-window dark-click model assumes << 1",)
+    return CloneReport(
+        config=report.config,
+        post_state=report.post_state,
+        rho_post=rho,
+        clone_fidelity_1=f1,
+        clone_fidelity_2=f2,
+        telenot_fidelity=ft,
+        p_symmetric=report.p_symmetric,
+        p_operational=report.p_operational,
+        p_detected=p_detected,
+        overlap_visibility=report.overlap_visibility,
+        emission_prob_alice=report.emission_prob_alice,
+        emission_prob_bob=report.emission_prob_bob,
+        count_distribution=report.count_distribution,
+        false_herald_fraction=w_false,
+        mc_p_detected=mc_p,
+        mc_trials=mc_trials,
+        mc_sigma=mc_sigma,
+        dynamics_diags=report.dynamics_diags,
+        diagnostics=notes,
+    )
 
 
 def _detection_mc(branches: list, eta: float, p_dark: float,

@@ -1,7 +1,10 @@
 """Key=value config parsing: defaults, diagnostics, round trips."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from clonesim.cloner import InputQubit
 from clonesim.config import (
     KEY_TABLE,
     REQUIRED_KEYS,
@@ -12,8 +15,8 @@ from clonesim.config import (
     values_from_text,
 )
 from clonesim import config
-from clonesim.adiabatic import Side
-from clonesim.protocol import Mode, NodeConfig, default_node
+from clonesim.adiabatic import PULSE_SHAPES, Side
+from clonesim.protocol import DetectorParams, Mode, NodeConfig, ProtocolConfig, default_node
 
 MINIMAL = "seed = 4\ninput.a = 0.6\ninput.b = 0.8\n"
 
@@ -61,6 +64,83 @@ def test_unknown_key_is_named():
 def test_bad_value_names_key_and_value():
     with pytest.raises(ConfigError, match=r"detector\.eta.*nope"):
         parse_config_text(MINIMAL + "detector.eta = nope\n", Mode.ANALYTIC)
+
+
+def test_first_bad_key_in_table_order_is_named():
+    # two bad values, given in the reverse of KEY_TABLE's order: the parse
+    # names the one KEY_TABLE lists first, whatever order the values came in
+    values = {"seed": "1", "input.a": "0.6", "input.b": "0.8",
+              "detector.window": "wide", "alice.gamma": "lots"}
+    table = list(KEY_TABLE)
+    assert table.index("alice.gamma") < table.index("detector.window")
+    with pytest.raises(ConfigError, match=r"^bad value for 'alice\.gamma': 'lots'"):
+        settings_from_values(values, Mode.ANALYTIC)
+
+
+def _valid_value(key: str):
+    """A strategy for a value ``key`` accepts, as the parsed Python value."""
+    default = KEY_TABLE[key][1]
+    if key == "seed":
+        return st.integers(0, 2**31)
+    if key in ("input.a", "input.b"):
+        return st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    if key.endswith(".shape"):
+        return st.sampled_from(PULSE_SHAPES)
+    if key == "detector.mc_trials":
+        return st.integers(0, 10**6)
+    if key == "detector.dark_rate":
+        return st.floats(0.0, 0.01)
+    # every other key keeps its range when its default is scaled into (0, 1]
+    return st.floats(0.25, 1.0).map(lambda f: default * f)
+
+
+_OPTIONAL = [key for key in KEY_TABLE if key not in REQUIRED_KEYS]
+
+
+@st.composite
+def _valid_values(draw):
+    """(raw string values, parsed values) for the required keys and a random
+    subset of the optional ones, in random order."""
+    keys = list(REQUIRED_KEYS) + draw(st.lists(st.sampled_from(_OPTIONAL), unique=True))
+    parsed = {key: draw(_valid_value(key)) for key in draw(st.permutations(keys))}
+    if abs(parsed["input.a"]) ** 2 + abs(parsed["input.b"]) ** 2 < 1e-6:
+        parsed["input.a"] = 1.0 + 0j
+    raw = {key: v if isinstance(v, str) else repr(v) for key, v in parsed.items()}
+    return raw, parsed
+
+
+@given(_valid_values())
+def test_settings_are_the_defaults_plus_the_given_values(values):
+    raw, given_values = values
+    merged = {key: default for key, (_, default) in KEY_TABLE.items()}
+    merged.update(given_values)
+
+    def node(side):
+        prefix = side.value + "."
+        return NodeConfig.from_values(side, {key[len(prefix):]: value
+                                             for key, value in merged.items()
+                                             if key.startswith(prefix)})
+
+    expected = ProtocolConfig(
+        input=InputQubit.normalized(merged["input.a"], merged["input.b"]),
+        alice=node(Side.ALICE),
+        bob=node(Side.BOB),
+        mode=Mode.ANALYTIC,
+        detector=DetectorParams(eta=merged["detector.eta"],
+                                dark_rate=merged["detector.dark_rate"],
+                                window=merged["detector.window"]),
+        seed=merged["seed"],
+        dt=merged["dt"],
+        emission_floor=merged["emission_floor"],
+        mc_trials=merged["detector.mc_trials"],
+    )
+    settings = settings_from_values(raw, Mode.ANALYTIC)
+    assert settings.config == expected
+    assert settings.max_excited == merged["adiabaticity.max_excited"]
+    assert list(settings.resolved) == sorted(KEY_TABLE)
+    assert settings.resolved == {key: [value.real, value.imag] if isinstance(value, complex)
+                                 else value for key, value in merged.items()}
+    assert settings.input_norm_sq == abs(merged["input.a"]) ** 2 + abs(merged["input.b"]) ** 2
 
 
 def test_missing_required_keys_are_named():

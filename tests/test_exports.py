@@ -44,6 +44,32 @@ def test_no_memo_grows_without_bound():
     assert not unbounded, f"memos without a size bound: {unbounded}"
 
 
+def _cloner_branch():
+    from clonesim import cloner
+    from clonesim.cloner import InputQubit
+    return cloner._clone_vector, (InputQubit(0.6, 0.8j),), lambda out: out[0]
+
+
+def _mixed_state():
+    from clonesim import protocol
+    return protocol._maximally_mixed, (8,), lambda out: out
+
+
+@pytest.mark.parametrize("case", [_cloner_branch, _mixed_state], ids=lambda c: c.__name__[1:])
+def test_memoized_arrays_are_bounded_and_read_only(case):
+    # a memo hands every caller the same array: a write into it would change
+    # every later result for that argument
+    fn, args, array_of = case()
+    mod = importlib.import_module(fn.__module__)
+    assert fn in list(_cache_wrappers(mod)) and fn.cache_parameters()["maxsize"] is not None
+    first = array_of(fn(*args))
+    kept = first.copy()
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    again = array_of(fn(*args))
+    assert again is first and again.tobytes() == kept.tobytes()
+
+
 def _unused_relative_imports(path: Path) -> list:
     """Names a module brings in by ``from .x import`` and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

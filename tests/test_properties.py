@@ -602,6 +602,47 @@ def test_dark_count_closed_form_is_the_per_pattern_loop(pa, pb, eta, dark_rate):
     assert got.false_herald_fraction == pytest.approx(w_false, rel=1e-15, abs=0.0)
 
 
+def _closed_form_arrays(branches: list, eta: float, p_dark: float) -> tuple:
+    """The dark-count closed form as array arithmetic: click probabilities
+    indexed by the (patterns x 4) count matrix, the herald terms summed per
+    pattern in each branch's sorted order, the herald probability capped at 1."""
+    pats = [pat for _, dist in branches for pat in sorted(dist)]
+    probs = np.array([weight * dist[pat] for weight, dist in branches for pat in sorted(dist)])
+    counts = np.array(pats, dtype=int).reshape(-1, 4)
+    click = np.array([1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
+                      for n in range(int(counts.max(initial=0)) + 1)])
+    c1, c2, c3, c4 = click[counts].T
+    both = c1 * c2
+    p_detected = 0.0
+    for term in (probs * (both + c3 * c4 - both * c3 * c4)).tolist():
+        p_detected += term
+    p_true = 0.0
+    for weight, dist in branches:
+        for pat in ((0, 0, 1, 1), (1, 1, 0, 0)):
+            if pat in dist:
+                p_true += weight * dist[pat] * eta * eta
+    return min(p_detected, 1.0), p_true
+
+
+# every detector all but sure to click: the herald sum reads 1 + 1 ulp uncapped
+@example(pa=0.23432210290692496, pb=0.23432210290692496, eta=0.0,
+         p_dark=0.9999999999999999, ratio=0.5, vis=1.0)
+@example(pa=1.0, pb=1.0, eta=1.0, p_dark=0.0, ratio=-1.0, vis=1.0)     # a singlet pair
+@example(pa=0.0, pb=0.0, eta=0.5, p_dark=0.5, ratio=0.5, vis=0.0)
+@given(_unit, _unit, _unit, st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-1.0, 1.0), _unit)
+def test_dark_count_closed_form_is_the_array_form(pa, pb, eta, p_dark, ratio, vis):
+    # any pair the network can see: its count distribution is u + |c|^2
+    # (sigma/n) v over the patterns (optics' exchange form), so (sigma/n,
+    # |c|^2) and the emission probabilities span every set of branches
+    dist = {pat: w for pat, u, v in optics._COUNT_WEIGHTS if (w := u + vis * ratio * v) != 0.0}
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     count_distribution=dist)
+    branches = protocol._branches(report)
+    expect = _closed_form_arrays(branches, eta, p_dark)
+    assert protocol._closed_form(branches, eta, p_dark) == expect
+
+
 # --- scores on arrays against the labeled route ------------------------------
 
 _SCORED = Space((("atomB", ("gL", "gR")), ("ph3", POLS), ("ph4", POLS)))

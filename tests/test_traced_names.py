@@ -9,6 +9,7 @@ the check runs with the unit tests and needs nothing outside ``clonesim``.
 
 import dataclasses
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -55,3 +56,31 @@ def test_rho_post_entries_count_its_non_zero_entries():
 
     rho = run(ProtocolConfig(input=InputQubit(0.6, 0.8j))).rho_post
     assert len(rho.entries) == sum(1 for v in rho.matrix.flat if v != 0) > 0
+
+
+# the stages of an analytic run that the traced pass times as their own spans
+TRACED_STAGES = ("symmetric_project", "detection_bookkeeping", "detector_model")
+
+
+@pytest.mark.parametrize("detector,trials", [
+    pytest.param({}, 0, id="plain"),
+    pytest.param({"eta": 0.8, "dark_rate": 2e-3}, 0, id="dark-counts"),
+    pytest.param({"eta": 0.8, "dark_rate": 2e-3}, 1000, id="monte-carlo"),
+])
+def test_analytic_run_calls_each_traced_stage_once(monkeypatch, detector, trials):
+    # a wrapper set on the module attribute records a span only if the run
+    # looks the stage up there; a run that reaches it some other way (a
+    # local alias, an inlined body) leaves that layer's span at zero
+    from clonesim import protocol
+    from clonesim.cloner import InputQubit
+
+    calls = Counter()
+    for name in TRACED_STAGES:
+        def counted(*args, _inner=getattr(protocol, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(protocol, name, counted)
+    protocol.run(protocol.ProtocolConfig(input=InputQubit(0.6, 0.8j),
+                                         detector=protocol.DetectorParams(**detector),
+                                         mc_trials=trials))
+    assert calls == Counter(TRACED_STAGES)
