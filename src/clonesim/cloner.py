@@ -198,14 +198,13 @@ def orthogonal_state(q: InputQubit, sid: str = Q3) -> StateVector:
 def clone_fidelity(q: InputQubit) -> float:
     """Fidelity of clone 1 against the input (clone 2 is identical by symmetry)."""
     v = _clone_vector(q)[0].reshape(2, 4)       # [q1, (q2, q3)]
-    return _fidelity(np.einsum("ig,jg->ij", v, v.conj()), np.array([q.a, q.b]))
+    return _fidelity(np.einsum("ig,jg->ij", v, v.conj()), q.a, q.b)
 
 
 def unot_fidelity(q: InputQubit) -> float:
     """Fidelity of the anti-clone against the orthogonal state."""
     v = _clone_vector(q)[0].reshape(4, 2)       # [(q1, q2), q3]
-    return _fidelity(np.einsum("gi,gj->ij", v, v.conj()),
-                     np.array([q.b.conjugate(), -q.a.conjugate()]))
+    return _fidelity(np.einsum("gi,gj->ij", v, v.conj()), q.b.conjugate(), -q.a.conjugate())
 
 
 def haar_qubit(rng: np.random.Generator) -> InputQubit:

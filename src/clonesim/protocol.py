@@ -247,6 +247,28 @@ class CloneReport:
     dynamics_diags: tuple[DynamicsReport, DynamicsReport] | None = None
     diagnostics: tuple[str, ...] = ()
 
+    @classmethod
+    def _from_fields(cls, *, config, post_state, rho_post, clone_fidelity_1,
+                     clone_fidelity_2, telenot_fidelity, p_symmetric, p_operational,
+                     p_detected, overlap_visibility, emission_prob_alice, emission_prob_bob,
+                     count_distribution, false_herald_fraction, mc_p_detected, mc_trials,
+                     mc_sigma, dynamics_diags, diagnostics) -> "CloneReport":
+        """The report of these fields, every one given, set in one ``__dict__``
+        update rather than the frozen ``__init__``'s one ``object.__setattr__``
+        per field (as ``DensityMatrix.from_array`` builds a matrix)."""
+        report = object.__new__(cls)
+        report.__dict__.update(
+            config=config, post_state=post_state, rho_post=rho_post,
+            clone_fidelity_1=clone_fidelity_1, clone_fidelity_2=clone_fidelity_2,
+            telenot_fidelity=telenot_fidelity, p_symmetric=p_symmetric,
+            p_operational=p_operational, p_detected=p_detected,
+            overlap_visibility=overlap_visibility, emission_prob_alice=emission_prob_alice,
+            emission_prob_bob=emission_prob_bob, count_distribution=count_distribution,
+            false_herald_fraction=false_herald_fraction, mc_p_detected=mc_p_detected,
+            mc_trials=mc_trials, mc_sigma=mc_sigma, dynamics_diags=dynamics_diags,
+            diagnostics=diagnostics)
+        return report
+
 
 # ---------------------------------------------------------------------------
 # state assembly and scoring
@@ -291,17 +313,16 @@ def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
     """Both clones against a|H> + b|V>, the remote atom against b*|gL> - a*|gR>.
 
     Each one-qubit reduction of the heralded 8x8 matrix is one einsum, scored
-    by ``qstate._fidelity`` against the target as a plain 2-vector.
+    by ``qstate._fidelity`` against the target's two amplitudes.
     """
     if rho.space != _SCORED_SPACE:
         raise SpaceMismatchError(f"heralded state on {rho.space.ids}, expected "
                                  f"{_SCORED_SPACE.ids}")
     m = rho.matrix.reshape((2,) * 6)
-    clone = np.array([q.a, q.b])
-    f1 = _fidelity(np.einsum(m, [0, 1, 2, 0, 4, 2], [1, 4]), clone)
-    f2 = _fidelity(np.einsum(m, [0, 1, 2, 0, 1, 5], [2, 5]), clone)
-    ft = _fidelity(np.einsum(m, [0, 1, 2, 3, 1, 2], [0, 3]),
-                   np.array([q.b.conjugate(), -q.a.conjugate()]))
+    a, b = q.a, q.b
+    f1 = _fidelity(np.einsum(m, [0, 1, 2, 0, 4, 2], [1, 4]), a, b)
+    f2 = _fidelity(np.einsum(m, [0, 1, 2, 0, 1, 5], [2, 5]), a, b)
+    ft = _fidelity(np.einsum(m, [0, 1, 2, 3, 1, 2], [0, 3]), b.conjugate(), -a.conjugate())
     return f1, f2, ft
 
 
@@ -340,7 +361,7 @@ def _finish(cfg: ProtocolConfig, x: np.ndarray | None, overlap_c: complex,
     else:
         f1, f2, ft = _score(rho, cfg.input)
 
-    report = CloneReport(
+    report = CloneReport._from_fields(
         config=cfg,
         post_state=post,
         rho_post=rho,
@@ -354,6 +375,10 @@ def _finish(cfg: ProtocolConfig, x: np.ndarray | None, overlap_c: complex,
         emission_prob_alice=emit_a,
         emission_prob_bob=emit_b,
         count_distribution=dist,
+        false_herald_fraction=0.0,
+        mc_p_detected=None,
+        mc_trials=0,
+        mc_sigma=0.0,
         dynamics_diags=diags,
         diagnostics=notes,
     )
@@ -507,7 +532,8 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         raise ValueError(f"{trials} Monte Carlo trials lie outside the budget [0, {MAX_MC_TRIALS}]")
     _check_detector(eta, dark_rate, window)
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
-    branches = _branches(report)
+    # the emission branches feed only the dark-count closed form and the Monte Carlo
+    branches = _branches(report) if dark_rate != 0.0 or trials > 0 else None
 
     rho, f1, f2, ft = (report.rho_post, report.clone_fidelity_1, report.clone_fidelity_2,
                        report.telenot_fidelity)
@@ -532,7 +558,7 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     if dark_rate * window > 0.2:
         notes = notes + (f"dark_rate*window = {dark_rate * window:.3g} is not small; "
                          "the per-window dark-click model assumes << 1",)
-    return CloneReport(
+    return CloneReport._from_fields(
         config=report.config,
         post_state=report.post_state,
         rho_post=rho,

@@ -414,33 +414,45 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix.from_array(sub, reduced.reshape(sub.dim, sub.dim))
 
 
-def _fidelity(matrix: np.ndarray, t: np.ndarray, tol: float = 1e-10) -> float:
-    """<t|matrix|t>, clipped to [0, 1], for a dense target in the matrix's order.
+def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) -> float:
+    """<t|matrix|t>, clipped to [0, 1], of a 2x2 matrix and the qubit t = (t0, t1).
 
-    ``t`` must be normalized; the value must be real and inside [0, 1] within
-    ``tol`` slack (projector/trace arithmetic can stray by rounding).  Each
-    check is written so that nan fails it.
+    Python complex arithmetic on ``matrix.tolist()``, with no numpy call on
+    the qubit: M t is formed entry by entry, and the real part of t* . (M t)
+    is the correctly rounded sum (``math.fsum``) of its four real products.
+    ``t`` must be normalized; the value must be real and inside [0, 1]
+    within ``tol`` slack (projector/trace arithmetic can stray by rounding).
+    Each check is written so that nan fails it.
     """
-    n = math.sqrt(np.vdot(t, t).real)
+    a, b, c, d = t0.real, t0.imag, t1.real, t1.imag
+    n = math.hypot(a, b, c, d)
     if not abs(n - 1.0) <= 1e-9:
         raise ValueError(f"target not normalized: |t| = {n:.12g}")
-    total = complex(np.vdot(t, matrix.dot(t)))
-    if not abs(total.imag) <= tol:
-        raise ValueError(f"fidelity has non-real value {total:.3e}")
-    val = total.real
+    (m00, m01), (m10, m11) = matrix.tolist()
+    u0, u1 = m00 * t0 + m01 * t1, m10 * t0 + m11 * t1
+    x0, y0, x1, y1 = u0.real, u0.imag, u1.real, u1.imag
+    val = math.fsum((a * x0, b * y0, c * x1, d * y1))
+    imag = a * y0 - b * x0 + c * y1 - d * x1
+    if not abs(imag) <= tol:
+        raise ValueError(f"fidelity has non-real value {complex(val, imag):.3e}")
     if not -tol <= val <= 1.0 + tol:
         raise ValueError(f"fidelity {val:.12g} outside [0,1] beyond slack")
     return min(max(val, 0.0), 1.0)
 
 
 def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -> float:
-    """<target|rho|target> as a real number clipped to [0, 1].
+    """<target|rho|target> of a single-qubit target, a real number clipped to [0, 1].
 
-    The labeled form of :func:`_fidelity`, which holds the checks.
+    The labeled form of :func:`_fidelity`, which holds the checks; a target
+    of any other dimension raises ``ValueError``.
     """
     if rho.space != target.space:
         raise SpaceMismatchError("fidelity between objects on different spaces")
-    return _fidelity(rho.matrix, target.vector, tol)
+    if target.space.dim != 2:
+        raise ValueError(f"fidelity_pure scores a single qubit; the target has "
+                         f"dimension {target.space.dim}")
+    t0, t1 = target.vector.tolist()
+    return _fidelity(rho.matrix, t0, t1, tol)
 
 
 def _checked_norm(n2: float, floor: float = NORM_FLOOR) -> float:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from clonesim.qstate import (
     DensityMatrix,
     Space,
     StateVector,
+    _fidelity,
     fidelity_pure,
     inner,
     partial_trace,
@@ -691,3 +693,53 @@ def test_array_score_is_the_labeled_route_on_heralded_states(a, b, beta_l, beta_
     assume(rho is not None)
     assert rho.space == _SCORED
     assert np.abs(np.subtract(protocol._score(rho, q), _labeled_score(rho, q))).max() <= 1e-15
+
+
+# --- the qubit fidelity kernel against exact arithmetic ----------------------
+
+
+def _exact_fidelity(m: list, t: tuple) -> Fraction:
+    """Re sum_ij t_i* m_ij t_j of these float entries, in exact arithmetic."""
+    total = Fraction(0)
+    for i, j in product(range(2), repeat=2):
+        ar, ai = Fraction(t[i].real), Fraction(t[i].imag)
+        mr, mi = Fraction(m[i][j].real), Fraction(m[i][j].imag)
+        br, bi = Fraction(t[j].real), Fraction(t[j].imag)
+        total += (ar * mr + ai * mi) * br - (ar * mi - ai * mr) * bi
+    return total
+
+
+def _ulps(value: float, exact: Fraction) -> float:
+    """|value - exact| in ulps of the exact value, counted at 1/2 below it: the
+    kernel's rounding errors are absolute, at the scale of the entries (at
+    most 1), so a fidelity near 0 carries them undivided."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(max(float(exact), 0.5))))
+
+
+@given(st.lists(amplitude, min_size=4, max_size=4), amplitude, amplitude)
+def test_fidelity_kernel_is_within_two_ulps_of_exact(g, a, b):
+    # a random positive semidefinite unit-trace 2x2 matrix and a unit target
+    g = np.array(g).reshape(2, 2)
+    m = g @ g.conj().T
+    trace = np.trace(m).real
+    assume(trace > 1e-6)
+    m /= trace
+    q = _input(a, b)
+    assert _ulps(_fidelity(m, q.a, q.b), _exact_fidelity(m.tolist(), (q.a, q.b))) <= 2.0
+
+
+def test_fidelity_kernel_is_no_less_accurate_than_numpy():
+    # over a fixed sample of random states and targets, the mean error of the
+    # scalar kernel against exact arithmetic is at most numpy's vdot/dot route's
+    rng = np.random.default_rng(0)
+    kernel = numpy_route = 0.0
+    for _ in range(500):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        t = rng.normal(size=2) + 1j * rng.normal(size=2)
+        t /= np.linalg.norm(t)
+        exact = _exact_fidelity(m.tolist(), t.tolist())
+        kernel += _ulps(_fidelity(m, *t.tolist()), exact)
+        numpy_route += _ulps(float(np.vdot(t, m @ t).real), exact)
+    assert kernel <= numpy_route

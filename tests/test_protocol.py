@@ -4,14 +4,14 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from clonesim import cloner, optics, protocol, qstate
 from clonesim.cloner import InputQubit, clone, clone_fidelity, haar_qubit, unot_fidelity
-from clonesim.config import ConfigError, settings_from_values
+from clonesim.config import ConfigError, parse_config_text, settings_from_values
 from clonesim.optics import PATH_A, PATH_B, POLS, one_photon
 from clonesim.protocol import (
     ATOM_B,
@@ -35,6 +35,7 @@ from clonesim.protocol import (
 )
 from clonesim.adiabatic import PulseSchedule, Side, SystemParams
 from clonesim.qstate import Space, StateVector, tensor
+from test_cli import ZERO_HERALD_CFG
 
 
 def _report(a, b) -> CloneReport:
@@ -251,6 +252,41 @@ def test_analytic_request_never_labels_the_pair(monkeypatch):
         assert rep.p_symmetric == pytest.approx(0.75, abs=1e-12)
         assert rep.p_operational == pytest.approx(0.375, abs=1e-12)
         assert rep.post_state is not None and rep.mc_trials == trials
+
+
+def _same(a, b) -> bool:
+    """One field of two reports: the same object, equal, or both nan."""
+    return a is b or a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(lambda: ProtocolConfig(input=InputQubit(0.6, 0.8j)), id="plain"),
+    pytest.param(lambda: ProtocolConfig(input=InputQubit(0.6, 0.8j),
+                                        detector=DetectorParams(0.8, 2e-3)), id="dark-counts"),
+    pytest.param(lambda: ProtocolConfig(input=InputQubit(0.6, 0.8j),
+                                        detector=DetectorParams(0.8, 2e-3), mc_trials=1000),
+                 id="monte-carlo"),
+    pytest.param(lambda: parse_config_text(ZERO_HERALD_CFG).config, id="zero-herald"),
+])
+def test_report_constructor_is_the_dataclass_init(monkeypatch, config):
+    # each report a run builds sets every field, equal to what the public
+    # __init__ builds from the same values, and stays frozen
+    built = []
+    private = CloneReport._from_fields
+
+    def both(**values):
+        built.append((private(**values), CloneReport(**values)))
+        return built[-1][0]
+
+    monkeypatch.setattr(CloneReport, "_from_fields", both)
+    final = run(config())
+    names = {f.name for f in fields(CloneReport)}
+    assert len(built) == 2 and built[-1][0] is final
+    for report, public in built:
+        assert set(vars(report)) == names
+        assert all(_same(getattr(report, name), getattr(public, name)) for name in names)
+        with pytest.raises(FrozenInstanceError):
+            report.p_detected = 0.0
 
 
 def test_detector_params_validation():

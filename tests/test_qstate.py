@@ -104,19 +104,27 @@ def test_fidelity_refuses_nan(where):
     with pytest.raises(ValueError):
         fidelity_pure(rho, target)
     with pytest.raises(ValueError):
-        _fidelity(rho.matrix, target.vector)
+        _fidelity(rho.matrix, *target.vector.tolist())
 
 
 def test_fidelity_kernel_holds_the_checks():
     rho = partial_trace(qubit_state("q1", 0.6, 0.8), ["q1"])
-    assert _fidelity(rho.matrix, np.array([0.6, 0.8])) == \
+    assert _fidelity(rho.matrix, 0.6 + 0j, 0.8 + 0j) == \
         fidelity_pure(rho, qubit_state("q1", 0.6, 0.8))
     with pytest.raises(ValueError, match="not normalized"):
-        _fidelity(rho.matrix, np.array([0.5, 0.0]))
+        _fidelity(rho.matrix, 0.5 + 0j, 0j)
+    r = 1 / math.sqrt(2)
     with pytest.raises(ValueError, match="non-real"):
-        _fidelity(np.array([[0.5, 1j], [0.0, 0.5]]), np.array([1.0, 1.0]) / math.sqrt(2))
+        _fidelity(np.array([[0.5, 1j], [0.0, 0.5]]), complex(r), complex(r))
     with pytest.raises(ValueError, match="outside"):
-        _fidelity(2.0 * np.eye(2), np.array([1.0, 0.0]))
+        _fidelity(2.0 * np.eye(2), 1 + 0j, 0j)
+
+
+def test_fidelity_pure_scores_only_a_single_qubit():
+    # the kernel reads a 2x2 matrix; a wider target is refused by its dimension
+    pair = tensor(qubit_state("q1", 0.6, 0.8), qubit_state("q2", 1.0, 0.0))
+    with pytest.raises(ValueError, match="dimension 4"):
+        fidelity_pure(partial_trace(pair, ["q1", "q2"]), pair)
 
 
 def test_normalize_refuses_a_nan_norm():
