@@ -31,7 +31,8 @@ rep = evolve((0.6, 0.8), p, om, dt=0.05)
 print(f"  emission probability: {rep.emission_prob:.6f}")
 print(f"  spontaneous loss:     {rep.spont_loss:.6f}")
 print(f"  closure |emit + loss + leftover - 1|: {rep.closure_error:.2e}")
-w = rep.channel_weights
+# each channel's weight, integrated as report.json's dynamics.<node>.channel_weights
+w = {ch: np.trapezoid(np.abs(f) ** 2, rep.t_grid) for ch, f in rep.channel_pulses.items()}
 print(f"  channel split L/(L+R): {w['L'] / (w['L'] + w['R']):.6f}   (|a|^2 = 0.36)")
 
 try:

@@ -94,8 +94,8 @@ _STEP_SAFETY = 0.9
 NORM_INCREASE_TOL = 1e-10
 
 # A passage keeps about this many bytes per step alive: time and drive grids,
-# two complex channel records, the monitors, the envelope temporaries and the
-# text of its pulse CSV.  MAX_STEPS holds that to 512 MiB per node.
+# two complex channel records, the envelope temporaries and the text of its
+# pulse CSV.  MAX_STEPS holds that to 512 MiB per node.
 _BYTES_PER_STEP = 256
 MAX_STEPS = (512 << 20) // _BYTES_PER_STEP
 # RK4 steps whose one-step propagators ``evolve`` builds together
@@ -142,8 +142,6 @@ class SystemParams:
 
     def g_at(self, t):
         """Coupling at time t; exactly ``g`` when modulation is off."""
-        if self.epsilon == 0.0:
-            return self.g if np.isscalar(t) else np.full_like(np.asarray(t, float), self.g)
         return self.g * (1.0 + self.epsilon * np.sin(self.nu * np.asarray(t)))
 
 
@@ -254,8 +252,9 @@ def dark_state(p: SystemParams, omega: PulseSchedule, t: float) -> np.ndarray:
 class DynamicsReport:
     """Everything one passage produces, on the integration grid.
 
-    The emitted photon is ``polarization``, the node's (L, R) split, times
-    the envelope ``pulse_shape``, which does not depend on the split.
+    The emitted photon is the node's (L, R) split, as given to ``evolve``,
+    times the envelope ``pulse_shape``, which does not depend on the split;
+    ``channel_pulses`` holds the two products.  Every array is read-only.
     """
 
     final_state: np.ndarray       # block amplitudes (g, e, c) at t_total
@@ -267,8 +266,6 @@ class DynamicsReport:
     t_grid: np.ndarray
     pulse_shape: np.ndarray       # sqrt(kappa) c(t) of the block, common to both channels
     channel_pulses: dict          # 'L'/'R' -> sqrt(kappa) * cavity amplitude samples
-    channel_weights: dict         # 'L'/'R' -> integrated |f_ch|^2
-    polarization: tuple | None    # the (L, R) split; None: nothing emitted
     params: SystemParams
     omega: PulseSchedule
 
@@ -334,7 +331,8 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
     the same RK4 stage states.  Cavity emission is recorded as the amplitude
     density sqrt(kappa) c(t) at every grid point; each polarization channel
     is its split amplitude times that envelope, so the photon is the split
-    times one envelope that every split of the node shares.
+    times one envelope that every split of the node shares.  The returned
+    arrays are read-only.
 
     Error control: over each pair of steps the two h-step result is compared
     with one RK4 step of size 2h built from the same grid generators; the
@@ -381,25 +379,12 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
         om_grid, om_half = omega.value(t_grid), omega.value(t_half)
         g_grid, g_half = p.g_at(t_grid), p.g_at(t_half)
         photon = np.zeros(n_steps + 1, dtype=complex)
-        exc_pop = np.zeros(n_steps + 1)
-        norm_sq = np.zeros(n_steps + 1)
-
-        def record(lo, vecs):
-            """Monitors and photon amplitudes for grid points lo .. lo + len(vecs) - 1."""
-            p2 = vecs.real ** 2 + vecs.imag ** 2
-            hi = lo + len(vecs)
-            norm_sq[lo:hi] = p2.sum(axis=1)
-            exc_pop[lo:hi] = p2[:, _E]
-            photon[lo:hi] = vecs[:, _C]
-
-        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)   # norm^2 exactly 1
         e_flux = np.zeros(2)                               # emission, spontaneous
-        bound = 0.0
-        record(0, psi[None, :])
-        n2_init = norm_sq[0]
+        bound = exc_max = 0.0
         for lo, hi in _chunks(n_steps):
-            a0 = generator(om_grid[lo:hi], g_grid[lo:hi])
-            a1 = generator(om_grid[lo + 1:hi + 1], g_grid[lo + 1:hi + 1])
+            a = generator(om_grid[lo:hi + 1], g_grid[lo:hi + 1])
+            a0, a1 = a[:-1], a[1:]
             step, ys = _rk4(a0, generator(om_half[lo:hi], g_half[lo:hi]), a1, h)
 
             vecs = np.empty((hi - lo + 1, dim), dtype=complex)
@@ -422,44 +407,43 @@ def evolve(split, p: SystemParams, omega: PulseSchedule,
             miss = vecs[pairs + 2] - np.einsum("mij,mj->mi", double, vecs[pairs])
             bound += np.sqrt((miss.real ** 2 + miss.imag ** 2).sum(axis=1)).sum() / 15.0
 
-            record(lo + 1, vecs[1:])
-            grown = np.flatnonzero(norm_sq[lo + 1:hi + 1] > n2_init + NORM_INCREASE_TOL)
+            photon[lo + 1:hi + 1] = vecs[1:, _C]
+            p2 = vecs[1:].real ** 2 + vecs[1:].imag ** 2
+            exc_max = max(exc_max, p2[:, _E].max())
+            norm_sq = p2.sum(axis=1)
+            grown = np.flatnonzero(norm_sq > 1.0 + NORM_INCREASE_TOL)
             if grown.size:
-                i = lo + 1 + int(grown[0])
+                i = int(grown[0])
                 raise RuntimeError(
                     f"integrator fault: norm^2 grew to {norm_sq[i]:.12g} at "
-                    f"t = {t_grid[i]:.6g}")
-        return t_grid, psi, photon, exc_pop, norm_sq, e_flux, float(bound)
+                    f"t = {t_grid[lo + 1 + i]:.6g}")
+        closure = abs(e_flux[0] + e_flux[1] + norm_sq[-1] - 1.0)
+        return t_grid, psi, photon, exc_max, e_flux, closure, float(bound)
 
     n_steps = step_count(p, omega, dt)
     while True:
         if n_steps > MAX_STEPS:
             raise ValueError(f"{n_steps:.6g} RK4 steps exceed the budget of {MAX_STEPS}")
-        (t_grid, psi, photon, exc_pop, norm_sq, (e_emit, e_spont),
-         bound) = integrate(int(n_steps))
+        t_grid, psi, photon, exc_max, (e_emit, e_spont), closure, bound = integrate(int(n_steps))
         if bound <= STEP_TOL:
             break
         n_steps = math.ceil(n_steps / (_STEP_SAFETY * (STEP_TOL / bound) ** 0.25))
 
-    closure = abs(e_emit + e_spont + norm_sq[-1] - norm_sq[0])
-
     envelope = math.sqrt(p.kappa) * photon + 0.0     # + 0.0: no signed zeros
     channels = {name: s * envelope for name, s in zip(("L", "R"), split)}
-    weights = {name: float(np.trapezoid(np.abs(f) ** 2, t_grid))
-               for name, f in channels.items()}
+    for arr in (t_grid, envelope, psi, *channels.values()):
+        arr.flags.writeable = False
 
     return DynamicsReport(
         final_state=psi,
         emission_prob=float(e_emit),
         spont_loss=float(e_spont),
-        excited_pop_max=float(exc_pop.max()),
+        excited_pop_max=float(exc_max),
         closure_error=float(closure),
         error_bound=bound,
         t_grid=t_grid,
         pulse_shape=envelope,
         channel_pulses=channels,
-        channel_weights=weights,
-        polarization=tuple(split) if sum(weights.values()) > 0.0 else None,
         params=p,
         omega=omega,
     )

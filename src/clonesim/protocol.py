@@ -422,8 +422,8 @@ def run_dynamic(cfg: ProtocolConfig) -> CloneReport:
 
     c = pulse_overlap_complex(rep_a.t_grid, rep_a.pulse_shape,
                               rep_b.t_grid, rep_b.pulse_shape)
-    x = None
-    if rep_a.polarization is not None and rep_b.polarization is not None:
+    x = None     # a node that emitted nothing leaves no photon pair
+    if rep_a.pulse_shape.any() and rep_b.pulse_shape.any():
         x = _pair_x((q.a, q.b), _REMOTE_SPLIT)     # the splits, as run_analytic pairs them
     return _finish(cfg, x, c, rep_a.emission_prob, rep_b.emission_prob,
                    (rep_a, rep_b), tuple(notes))
@@ -542,7 +542,8 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         p_detected, w_false = report.p_operational * eta * eta, 0.0
     else:
         p_detected, p_true = _closed_form(branches, eta, p_dark)
-        w_false = 1.0 - p_true / p_detected if p_detected > 0 else 0.0
+        # max: with dark_rate below ~1e-17, p_true can round an ulp above p_detected
+        w_false = max(0.0, 1.0 - p_true / p_detected) if p_detected > 0 else 0.0
         if rho is not None:
             mixed = _maximally_mixed(rho.space.dim) * w_false
             rho = DensityMatrix.from_array(rho.space, rho.matrix * (1.0 - w_false) + mixed)
@@ -558,27 +559,11 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     if dark_rate * window > 0.2:
         notes = notes + (f"dark_rate*window = {dark_rate * window:.3g} is not small; "
                          "the per-window dark-click model assumes << 1",)
-    return CloneReport._from_fields(
-        config=report.config,
-        post_state=report.post_state,
-        rho_post=rho,
-        clone_fidelity_1=f1,
-        clone_fidelity_2=f2,
-        telenot_fidelity=ft,
-        p_symmetric=report.p_symmetric,
-        p_operational=report.p_operational,
-        p_detected=p_detected,
-        overlap_visibility=report.overlap_visibility,
-        emission_prob_alice=report.emission_prob_alice,
-        emission_prob_bob=report.emission_prob_bob,
-        count_distribution=report.count_distribution,
-        false_herald_fraction=w_false,
-        mc_p_detected=mc_p,
-        mc_trials=mc_trials,
-        mc_sigma=mc_sigma,
-        dynamics_diags=report.dynamics_diags,
-        diagnostics=notes,
-    )
+    return CloneReport._from_fields(**{
+        **vars(report), "rho_post": rho, "clone_fidelity_1": f1, "clone_fidelity_2": f2,
+        "telenot_fidelity": ft, "p_detected": p_detected, "false_herald_fraction": w_false,
+        "mc_p_detected": mc_p, "mc_trials": mc_trials, "mc_sigma": mc_sigma,
+        "diagnostics": notes})
 
 
 def _detection_mc(branches: list, eta: float, p_dark: float,
@@ -686,7 +671,8 @@ def report_to_dict(report: CloneReport) -> dict:
                 "spont_loss": rep.spont_loss,
                 "excited_pop_max": rep.excited_pop_max,
                 "closure_error": rep.closure_error,
-                "channel_weights": dict(sorted(rep.channel_weights.items())),
+                "channel_weights": {ch: float(np.trapezoid(np.abs(f) ** 2, rep.t_grid))
+                                    for ch, f in sorted(rep.channel_pulses.items())},
                 "steps": int(len(rep.t_grid) - 1),
             }
             for name, rep in zip(("alice", "bob"), report.dynamics_diags)

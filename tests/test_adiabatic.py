@@ -35,7 +35,17 @@ from clonesim.adiabatic import (
     step_count,
 )
 from clonesim.config import ConfigError, settings_from_values
-from clonesim.protocol import ATOM_B, EXCITED_POP_WARN, assemble_joint
+from clonesim.cloner import InputQubit
+from clonesim.protocol import (
+    ATOM_B,
+    EXCITED_POP_WARN,
+    Mode,
+    NodeConfig,
+    ProtocolConfig,
+    assemble_joint,
+    report_to_dict,
+    run,
+)
 from full_node import (
     REMOTE_CHANNELS,
     SOURCE_CHANNELS,
@@ -260,6 +270,18 @@ def test_fast_ramp_reports_excited_population():
     assert rep.excited_pop_max > EXCITED_POP_WARN
 
 
+@pytest.mark.parametrize("chunk", [adiabatic._CHUNK, 4])
+def test_norm_growth_names_the_first_grid_time_past_the_tolerance(monkeypatch, chunk):
+    # a gain on e (gamma < 0, set past the range check) with no cavity loss
+    # grows the norm; the norm is checked chunk by chunk, so with 4-step
+    # chunks the first offending point, 10 steps in, lies in the third chunk
+    monkeypatch.setattr(adiabatic, "_CHUNK", chunk)
+    p = SystemParams(side=Side.ALICE, kappa=0.0)
+    object.__setattr__(p, "gamma", -1.0)
+    with pytest.raises(RuntimeError, match=r"norm\^2 grew to 1\.0000000002 at t = 0\.25$"):
+        evolve((0.6, 0.8), p, FAST, dt=0.025)
+
+
 # --- fluxes and channels -------------------------------------------------------
 
 
@@ -276,16 +298,34 @@ def test_emission_accounting_closes(emitted):
     assert emitted.spont_loss < 0.1
 
 
-def test_channel_split_follows_input_weights(emitted):
-    w = emitted.channel_weights
+@pytest.fixture(scope="module")
+def fast_dynamics():
+    """report.json's per-node dynamics of a dynamic run on the brisk schedules,
+    input (0.6, 0.8): the same two passages as ``emitted`` and the remote one."""
+    cfg = ProtocolConfig(input=InputQubit(0.6, 0.8), mode=Mode.DYNAMIC, dt=0.025,
+                         alice=NodeConfig(SystemParams(side=Side.ALICE), FAST),
+                         bob=NodeConfig(SystemParams(side=Side.BOB), FAST_REMOTE))
+    return report_to_dict(run(cfg))["dynamics"]
+
+
+def test_channel_split_follows_input_weights(emitted, fast_dynamics):
+    w = fast_dynamics["alice"]["channel_weights"]
     assert w["L"] / (w["L"] + w["R"]) == pytest.approx(0.36, abs=1e-9)
-    # the photon carries the input qubit: (L, R) = (a, b) up to a global phase
-    pol = np.array(emitted.polarization)
-    assert np.abs(pol * np.conj(pol[1]) / abs(pol[1]) - (0.6, 0.8)).max() < 1e-9
+    # the photon carries the input qubit: each channel is its amplitude of
+    # the split (a, b) times the one envelope
+    for s, name in zip((0.6, 0.8), ("L", "R")):
+        assert np.array_equal(emitted.channel_pulses[name], s * emitted.pulse_shape)
     p = SystemParams(side=Side.ALICE)
     only_l = evolve((1.0, 0.0), p, FAST, dt=0.025)
-    assert only_l.polarization == (1.0, 0.0)
+    assert np.array_equal(only_l.channel_pulses["L"], only_l.pulse_shape)
     assert not only_l.channel_pulses["R"].any()
+
+
+def test_passage_arrays_are_read_only(emitted):
+    for arr in (emitted.t_grid, emitted.pulse_shape, emitted.final_state,
+                *emitted.channel_pulses.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_envelope_carries_all_channel_weight(emitted):
@@ -300,12 +340,11 @@ def test_remote_channels_pin_atom_state():
         assert {label.level(ATOM_B) for label, amp in joint.amps.items() if amp} == {atom}
 
 
-def test_remote_passage_splits_evenly():
-    p = SystemParams(side=Side.BOB)
-    rep = evolve(EVEN, p, FAST_REMOTE, dt=0.025)
-    w = rep.channel_weights
+def test_remote_passage_splits_evenly(fast_dynamics):
+    bob = fast_dynamics["bob"]
+    w = bob["channel_weights"]
     assert w["L"] == pytest.approx(w["R"], rel=1e-9)
-    assert rep.closure_error < 1e-8
+    assert bob["closure_error"] < 1e-8
 
 
 def _full_node_channels(h_eff, psi0, p, sched, t_grid, channels):
@@ -322,7 +361,7 @@ def _full_node_channels(h_eff, psi0, p, sched, t_grid, channels):
 @pytest.mark.parametrize("side", [Side.ALICE, Side.BOB])
 def test_block_passage_matches_the_full_node(side):
     # the source node from a|gL> + b|gR>, the remote node from gp0: each
-    # channel of the full node is the reported polarization times the envelope
+    # channel of the full node is the split it was given times the envelope
     p = SystemParams(side=side)
     if side is Side.ALICE:
         split, sched = (0.6, 0.8j), FAST
@@ -333,7 +372,7 @@ def test_block_passage_matches_the_full_node(side):
     rep = evolve(split, p, sched, dt=0.025)
     full = _full_node_channels(h_eff, psi0, p, sched, rep.t_grid, channels)
     for c, name in enumerate(("L", "R")):
-        assert np.abs(full[name] - rep.polarization[c] * rep.pulse_shape).max() <= 1e-7
+        assert np.abs(full[name] - split[c] * rep.pulse_shape).max() <= 1e-7
         assert np.abs(full[name] - rep.channel_pulses[name]).max() <= 1e-7
 
 

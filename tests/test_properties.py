@@ -28,7 +28,13 @@ from clonesim.config import KEY_TABLE, ConfigError, settings_from_values, values
 from clonesim import optics
 from clonesim.optics import PATH_A, PATH_B, POLS, beamsplitter, detection_bookkeeping, one_photon
 from clonesim import protocol
-from clonesim.protocol import ProtocolConfig, assemble_joint, detector_model, run_analytic
+from clonesim.protocol import (
+    DetectorParams,
+    ProtocolConfig,
+    assemble_joint,
+    detector_model,
+    run_analytic,
+)
 from clonesim.qstate import (
     BasisLabel,
     DensityMatrix,
@@ -260,6 +266,16 @@ def test_table_hamiltonian_is_hermitian_and_dark_states_are_null(side, delta, g,
             for d in darks:
                 assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
                 assert np.linalg.norm(h @ d) ** 2 <= 1e-24 * (1.0 + g + omega) ** 2
+
+
+@given(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3),
+       st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8))
+def test_unmodulated_coupling_is_exactly_g(g, nu, ts):
+    # with epsilon = 0 the modulation formula g (1 + 0 sin(nu t)) gives g
+    # bit for bit, at a scalar time and on an array of times
+    p = SystemParams(g=g, nu=nu)
+    assert p.g_at(ts[0]) == g
+    assert np.array_equal(p.g_at(np.array(ts)), np.full(len(ts), g))
 
 
 _SPACE = Space((("a", ("0", "1", "2")), ("b", ("0", "1")), ("c", ("x", "y"))))
@@ -530,6 +546,19 @@ def test_detector_model_is_a_monotone_probability(pa, pb, eta1, eta2, dark_rate)
         # differ in the last bit
         clean = detector_model(report, eta, 0.0, 10.0, seed=0)
         assert clean.p_detected == report.p_operational * eta * eta
+
+
+_log_dark_rate = st.floats(-20.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+@example(a=0.7121360643835715, b=-0.6898360019167128 + 0.13034000254658115j,
+         eta=0.9575428652587752, dark_rate=1.3529670241005054e-20)   # p_true an ulp high
+@given(amplitude, amplitude, st.one_of(st.just(1.0), st.floats(0.5, 1.0)), _log_dark_rate)
+def test_false_herald_fraction_is_a_probability(a, b, eta, dark_rate):
+    assume(abs(a) ** 2 + abs(b) ** 2 > 1e-6)
+    rep = run_analytic(ProtocolConfig(input=InputQubit.normalized(a, b),
+                                      detector=DetectorParams(eta, dark_rate)))
+    assert 0.0 <= rep.false_herald_fraction <= 1.0
 
 
 _MC_SEEDS = range(8)
