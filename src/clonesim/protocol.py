@@ -104,9 +104,9 @@ EMISSION_DIAG_THRESHOLD = 0.99
 # peak excited population above which a passage is noted as too fast
 EXCITED_POP_WARN = 1e-2
 
-# The detection Monte Carlo draws per click pattern, so neither its time nor
-# its memory grows with the trial count; numpy's multinomial takes counts up
-# to the int64 maximum.
+# The detection Monte Carlo draws its herald count in one binomial step, so
+# neither its time nor its memory grows with the trial count; numpy's
+# binomial takes counts up to the int64 maximum.
 MAX_MC_TRIALS = int(np.iinfo(np.int64).max)
 
 # diagnostic of a run whose heralded branch has probability 0
@@ -463,9 +463,9 @@ def _branches(report: CloneReport) -> list[tuple[float, dict]]:
 
 def _pattern_table(branches: list) -> tuple[np.ndarray, np.ndarray]:
     """(patterns x 4) count matrix of every branch's click patterns and their
-    probabilities weight * q, the table the Monte Carlo draws from; each
-    branch's patterns in sorted order, so no draw depends on insertion
-    order."""
+    probabilities weight * q, the table the Monte Carlo mixes over; each
+    branch's patterns in sorted order, so neither the mixture nor the draw
+    depends on insertion order."""
     pats = []
     probs = []
     for weight, dist in branches:
@@ -518,18 +518,20 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     probability gains false coincidences (computed in closed form over the
     click patterns), and the heralded state is diluted toward the maximally
     mixed polarization state by the false-herald fraction.  ``trials`` > 0
-    additionally runs a seeded Monte Carlo over click patterns and records
-    its estimate beside the closed form.
+    additionally draws a seeded Monte Carlo herald count over click patterns
+    (one binomial draw) and records its estimate beside the closed form.
 
     The input must be an ideal-detector report (what run_analytic/run_dynamic
     produce under the default DetectorParams); applying dark-count dilution
-    twice would compound it.  A trial count outside [0, ``MAX_MC_TRIALS``]
-    and parameters outside DetectorParams' ranges raise ``ValueError`` before
-    anything is allocated.  A dark_rate * window above 0.2 appends a note
-    after any earlier one.
+    twice would compound it.  A trial count outside [0, ``MAX_MC_TRIALS``],
+    a seed that is not a non-negative integer and parameters outside
+    DetectorParams' ranges raise ``ValueError`` before anything is computed.
+    A dark_rate * window above 0.2 appends a note after any earlier one.
     """
     if not 0 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"{trials} Monte Carlo trials lie outside the budget [0, {MAX_MC_TRIALS}]")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_detector(eta, dark_rate, window)
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
     # the emission branches feed only the dark-count closed form and the Monte Carlo
@@ -570,13 +572,13 @@ def _detection_mc(branches: list, eta: float, p_dark: float,
                   seed: int, trials: int) -> float:
     """Monte Carlo herald frequency over emission branches and click patterns.
 
-    One multinomial draw splits the trials over the patterns, and one more
-    per pattern splits its share over the 16 click configurations of the
-    four detectors (multinomial splitting; Devroye 1986, ch. XI), so the
-    cost does not grow with ``trials``.  A configuration heralds by the click
-    predicate, never by the closed form.  Each branch's patterns are drawn
-    in sorted order, so a seeded estimate depends only on the distributions,
-    not on their insertion order.
+    A shot picks a pattern, then one of the 16 click configurations of the
+    four detectors, and heralds by the click predicate, never by the closed
+    form.  The herald count of ``trials`` shots is then Binomial(trials, p),
+    p the patterns' mixture of herald probabilities (Devroye 1986, ch. XI),
+    drawn once at any ``trials``.  The mixture runs over each branch's
+    patterns in sorted order, so a seeded estimate depends only on the
+    distributions, not on their insertion order.
     """
     counts, probs = _pattern_table(branches)
     total = probs.sum()
@@ -584,17 +586,12 @@ def _detection_mc(branches: list, eta: float, p_dark: float,
         raise RuntimeError(f"branch probabilities sum to {total:.12g}, not 1")
     probs = probs / total
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    per_pattern = rng.multinomial(trials, probs)
-    drawn = per_pattern > 0
     # a detector facing n photons clicks unless all n and the dark count miss
-    click = 1.0 - (1.0 - eta) ** counts[drawn] * (1.0 - p_dark)
+    click = 1.0 - (1.0 - eta) ** counts * (1.0 - p_dark)
     config_p = np.where(_CLICKS, click[:, None, :], 1.0 - click[:, None, :]).prod(axis=2)
-    # renormalized rows keep multinomial's sum(pvals[:-1]) <= 1 check from
-    # tripping on rounding
-    config_p /= config_p.sum(axis=1, keepdims=True)
-    per_config = rng.multinomial(per_pattern[drawn], config_p)
-    return float(per_config[:, _HERALDS].sum() / trials)
+    # capped: a certain herald can round an ulp above 1
+    p = min(float(probs @ config_p[:, _HERALDS].sum(axis=1)), 1.0)
+    return int(np.random.Generator(np.random.PCG64(seed)).binomial(trials, p)) / trials
 
 
 # ---------------------------------------------------------------------------

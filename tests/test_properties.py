@@ -593,6 +593,27 @@ def test_detection_monte_carlo_mean_agrees_with_closed_form(pa, pb, eta, p_dark)
     assert tail > _MC_ALPHA / 2
 
 
+@example(pa=0.0, pb=0.0625, eta=0.0625, p_dark=1e-5)
+@example(pa=0.23432210290692496, pb=0.23432210290692496, eta=0.0, p_dark=0.9999999999999999)
+@example(pa=1.0, pb=1.0, eta=0.0, p_dark=0.0)
+@example(pa=1.0, pb=1.0, eta=1.0, p_dark=0.0)
+@example(pa=0.5, pb=0.25, eta=1.0, p_dark=0.5)
+@example(pa=0.0, pb=0.0, eta=0.0, p_dark=0.0)
+@given(_unit, _unit, _unit, st.floats(0.0, 1.0, exclude_max=True))
+def test_detection_monte_carlo_resolves_the_closed_form(pa, pb, eta, p_dark):
+    # at 2**56 trials one sigma is at most ~2e-9 (at 40,000 trials, ~2e-3),
+    # so the predicate-heralded estimate must meet the closed form to
+    # 6 sigma; the 1e-12 floor covers heralds too rare to draw once.  Not
+    # 2**62: there numpy's binomial sampler lands beyond 6 sigma in ~1e-5 of
+    # draws, against 2e-9 for the law
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     p_operational=pa * pb * 0.375)
+    window = 10.0
+    d = detector_model(report, eta, -math.log1p(-p_dark) / window, window, seed=5,
+                       trials=2 ** 56)
+    assert abs(d.mc_p_detected - d.p_detected) <= 6.0 * d.mc_sigma + 1e-12
+
+
 def _closed_form_loop(report, eta: float, dark_rate: float, window: float) -> tuple:
     """(p_detected, false_herald_fraction) of the dark-count closed form,
     written out pattern by pattern over the emission branches."""
