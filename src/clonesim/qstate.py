@@ -417,9 +417,13 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
 def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) -> float:
     """<t|matrix|t>, clipped to [0, 1], of a 2x2 matrix and the qubit t = (t0, t1).
 
-    Python complex arithmetic on ``matrix.tolist()``, with no numpy call on
-    the qubit: M t is formed entry by entry, and the real part of t* . (M t)
-    is the correctly rounded sum (``math.fsum``) of its four real products.
+    Python float arithmetic on ``matrix.tolist()``, with no numpy call on
+    the qubit.  With t = (a + ib, c + id) the real part is twelve terms, a
+    matrix part times the exact leading part of a pair product (aa, bb, cc,
+    dd, ac, bd, ad, bc), plus one for the pairs' small rests: each rounds
+    once and ``math.fsum`` adds them exactly.  For a positive unit-trace
+    matrix and a unit t their magnitudes sum to at most (1 + sqrt 2)/2, so
+    a value below 1 is within 1.71 * 2**-53 of exact.
     ``t`` must be normalized; the value must be real and inside [0, 1]
     within ``tol`` slack (projector/trace arithmetic can stray by rounding).
     Each check is written so that nan fails it.
@@ -429,10 +433,21 @@ def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) 
     if not abs(n - 1.0) <= 1e-9:
         raise ValueError(f"target not normalized: |t| = {n:.12g}")
     (m00, m01), (m10, m11) = matrix.tolist()
-    u0, u1 = m00 * t0 + m01 * t1, m10 * t0 + m11 * t1
-    x0, y0, x1, y1 = u0.real, u0.imag, u1.real, u1.imag
-    val = math.fsum((a * x0, b * y0, c * x1, d * y1))
-    imag = a * y0 - b * x0 + c * y1 - d * x1
+    r00, r11, r01, i01, r10, i10 = m00.real, m11.real, m01.real, m01.imag, m10.real, m10.imag
+    # Veltkamp's split (at 2**27 + 1) leaves each half 26 bits, so xh*yh is exact; the
+    # rest xh*yl + xl*y is ~2**-26 of x*y, so the weighted rests share one term
+    ah, bh = (s := 134217729.0 * a) - (s - a), (s := 134217729.0 * b) - (s - b)
+    ch, dh = (s := 134217729.0 * c) - (s - c), (s := 134217729.0 * d) - (s - d)
+    al, bl, cl, dl = a - ah, b - bh, c - ch, d - dh
+    aa, bb, cc, dd = ah * ah, bh * bh, ch * ch, dh * dh
+    ac, bd, ad, bc = ah * ch, bh * dh, ah * dh, bh * ch
+    rest = (r00 * (al * (ah + a) + bl * (bh + b)) + r11 * (cl * (ch + c) + dl * (dh + d))
+            + (r01 + r10) * (ah * cl + al * c + bh * dl + bl * d)
+            + (i10 - i01) * (ah * dl + al * d - bh * cl - bl * c))
+    val = math.fsum((r00 * aa, r00 * bb, r11 * cc, r11 * dd, r01 * ac, r01 * bd, r10 * ac,
+                     r10 * bd, i10 * ad, i01 * bc, -i10 * bc, -i01 * ad, rest))
+    imag = (m00.imag * (aa + bb) + m11.imag * (cc + dd) + (i01 + i10) * (ac + bd)
+            + (r01 - r10) * (ad - bc))
     if not abs(imag) <= tol:
         raise ValueError(f"fidelity has non-real value {complex(val, imag):.3e}")
     if not -tol <= val <= 1.0 + tol:

@@ -767,6 +767,9 @@ def _ulps(value: float, exact: Fraction) -> float:
 
 
 @given(st.lists(amplitude, min_size=4, max_size=4), amplitude, amplitude)
+@example(g=[-1j, 0.9664479114040438j, -1.9999999999999998 + 0j,
+            1.5325184598988497 + 0.3333333333333333j],
+         a=-1.1754943508222875e-38 - 1.9999999999999998j, b=-1.9999999999999998 + 0j)
 def test_fidelity_kernel_is_within_two_ulps_of_exact(g, a, b):
     # a random positive semidefinite unit-trace 2x2 matrix and a unit target
     g = np.array(g).reshape(2, 2)
