@@ -17,10 +17,10 @@ Either way the two photons' circular amplitudes become one array: the
 waveplates are written into the product x[pol_A, pol_B, atomB]
 (:func:`_pair_x`), which ``optics.photon_pair`` scatters once into the
 joint ket (:func:`assemble_joint`) that both post-selection routes take and
-read in exchange form.  Scoring stays on arrays too: :func:`_score` reads
-the heralded 8x8 matrix as a (2,)*6 array in (atomB, ph3, ph4) order and
-takes each one-qubit reduction with one einsum; labels appear only in the
-report (the non-zero entries of the heralded pure state).
+read in exchange form.  Scoring stays on arrays too: :func:`_score` takes
+the three one-qubit reductions of the heralded 8x8 matrix in one gather
+from a fixed table of positions; labels appear only in the report (the
+non-zero entries of the heralded pure state).
 
 Detector imperfections (efficiency eta, dark counts) transform a finished
 report: the success probability picks up the eta^2 factor plus a
@@ -38,8 +38,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -105,9 +107,11 @@ EMISSION_DIAG_THRESHOLD = 0.99
 EXCITED_POP_WARN = 1e-2
 
 # The detection Monte Carlo draws its herald count in one binomial step, so
-# neither its time nor its memory grows with the trial count; numpy's
-# binomial takes counts up to the int64 maximum.
-MAX_MC_TRIALS = int(np.iinfo(np.int64).max)
+# neither its time nor its memory grows with the trial count.  The cap keeps
+# numpy's binomial sampler where it follows its law, so that mc_sigma is the
+# estimate's spread: at 2**56 its tail counts match the law's, while at
+# 2**60 and 2**62 draws land beyond 6 sigma thousands of times too often.
+MAX_MC_TRIALS = 2 ** 56
 
 # diagnostic of a run whose heralded branch has probability 0
 ZERO_HERALD_NOTE = ("zero_herald: p_operational = 0; clone and tele-NOT "
@@ -304,25 +308,60 @@ def assemble_joint(alpha: tuple[complex, complex],
     return photon_pair(_pair_x(alpha, beta), _ATOM_RIDERS)
 
 
-# the heralded state's space, which _score reads as a (2,)*6 array: row axes
-# (atomB, ph3, ph4), then the column axes in the same order
+# the heralded state's space, whose 8x8 matrix _score reads with row and
+# column index 4 atomB + 2 ph3 + ph4
 _SCORED_SPACE = Space(_ATOM_RIDERS + (("ph3", POLS), ("ph4", POLS)))
+
+
+def _reduction_positions() -> np.ndarray:
+    """(4, 3, 2, 2) flat positions in the heralded 8x8 matrix.
+
+    Entry [i, j] of the reduction to ph3, ph4 or atomB (axis 1) is the sum
+    of four entries, one per value of the two traced qubits; axis 0 lists
+    them in the order einsum adds them, the lower traced qubit slowest.
+    """
+    pos = np.empty((4, 3, 2, 2), dtype=np.intp)
+    for slot, kept in enumerate((1, 2, 0)):
+        for n, traced in enumerate(product((0, 1), repeat=2)):
+            for i, j in product((0, 1), repeat=2):
+                row, col = list(traced), list(traced)
+                row.insert(kept, i)
+                col.insert(kept, j)
+                pos[n, slot, i, j] = np.ravel_multi_index(row + col, (2,) * 6)
+    pos.flags.writeable = False
+    return pos
+
+
+_REDUCTIONS = _reduction_positions()
+
+
+def _reductions(matrix: np.ndarray) -> np.ndarray:
+    """The (3, 2, 2) one-qubit reductions of the heralded 8x8 matrix: ph3, ph4, atomB.
+
+    One gather of the four terms of every entry and one add-reduce over
+    them, from 0.0 and in order, so each entry is the einsum's bit for bit
+    (signed zeros included).
+    """
+    return np.add.reduce(matrix.take(_REDUCTIONS), axis=0, initial=0.0)
 
 
 def _score(rho: DensityMatrix, q: InputQubit) -> tuple[float, float, float]:
     """Both clones against a|H> + b|V>, the remote atom against b*|gL> - a*|gR>.
 
-    Each one-qubit reduction of the heralded 8x8 matrix is one einsum, scored
-    by ``qstate._fidelity`` against the target's two amplitudes.
+    Each one-qubit reduction of :func:`_reductions` is scored by
+    ``qstate._fidelity`` against the target's two amplitudes.  The herald
+    adds each exchange pair as a + b, so the two clones' reductions agree
+    byte for byte and clone 2 reuses clone 1's score (the same pure kernel
+    on the same arguments); a matrix whose reductions differ scores each.
     """
     if rho.space != _SCORED_SPACE:
         raise SpaceMismatchError(f"heralded state on {rho.space.ids}, expected "
                                  f"{_SCORED_SPACE.ids}")
-    m = rho.matrix.reshape((2,) * 6)
+    r3, r4, r_atom = _reductions(rho.matrix)
     a, b = q.a, q.b
-    f1 = _fidelity(np.einsum(m, [0, 1, 2, 0, 4, 2], [1, 4]), a, b)
-    f2 = _fidelity(np.einsum(m, [0, 1, 2, 0, 1, 5], [2, 5]), a, b)
-    ft = _fidelity(np.einsum(m, [0, 1, 2, 3, 1, 2], [0, 3]), b.conjugate(), -a.conjugate())
+    f1 = _fidelity(r3, a, b)
+    f2 = f1 if r3.tobytes() == r4.tobytes() else _fidelity(r4, a, b)
+    ft = _fidelity(r_atom, b.conjugate(), -a.conjugate())
     return f1, f2, ft
 
 
@@ -445,11 +484,28 @@ _COINC_PATTERNS = ((0, 0, 1, 1), (1, 1, 0, 0))     # sorted, as the sums take th
 # when bit i of k is set) and the ones that herald: both detectors of an arm
 _CLICKS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
 _HERALDS = (_CLICKS[:, 0] & _CLICKS[:, 1]) | (_CLICKS[:, 2] & _CLICKS[:, 3])
+# the 15 click-count patterns of at most two photons on the four detectors,
+# in sorted order, and each one's position in that table
+_PATTERNS = tuple(sorted(pat for pat in product(range(3), repeat=4) if sum(pat) <= 2))
+_PATTERN_INDEX = {pat: k for k, pat in enumerate(_PATTERNS)}
+# per pattern, the 7 heralding configurations x 4 detectors as indices into
+# [c0, c1, c2, 1 - c0, 1 - c1, 1 - c2], c_n a detector's click probability
+# facing n photons: its count if it clicks, the count + 3 if it does not
+_HERALD_TERMS = np.array(_PATTERNS)[:, None, :] + 3 * ~_CLICKS[_HERALDS]
+_HERALD_TERMS.flags.writeable = False
 
 
 def _branches(report: CloneReport) -> list[tuple[float, dict]]:
-    """(weight, pattern distribution) per emission outcome."""
+    """(weight, pattern distribution) per emission outcome.
+
+    A pattern of the report's distribution outside the table of at most two
+    photons raises ``ValueError``: two photons enter the network.
+    """
     pa, pb = report.emission_prob_alice, report.emission_prob_bob
+    if not _PATTERN_INDEX.keys() >= report.count_distribution.keys():
+        pat = next(p for p in report.count_distribution if p not in _PATTERN_INDEX)
+        raise ValueError(f"count pattern {pat!r} is not one of at most two photons on "
+                         "four detectors: two photons enter the network")
     out = [(pa * pb, report.count_distribution)]
     w_one = pa * (1.0 - pb) + (1.0 - pa) * pb
     if w_one > 0:
@@ -461,33 +517,23 @@ def _branches(report: CloneReport) -> list[tuple[float, dict]]:
     return out
 
 
-def _pattern_table(branches: list) -> tuple[np.ndarray, np.ndarray]:
-    """(patterns x 4) count matrix of every branch's click patterns and their
-    probabilities weight * q, the table the Monte Carlo mixes over; each
-    branch's patterns in sorted order, so neither the mixture nor the draw
-    depends on insertion order."""
-    pats = []
-    probs = []
-    for weight, dist in branches:
-        for pat in sorted(dist):
-            pats.append(pat)
-            probs.append(weight * dist[pat])
-    return np.array(pats, dtype=int).reshape(-1, 4), np.array(probs)
+def _click_probabilities(eta: float, p_dark: float) -> list[float]:
+    """Click probability of a detector facing 0, 1 or 2 photons: it clicks
+    unless all n and the dark count miss.  Two photons enter the network, so
+    no detector faces more."""
+    return [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
 
 
 def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, float]:
     """(herald probability, its true-coincidence part) over the branches.
 
-    A detector facing n photons clicks unless all n and the dark count miss;
-    an arm heralds when both its detectors click.  Both sums run over each
+    An arm heralds when both its detectors click.  Both sums run over each
     branch's patterns in sorted order, so they do not depend on insertion
     order.  The herald probability is capped at 1: branch weights that sum
     to 1 only up to rounding can carry a certain herald (every detector sure
     to click) an ulp above it.
     """
-    # click probability of a detector facing 0, 1 or 2 photons: two photons
-    # enter the network, so no detector faces more
-    click = [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
+    click = _click_probabilities(eta, p_dark)
     p_detected = p_true = 0.0
     for weight, dist in branches:
         for pat in sorted(dist):
@@ -518,15 +564,19 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     probability gains false coincidences (computed in closed form over the
     click patterns), and the heralded state is diluted toward the maximally
     mixed polarization state by the false-herald fraction.  ``trials`` > 0
-    additionally draws a seeded Monte Carlo herald count over click patterns
-    (one binomial draw) and records its estimate beside the closed form.
+    additionally draws a seeded Monte Carlo herald count over the fixed
+    table of the 15 click patterns of at most two photons (one binomial
+    draw) and records its estimate beside the closed form.
 
     The input must be an ideal-detector report (what run_analytic/run_dynamic
     produce under the default DetectorParams); applying dark-count dilution
-    twice would compound it.  A trial count outside [0, ``MAX_MC_TRIALS``],
-    a seed that is not a non-negative integer and parameters outside
-    DetectorParams' ranges raise ``ValueError`` before anything is computed.
-    A dark_rate * window above 0.2 appends a note after any earlier one.
+    twice would compound it.  A trial count outside [0, ``MAX_MC_TRIALS``]
+    (2**56, where numpy's binomial sampler still follows its law), a seed
+    that is not a non-negative integer and parameters outside
+    DetectorParams' ranges raise ``ValueError`` before anything is computed;
+    so does, when dark counts or trials need the click patterns, a count
+    pattern outside that table.  A dark_rate * window above 0.2 appends a
+    note after any earlier one.
     """
     if not 0 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"{trials} Monte Carlo trials lie outside the budget [0, {MAX_MC_TRIALS}]")
@@ -568,29 +618,43 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         "diagnostics": notes})
 
 
+def _herald_probability(branches: list, eta: float, p_dark: float) -> float:
+    """A shot's herald probability by the click predicate, never the closed form.
+
+    A shot picks a click pattern, then one of the 16 click configurations of
+    the four detectors, and heralds when both detectors of an arm click.
+    Each branch's weight * q accumulates at its pattern's position in the
+    fixed 15-pattern table, so the mixture's order is the table's, not the
+    distributions' insertion order.  Each pattern's herald probability is one
+    gather of its 7 heralding configurations' click factors, a product over
+    the detectors and a sum over the configurations in order; the mixture
+    and its normalisation are exact sums (``math.fsum``), and p is capped at
+    1 (a certain herald can round an ulp above it).
+    """
+    probs = [0.0] * len(_PATTERNS)
+    for weight, dist in branches:
+        for pat, q in dist.items():
+            probs[_PATTERN_INDEX[pat]] += weight * q
+    total = math.fsum(probs)
+    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
+        raise RuntimeError(f"branch probabilities sum to {total:.12g}, not 1")
+    click = _click_probabilities(eta, p_dark)
+    factors = np.array(click + [1.0 - c for c in click])
+    herald = np.add.reduce(np.multiply.reduce(factors[_HERALD_TERMS], axis=2), axis=1,
+                           initial=0.0)
+    return min(math.fsum(map(operator.mul, probs, herald.tolist())) / total, 1.0)
+
+
 def _detection_mc(branches: list, eta: float, p_dark: float,
                   seed: int, trials: int) -> float:
     """Monte Carlo herald frequency over emission branches and click patterns.
 
-    A shot picks a pattern, then one of the 16 click configurations of the
-    four detectors, and heralds by the click predicate, never by the closed
-    form.  The herald count of ``trials`` shots is then Binomial(trials, p),
-    p the patterns' mixture of herald probabilities (Devroye 1986, ch. XI),
-    drawn once at any ``trials``.  The mixture runs over each branch's
-    patterns in sorted order, so a seeded estimate depends only on the
+    The herald count of ``trials`` shots is Binomial(trials, p), p the
+    patterns' mixture of :func:`_herald_probability` (Devroye 1986, ch. XI),
+    drawn once at any ``trials``; a seeded estimate depends only on the
     distributions, not on their insertion order.
     """
-    counts, probs = _pattern_table(branches)
-    total = probs.sum()
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise RuntimeError(f"branch probabilities sum to {total:.12g}, not 1")
-    probs = probs / total
-
-    # a detector facing n photons clicks unless all n and the dark count miss
-    click = 1.0 - (1.0 - eta) ** counts * (1.0 - p_dark)
-    config_p = np.where(_CLICKS, click[:, None, :], 1.0 - click[:, None, :]).prod(axis=2)
-    # capped: a certain herald can round an ulp above 1
-    p = min(float(probs @ config_p[:, _HERALDS].sum(axis=1)), 1.0)
+    p = _herald_probability(branches, eta, p_dark)
     return int(np.random.Generator(np.random.PCG64(seed)).binomial(trials, p)) / trials
 
 

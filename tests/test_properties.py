@@ -695,6 +695,50 @@ def test_dark_count_closed_form_is_the_array_form(pa, pb, eta, p_dark, ratio, vi
     assert protocol._closed_form(branches, eta, p_dark) == expect
 
 
+def _herald_probability_loop(branches: list, eta: float, p_dark: float) -> float:
+    """The Monte Carlo's herald probability written out: each branch's
+    patterns, each pattern's 16 click configurations (detector i clicks when
+    bit i of k is set), a herald when both detectors of an arm click; the
+    mixture and its normalisation as exact sums."""
+    click = [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
+    weights, terms = [], []
+    for weight, dist in branches:
+        for pat, q in dist.items():
+            h = 0.0
+            for k in range(16):
+                clicks = [(k >> i) & 1 == 1 for i in range(4)]
+                if (clicks[0] and clicks[1]) or (clicks[2] and clicks[3]):
+                    term = 1.0
+                    for n, clicked in zip(pat, clicks):
+                        term *= click[n] if clicked else 1.0 - click[n]
+                    h += term
+            weights.append(weight * q)
+            terms.append(weight * q * h)
+    return min(math.fsum(terms) / math.fsum(weights), 1.0)
+
+
+@example(pa=0.23432210290692496, pb=0.23432210290692496, eta=0.0,
+         p_dark=0.9999999999999999, ratio=0.5, vis=1.0)
+@example(pa=1.0, pb=1.0, eta=1.0, p_dark=0.0, ratio=-1.0, vis=1.0)
+@example(pa=0.0, pb=0.0, eta=0.5, p_dark=0.5, ratio=0.5, vis=0.0)
+@given(_unit, _unit, _unit, st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(-1.0, 1.0), _unit)
+def test_monte_carlo_herald_probability_is_the_predicate_written_out(pa, pb, eta, p_dark,
+                                                                     ratio, vis):
+    # the same pairs as the closed-form test above; the table-driven mixture
+    # meets the loop to 2 ulps, and the order of the distributions (and of
+    # the branches) leaves it bit-identical
+    dist = {pat: w for pat, u, v in optics._COUNT_WEIGHTS if (w := u + vis * ratio * v) != 0.0}
+    report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
+                     count_distribution=dist)
+    branches = protocol._branches(report)
+    got = protocol._herald_probability(branches, eta, p_dark)
+    want = _herald_probability_loop(branches, eta, p_dark)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+    flipped = [(weight, dict(reversed(d.items()))) for weight, d in reversed(branches)]
+    assert protocol._herald_probability(flipped, eta, p_dark) == got
+
+
 # --- scores on arrays against the labeled route ------------------------------
 
 _SCORED = Space((("atomB", ("gL", "gR")), ("ph3", POLS), ("ph4", POLS)))
@@ -743,6 +787,24 @@ def test_array_score_is_the_labeled_route_on_heralded_states(a, b, beta_l, beta_
     assume(rho is not None)
     assert rho.space == _SCORED
     assert np.abs(np.subtract(protocol._score(rho, q), _labeled_score(rho, q))).max() <= 1e-15
+
+
+# every entry -0.0 but one diagonal: einsum's sums start from 0.0, so a sum of
+# signed zeros reads +0.0
+@example(g=[complex(-0.0, -0.0)] * 63 + [1.0])
+@given(st.lists(amplitude, min_size=64, max_size=64))
+def test_score_reductions_are_the_einsums_bit_for_bit(g):
+    # a unit-trace Hermitian matrix B + B^H on the conditional space
+    b = np.array(g).reshape(8, 8)
+    h = b + b.conj().T
+    trace = np.trace(h).real
+    assume(abs(trace) > 1e-6)
+    h = h / trace
+    m = h.reshape((2,) * 6)
+    want = np.stack([np.einsum(m, [0, 1, 2, 0, 4, 2], [1, 4]),     # ph3
+                     np.einsum(m, [0, 1, 2, 0, 1, 5], [2, 5]),     # ph4
+                     np.einsum(m, [0, 1, 2, 3, 1, 2], [0, 3])])    # atomB
+    assert protocol._reductions(h).tobytes() == want.tobytes()
 
 
 # --- the qubit fidelity kernel against exact arithmetic ----------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
@@ -222,6 +223,45 @@ def test_detection_monte_carlo_never_calls_the_closed_form(monkeypatch):
         == d.mc_p_detected
 
 
+@pytest.mark.parametrize("pattern", [(3, 0, 0, 0), (1, 1, 0)],
+                         ids=["three-photons", "three-detectors"])
+@pytest.mark.parametrize("dark_rate, trials", [(2e-4, 0), (0.0, 1000)],
+                         ids=["closed-form", "monte-carlo"])
+def test_count_pattern_outside_the_table_is_refused(monkeypatch, pattern, dark_rate, trials):
+    # a pattern that two photons on four detectors cannot leave is refused by
+    # name, before the closed form or the Monte Carlo reads it
+    def never(*args):
+        raise AssertionError("a refused pattern reached the detector arithmetic")
+
+    monkeypatch.setattr(protocol, "_closed_form", never)
+    monkeypatch.setattr(protocol, "_detection_mc", never)
+    rep = replace(_report(0.6, 0.8), count_distribution={pattern: 1.0})
+    with pytest.raises(ValueError,
+                       match=re.escape(repr(pattern)) + ".*two photons enter the network"):
+        detector_model(rep, 0.5, dark_rate, 10.0, seed=1, trials=trials)
+
+
+def test_clone_two_reuses_clone_one_only_on_equal_reductions(monkeypatch):
+    calls = []
+
+    def counted(m, t0, t1):
+        calls.append(m.tolist())
+        return qstate._fidelity(m, t0, t1)
+
+    # a heralded state: both clones' reductions agree byte for byte
+    rep = _report(0.6, 0.8)
+    monkeypatch.setattr(protocol, "_fidelity", counted)
+    f1, f2, _ = protocol._score(rep.rho_post, rep.config.input)
+    assert len(calls) == 2 and f2 == f1 == rep.clone_fidelity_1
+    # |gL, H, V>: ph3 holds H and ph4 holds V, so clone 2 is scored on its own
+    calls.clear()
+    e = np.zeros(8)
+    e[1] = 1.0      # row index 4 atomB + 2 ph3 + ph4
+    rho = qstate.DensityMatrix.from_array(protocol._SCORED_SPACE, np.outer(e, e).astype(complex))
+    assert protocol._score(rho, InputQubit(1.0, 0.0)) == (1.0, 0.0, 0.0)
+    assert len(calls) == 3
+
+
 def test_analytic_request_scores_without_the_labeled_layer(monkeypatch):
     # the analytic request scores on arrays: partial_trace, fidelity_pure and
     # tensor raise at every name protocol and cloner (and the modules they
@@ -409,8 +449,9 @@ def test_nan_fails_every_range_check(build):
 
 
 def test_mc_trial_budget_is_a_config_error(monkeypatch):
-    # the budget is the largest count numpy's binomial draw takes
-    assert MAX_MC_TRIALS == np.iinfo(np.int64).max
+    # the budget is the largest count at which numpy's binomial draw still
+    # follows its law (its tail counts drift from it at 2**60 and above)
+    assert MAX_MC_TRIALS == 2 ** 56
     with pytest.raises(ValueError, match="budget"):
         ProtocolConfig(input=InputQubit(1.0, 0.0), mc_trials=MAX_MC_TRIALS + 1)
     values = {"seed": "1", "input.a": "1", "input.b": "0",
