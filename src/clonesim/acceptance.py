@@ -174,8 +174,7 @@ def _crit_success_probability(seed: int, cache: dict):
                                  seed=seed, trials=200_000)
     sigma = mc.mc_sigma
     mc_dev = abs(mc.mc_p_detected - rep.p_operational)
-    arm1 = rep.count_distribution.get((1, 1, 0, 0), 0.0)
-    arm2 = rep.count_distribution.get((0, 0, 1, 1), 0.0)
+    arm1, arm2 = (rep.count_distribution.get(pat, 0.0) for pat in optics._COINCIDENCES)
     passed = worst <= 1e-12 and mc_dev <= 3.0 * sigma
     return passed, {
         "max_dev_p_symmetric": fmt(worst),

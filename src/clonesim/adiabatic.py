@@ -485,12 +485,17 @@ def pulse_overlap_complex(t1: np.ndarray, f1: np.ndarray,
     """Normalized complex overlap <f1|f2> of two emission envelopes.
 
     Envelopes on different grids are linearly resampled onto the first grid
-    (zero outside its support).
+    (zero outside its support).  The second envelope's norm also counts its
+    tail past the first grid's end, on its own grid, so the overlap does not
+    depend on the argument order; that tail is exactly 0.0 when the second
+    grid ends no later than the first.
     """
-    f2r = _resample(np.asarray(t1, float), np.asarray(t2, float), np.asarray(f2))
+    t2, f2 = np.asarray(t2, float), np.asarray(f2)
+    f2r = _resample(np.asarray(t1, float), t2, f2)
     f1 = np.asarray(f1)
     n1 = np.trapezoid(np.abs(f1) ** 2, t1)
-    n2 = np.trapezoid(np.abs(f2r) ** 2, t1)
+    tail = t2 >= t1[-1]
+    n2 = np.trapezoid(np.abs(f2r) ** 2, t1) + np.trapezoid(np.abs(f2[tail]) ** 2, t2[tail])
     if n1 <= 0 or n2 <= 0:
         return 0.0 + 0.0j
     return complex(np.trapezoid(np.conj(f1) * f2r, t1) / math.sqrt(n1 * n2))

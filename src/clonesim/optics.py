@@ -372,16 +372,21 @@ class DetectionReport:
     visibility: float
 
 
+# The detectors D1, D2, D1', D2' by arm: the one statement of the layout, from
+# which the detector stage, the coincidence patterns and the herald (both
+# detectors of an arm click, here and in ``protocol``) are derived.
+_ARMS = ((0, 1), (2, 3))
 # The coincidence network as one photon's transfer matrices: the arm splitter
 # takes paths (A, B) to arms (arm1, arm2), and each arm's splitter takes it on
-# to its two detectors, in the order D1, D2, D1', D2'.
+# to its two detectors.
 _ARM_SPLITTER = np.array([[_R, -_R], [_R, _R]])
-_DETECTOR_STAGE = np.array([[_R, 0.0], [_R, 0.0], [0.0, _R], [0.0, _R]])
+_DETECTOR_STAGE = np.array([[_R if d in arm else 0.0 for arm in _ARMS] for d in range(4)])
 # U[d, path]: a photon entering on path A (0) or B (1) at detector d;
 # A[d, e]: photon A at detector d and B at e
 _U = _DETECTOR_STAGE @ _ARM_SPLITTER
 _PAIR_AMPS = np.multiply.outer(_U[:, 0], _U[:, 1])
-_COINCIDENCES = ((1, 1, 0, 0), (0, 0, 1, 1))
+# per arm, the count pattern of one photon at each of its detectors
+_COINCIDENCES = tuple(tuple(int(d in arm) for d in range(4)) for arm in _ARMS)
 # smallest pair norm ||x|| routed: below it the heralded state's entries,
 # of order n/16, leave the normal range
 _PAIR_NORM_FLOOR = 1e-150
@@ -409,7 +414,7 @@ _COUNT_WEIGHTS = _count_weights()
 # coincidence is photon A at the first detector of an arm and B at the second,
 # or the reverse, and over both arms A[d, e]^2, A[e, d]^2 and A[d, e] A[e, d]
 # sum to the same k, so each exchange pair can be added as a + b
-_K = float(np.sum(_PAIR_AMPS[[0, 2], [1, 3]] ** 2))
+_K = float(np.sum(_PAIR_AMPS[tuple(zip(*_ARMS))] ** 2))
 
 
 def detection_bookkeeping(s: StateVector, overlap_c: complex = 1.0) -> DetectionReport:

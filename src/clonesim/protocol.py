@@ -39,7 +39,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import product
 
@@ -57,7 +57,8 @@ from .adiabatic import (
     step_count,
 )
 from .cloner import InputQubit
-from .optics import POLS, detection_bookkeeping, photon_pair, symmetric_project
+from .optics import (_ARMS, _COINCIDENCES, POLS, detection_bookkeeping, photon_pair,
+                     symmetric_project)
 from .qstate import (
     DensityMatrix,
     Space,
@@ -478,16 +479,20 @@ def run(cfg: ProtocolConfig) -> CloneReport:
 # detector model
 # ---------------------------------------------------------------------------
 
-_SINGLE_PATTERNS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-_COINC_PATTERNS = ((0, 0, 1, 1), (1, 1, 0, 0))     # sorted, as the sums take them
 # the 16 click configurations of the four detectors (row k: detector i clicks
 # when bit i of k is set) and the ones that herald: both detectors of an arm
 _CLICKS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
-_HERALDS = (_CLICKS[:, 0] & _CLICKS[:, 1]) | (_CLICKS[:, 2] & _CLICKS[:, 3])
-# the 15 click-count patterns of at most two photons on the four detectors,
-# in sorted order, and each one's position in that table
-_PATTERNS = tuple(sorted(pat for pat in product(range(3), repeat=4) if sum(pat) <= 2))
-_PATTERN_INDEX = {pat: k for k, pat in enumerate(_PATTERNS)}
+_HERALDS = _CLICKS[:, _ARMS].all(axis=2).any(axis=1)
+# the 15 click-count patterns of at most two photons on the four detectors:
+# two photons, then one, then none, each sorted; per pattern its counts by
+# arm and its share of a one-photon emission (even over the detectors) and of
+# none, and the table positions of the coincidences
+_PATTERNS = tuple(sorted((pat for pat in product(range(3), repeat=4) if sum(pat) <= 2),
+                         key=lambda pat: (-sum(pat), pat)))
+_PATTERN_SET = frozenset(_PATTERNS)
+_ARM_COUNTS = np.array(_PATTERNS)[:, _ARMS].tolist()
+_SHARES = [(0.25 * (sum(pat) == 1), float(sum(pat) == 0)) for pat in _PATTERNS]
+_COINC_INDEX = [_PATTERNS.index(pat) for pat in _COINCIDENCES]
 # per pattern, the 7 heralding configurations x 4 detectors as indices into
 # [c0, c1, c2, 1 - c0, 1 - c1, 1 - c2], c_n a detector's click probability
 # facing n photons: its count if it clicks, the count + 3 if it does not
@@ -495,26 +500,23 @@ _HERALD_TERMS = np.array(_PATTERNS)[:, None, :] + 3 * ~_CLICKS[_HERALDS]
 _HERALD_TERMS.flags.writeable = False
 
 
-def _branches(report: CloneReport) -> list[tuple[float, dict]]:
-    """(weight, pattern distribution) per emission outcome.
+def _pattern_probabilities(report: CloneReport) -> list[float]:
+    """Per pattern of ``_PATTERNS``, its probability over the emission outcomes.
 
-    A pattern of the report's distribution outside the table of at most two
-    photons raises ``ValueError``: two photons enter the network.
+    Two photons (weight pa pb) follow the report's count distribution, one
+    spreads evenly over the four detectors, none leaves (0, 0, 0, 0); the
+    outcomes fill disjoint entries.  A pattern of the report's distribution
+    outside the table raises ``ValueError``: two photons enter the network.
     """
-    pa, pb = report.emission_prob_alice, report.emission_prob_bob
-    if not _PATTERN_INDEX.keys() >= report.count_distribution.keys():
-        pat = next(p for p in report.count_distribution if p not in _PATTERN_INDEX)
+    dist = report.count_distribution
+    if not dist.keys() <= _PATTERN_SET:
+        pat = next(p for p in dist if p not in _PATTERN_SET)
         raise ValueError(f"count pattern {pat!r} is not one of at most two photons on "
                          "four detectors: two photons enter the network")
-    out = [(pa * pb, report.count_distribution)]
-    w_one = pa * (1.0 - pb) + (1.0 - pa) * pb
-    if w_one > 0:
-        # one photon entering the network spreads evenly over the detectors
-        out.append((w_one, {pat: 0.25 for pat in _SINGLE_PATTERNS}))
-    w_none = (1.0 - pa) * (1.0 - pb)
-    if w_none > 0:
-        out.append((w_none, {(0, 0, 0, 0): 1.0}))
-    return out
+    pa, pb = report.emission_prob_alice, report.emission_prob_bob
+    two, one, none = pa * pb, pa * (1.0 - pb) + (1.0 - pa) * pb, (1.0 - pa) * (1.0 - pb)
+    return [two * dist.get(pat, 0.0) + one * s1 + none * s0
+            for pat, (s1, s0) in zip(_PATTERNS, _SHARES)]
 
 
 def _click_probabilities(eta: float, p_dark: float) -> list[float]:
@@ -524,27 +526,23 @@ def _click_probabilities(eta: float, p_dark: float) -> list[float]:
     return [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
 
 
-def _closed_form(branches: list, eta: float, p_dark: float) -> tuple[float, float]:
-    """(herald probability, its true-coincidence part) over the branches.
+def _closed_form(probs: list[float], eta: float, p_dark: float) -> tuple[float, float]:
+    """(herald probability, its true-coincidence part) over the patterns.
 
-    An arm heralds when both its detectors click.  Both sums run over each
-    branch's patterns in sorted order, so they do not depend on insertion
-    order.  The herald probability is capped at 1: branch weights that sum
-    to 1 only up to rounding can carry a certain herald (every detector sure
-    to click) an ulp above it.
+    An arm heralds when both its detectors click.  Both sums run over the
+    pattern table in order, so they do not depend on the distribution's
+    insertion order.  The herald probability is capped at 1: pattern
+    probabilities that sum to 1 only up to rounding can carry a certain
+    herald (every detector sure to click) an ulp above it.
     """
     click = _click_probabilities(eta, p_dark)
-    p_detected = p_true = 0.0
-    for weight, dist in branches:
-        for pat in sorted(dist):
-            n1, n2, n3, n4 = pat
-            c3, c4 = click[n3], click[n4]
-            both = click[n1] * click[n2]
-            p_detected += weight * dist[pat] * (both + c3 * c4 - both * c3 * c4)
-        for pat in _COINC_PATTERNS:
-            if pat in dist:
-                p_true += weight * dist[pat] * eta * eta
-    return min(p_detected, 1.0), p_true
+    p_detected = 0.0
+    for q, ((n1, n2), (n3, n4)) in zip(probs, _ARM_COUNTS):
+        c3, c4 = click[n3], click[n4]
+        both = click[n1] * click[n2]
+        p_detected += q * (both + c3 * c4 - both * c3 * c4)
+    # fsum rounds the two coincidences' sum once, as one addition does, in any order
+    return min(p_detected, 1.0), math.fsum(probs[k] * eta * eta for k in _COINC_INDEX)
 
 
 @functools.lru_cache(maxsize=8)
@@ -577,6 +575,9 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
     so does, when dark counts or trials need the click patterns, a count
     pattern outside that table.  A dark_rate * window above 0.2 appends a
     note after any earlier one.
+    The result's config records the detector, seed and trial count it was
+    folded with (the input's config object when they match), and its Monte
+    Carlo fields come from ``trials`` alone, none at 0.
     """
     if not 0 <= trials <= MAX_MC_TRIALS:
         raise ValueError(f"{trials} Monte Carlo trials lie outside the budget [0, {MAX_MC_TRIALS}]")
@@ -584,8 +585,8 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_detector(eta, dark_rate, window)
     p_dark = 1.0 - math.exp(-dark_rate * window)      # per-window dark-click probability
-    # the emission branches feed only the dark-count closed form and the Monte Carlo
-    branches = _branches(report) if dark_rate != 0.0 or trials > 0 else None
+    # the pattern probabilities feed only the dark-count closed form and the Monte Carlo
+    probs = _pattern_probabilities(report) if dark_rate != 0.0 or trials > 0 else None
 
     rho, f1, f2, ft = (report.rho_post, report.clone_fidelity_1, report.clone_fidelity_2,
                        report.telenot_fidelity)
@@ -593,7 +594,7 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         # exact eta^2 law; fidelities and state bit-identical by construction
         p_detected, w_false = report.p_operational * eta * eta, 0.0
     else:
-        p_detected, p_true = _closed_form(branches, eta, p_dark)
+        p_detected, p_true = _closed_form(probs, eta, p_dark)
         # max: with dark_rate below ~1e-17, p_true can round an ulp above p_detected
         w_false = max(0.0, 1.0 - p_true / p_detected) if p_detected > 0 else 0.0
         if rho is not None:
@@ -603,41 +604,40 @@ def detector_model(report: CloneReport, eta: float, dark_rate: float,
         f2 = (1.0 - w_false) * f2 + w_false * 0.5
         ft = (1.0 - w_false) * ft + w_false * 0.5
 
-    mc_p, mc_trials, mc_sigma = report.mc_p_detected, report.mc_trials, report.mc_sigma
+    mc_p, mc_sigma = None, 0.0
     if trials > 0:
-        mc_p, mc_trials = _detection_mc(branches, eta, p_dark, seed, trials), trials
+        mc_p = _detection_mc(probs, eta, p_dark, seed, trials)
         mc_sigma = math.sqrt(max(p_detected * (1.0 - p_detected), 0.0) / trials)
     notes = report.diagnostics
     if dark_rate * window > 0.2:
         notes = notes + (f"dark_rate*window = {dark_rate * window:.3g} is not small; "
                          "the per-window dark-click model assumes << 1",)
+    cfg = report.config
+    if (cfg.detector.eta, cfg.detector.dark_rate, cfg.detector.window, cfg.seed,
+            cfg.mc_trials) != (eta, dark_rate, window, seed, trials):
+        cfg = replace(cfg, detector=DetectorParams(eta, dark_rate, window), seed=seed,
+                      mc_trials=trials)
     return CloneReport._from_fields(**{
-        **vars(report), "rho_post": rho, "clone_fidelity_1": f1, "clone_fidelity_2": f2,
-        "telenot_fidelity": ft, "p_detected": p_detected, "false_herald_fraction": w_false,
-        "mc_p_detected": mc_p, "mc_trials": mc_trials, "mc_sigma": mc_sigma,
-        "diagnostics": notes})
+        **vars(report), "config": cfg, "rho_post": rho, "clone_fidelity_1": f1,
+        "clone_fidelity_2": f2, "telenot_fidelity": ft, "p_detected": p_detected,
+        "false_herald_fraction": w_false, "mc_p_detected": mc_p, "mc_trials": trials,
+        "mc_sigma": mc_sigma, "diagnostics": notes})
 
 
-def _herald_probability(branches: list, eta: float, p_dark: float) -> float:
+def _herald_probability(probs: list[float], eta: float, p_dark: float) -> float:
     """A shot's herald probability by the click predicate, never the closed form.
 
     A shot picks a click pattern, then one of the 16 click configurations of
     the four detectors, and heralds when both detectors of an arm click.
-    Each branch's weight * q accumulates at its pattern's position in the
-    fixed 15-pattern table, so the mixture's order is the table's, not the
-    distributions' insertion order.  Each pattern's herald probability is one
-    gather of its 7 heralding configurations' click factors, a product over
-    the detectors and a sum over the configurations in order; the mixture
-    and its normalisation are exact sums (``math.fsum``), and p is capped at
-    1 (a certain herald can round an ulp above it).
+    Each pattern's herald probability is one gather of its 7 heralding
+    configurations' click factors, a product over the detectors and a sum
+    over the configurations in order; the mixture over the pattern
+    probabilities and its normalisation are exact sums (``math.fsum``), and
+    p is capped at 1 (a certain herald can round an ulp above it).
     """
-    probs = [0.0] * len(_PATTERNS)
-    for weight, dist in branches:
-        for pat, q in dist.items():
-            probs[_PATTERN_INDEX[pat]] += weight * q
     total = math.fsum(probs)
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise RuntimeError(f"branch probabilities sum to {total:.12g}, not 1")
+        raise RuntimeError(f"pattern probabilities sum to {total:.12g}, not 1")
     click = _click_probabilities(eta, p_dark)
     factors = np.array(click + [1.0 - c for c in click])
     herald = np.add.reduce(np.multiply.reduce(factors[_HERALD_TERMS], axis=2), axis=1,
@@ -645,16 +645,16 @@ def _herald_probability(branches: list, eta: float, p_dark: float) -> float:
     return min(math.fsum(map(operator.mul, probs, herald.tolist())) / total, 1.0)
 
 
-def _detection_mc(branches: list, eta: float, p_dark: float,
+def _detection_mc(probs: list[float], eta: float, p_dark: float,
                   seed: int, trials: int) -> float:
-    """Monte Carlo herald frequency over emission branches and click patterns.
+    """Monte Carlo herald frequency over the click patterns.
 
     The herald count of ``trials`` shots is Binomial(trials, p), p the
     patterns' mixture of :func:`_herald_probability` (Devroye 1986, ch. XI),
     drawn once at any ``trials``; a seeded estimate depends only on the
-    distributions, not on their insertion order.
+    pattern probabilities, not on the distribution's insertion order.
     """
-    p = _herald_probability(branches, eta, p_dark)
+    p = _herald_probability(probs, eta, p_dark)
     return int(np.random.Generator(np.random.PCG64(seed)).binomial(trials, p)) / trials
 
 

@@ -45,7 +45,8 @@ __all__ = [
     "MAX_DM_DIM",
 ]
 
-NORM_FLOOR = 1e-14  # default degenerate-branch threshold for normalize()
+NORM_FLOOR = 1e-14  # degenerate-branch threshold of normalize()
+_FIDELITY_SLACK = 1e-10   # a fidelity's rounding slack outside [0, 1] and off the real axis
 MAX_DM_DIM = 512    # largest density-matrix dimension: 512**2 complex entries are 4 MiB
 
 
@@ -414,7 +415,7 @@ def partial_trace(s, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix.from_array(sub, reduced.reshape(sub.dim, sub.dim))
 
 
-def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) -> float:
+def _fidelity(matrix: np.ndarray, t0: complex, t1: complex) -> float:
     """<t|matrix|t>, clipped to [0, 1], of a 2x2 matrix and the qubit t = (t0, t1).
 
     Python float arithmetic on ``matrix.tolist()``, with no numpy call on
@@ -425,7 +426,7 @@ def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) 
     matrix and a unit t their magnitudes sum to at most (1 + sqrt 2)/2, so
     a value below 1 is within 1.71 * 2**-53 of exact.
     ``t`` must be normalized; the value must be real and inside [0, 1]
-    within ``tol`` slack (projector/trace arithmetic can stray by rounding).
+    within ``_FIDELITY_SLACK``.
     Each check is written so that nan fails it.
     """
     a, b, c, d = t0.real, t0.imag, t1.real, t1.imag
@@ -448,14 +449,14 @@ def _fidelity(matrix: np.ndarray, t0: complex, t1: complex, tol: float = 1e-10) 
                      r10 * bd, i10 * ad, i01 * bc, -i10 * bc, -i01 * ad, rest))
     imag = (m00.imag * (aa + bb) + m11.imag * (cc + dd) + (i01 + i10) * (ac + bd)
             + (r01 - r10) * (ad - bc))
-    if not abs(imag) <= tol:
+    if not abs(imag) <= _FIDELITY_SLACK:
         raise ValueError(f"fidelity has non-real value {complex(val, imag):.3e}")
-    if not -tol <= val <= 1.0 + tol:
+    if not -_FIDELITY_SLACK <= val <= 1.0 + _FIDELITY_SLACK:
         raise ValueError(f"fidelity {val:.12g} outside [0,1] beyond slack")
     return min(max(val, 0.0), 1.0)
 
 
-def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -> float:
+def fidelity_pure(rho: DensityMatrix, target: StateVector) -> float:
     """<target|rho|target> of a single-qubit target, a real number clipped to [0, 1].
 
     The labeled form of :func:`_fidelity`, which holds the checks; a target
@@ -467,7 +468,7 @@ def fidelity_pure(rho: DensityMatrix, target: StateVector, tol: float = 1e-10) -
         raise ValueError(f"fidelity_pure scores a single qubit; the target has "
                          f"dimension {target.space.dim}")
     t0, t1 = target.vector.tolist()
-    return _fidelity(rho.matrix, t0, t1, tol)
+    return _fidelity(rho.matrix, t0, t1)
 
 
 def _checked_norm(n2: float, floor: float = NORM_FLOOR) -> float:
@@ -482,12 +483,12 @@ def _checked_norm(n2: float, floor: float = NORM_FLOOR) -> float:
     return n
 
 
-def normalize(s: StateVector, floor: float = NORM_FLOOR) -> tuple[StateVector, float]:
+def normalize(s: StateVector) -> tuple[StateVector, float]:
     """Return (unit-norm state, original squared norm).
 
-    Raises DegenerateNormError when the norm is at or below ``floor``; the
+    Raises DegenerateNormError when the norm is at or below ``NORM_FLOOR``; the
     caller is looking at a heralded-failure branch and must handle it.  A nan
     norm raises a plain ValueError.
     """
     n2 = s.norm_sq()
-    return (1.0 / _checked_norm(n2, floor)) * s, n2
+    return (1.0 / _checked_norm(n2)) * s, n2

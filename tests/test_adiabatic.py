@@ -400,6 +400,36 @@ def test_pulse_overlap_normalization():
     assert pulse_overlap_complex(t, f, t, 1j * f) == pytest.approx(1j, abs=1e-12)
 
 
+def test_overlap_of_unequal_schedules_does_not_depend_on_the_argument_order():
+    # the longer envelope's tail past the shorter grid counts in its norm:
+    # at t_total 50 against 400 the two orders read 0.01373 and 0.002186
+    # when it did not
+    short = evolve((0.6, 0.8j), SystemParams(side=Side.ALICE),
+                   PulseSchedule(omega_max=2.0, t_total=50.0), 0.05)
+    long = evolve(EVEN, SystemParams(side=Side.BOB),
+                  PulseSchedule(omega_max=2.0 * math.sqrt(2), t_total=400.0), 0.05)
+    forward = abs(pulse_overlap_complex(short.t_grid, short.pulse_shape,
+                                        long.t_grid, long.pulse_shape)) ** 2
+    reverse = abs(pulse_overlap_complex(long.t_grid, long.pulse_shape,
+                                        short.t_grid, short.pulse_shape)) ** 2
+    assert forward == pytest.approx(reverse, rel=1e-3, abs=0.0)
+
+
+def test_overlap_of_equal_schedules_keeps_its_bits():
+    # a second grid ending with the first adds a tail of exactly 0.0; at
+    # t_total 100 the two passages refine to grids of their own
+    a = evolve((0.6, 0.8j), SystemParams(side=Side.ALICE),
+               PulseSchedule(omega_max=2.0, t_total=100.0), 0.05)
+    b = evolve(EVEN, SystemParams(side=Side.BOB),
+               PulseSchedule(omega_max=2.0 * math.sqrt(2), t_total=100.0), 0.05)
+    assert len(a.t_grid) != len(b.t_grid) and a.t_grid[-1] == b.t_grid[-1]
+    f2 = adiabatic._resample(a.t_grid, b.t_grid, b.pulse_shape)
+    n1 = np.trapezoid(np.abs(a.pulse_shape) ** 2, a.t_grid)
+    n2 = np.trapezoid(np.abs(f2) ** 2, a.t_grid)
+    want = complex(np.trapezoid(np.conj(a.pulse_shape) * f2, a.t_grid) / math.sqrt(n1 * n2))
+    assert pulse_overlap_complex(a.t_grid, a.pulse_shape, b.t_grid, b.pulse_shape) == want
+
+
 def test_pulse_shape_analytic_rejects_bad_grid():
     p = SystemParams(side=Side.ALICE)
     with pytest.raises(ValueError):

@@ -654,25 +654,22 @@ def test_dark_count_closed_form_is_the_per_pattern_loop(pa, pb, eta, dark_rate):
     assert got.false_herald_fraction == pytest.approx(w_false, rel=1e-15, abs=0.0)
 
 
-def _closed_form_arrays(branches: list, eta: float, p_dark: float) -> tuple:
+def _closed_form_arrays(probs: list, eta: float, p_dark: float) -> tuple:
     """The dark-count closed form as array arithmetic: click probabilities
     indexed by the (patterns x 4) count matrix, the herald terms summed per
-    pattern in each branch's sorted order, the herald probability capped at 1."""
-    pats = [pat for _, dist in branches for pat in sorted(dist)]
-    probs = np.array([weight * dist[pat] for weight, dist in branches for pat in sorted(dist)])
+    pattern in the pattern table's order, the herald probability capped at 1."""
+    pats = protocol._PATTERNS
     counts = np.array(pats, dtype=int).reshape(-1, 4)
     click = np.array([1.0 - (1.0 - eta) ** n * (1.0 - p_dark)
                       for n in range(int(counts.max(initial=0)) + 1)])
     c1, c2, c3, c4 = click[counts].T
     both = c1 * c2
     p_detected = 0.0
-    for term in (probs * (both + c3 * c4 - both * c3 * c4)).tolist():
+    for term in (np.array(probs) * (both + c3 * c4 - both * c3 * c4)).tolist():
         p_detected += term
     p_true = 0.0
-    for weight, dist in branches:
-        for pat in ((0, 0, 1, 1), (1, 1, 0, 0)):
-            if pat in dist:
-                p_true += weight * dist[pat] * eta * eta
+    for pat in ((0, 0, 1, 1), (1, 1, 0, 0)):
+        p_true += probs[pats.index(pat)] * eta * eta
     return min(p_detected, 1.0), p_true
 
 
@@ -686,34 +683,33 @@ def _closed_form_arrays(branches: list, eta: float, p_dark: float) -> tuple:
 def test_dark_count_closed_form_is_the_array_form(pa, pb, eta, p_dark, ratio, vis):
     # any pair the network can see: its count distribution is u + |c|^2
     # (sigma/n) v over the patterns (optics' exchange form), so (sigma/n,
-    # |c|^2) and the emission probabilities span every set of branches
+    # |c|^2) and the emission probabilities span every pattern vector
     dist = {pat: w for pat, u, v in optics._COUNT_WEIGHTS if (w := u + vis * ratio * v) != 0.0}
     report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
                      count_distribution=dist)
-    branches = protocol._branches(report)
-    expect = _closed_form_arrays(branches, eta, p_dark)
-    assert protocol._closed_form(branches, eta, p_dark) == expect
+    probs = protocol._pattern_probabilities(report)
+    expect = _closed_form_arrays(probs, eta, p_dark)
+    assert protocol._closed_form(probs, eta, p_dark) == expect
 
 
-def _herald_probability_loop(branches: list, eta: float, p_dark: float) -> float:
-    """The Monte Carlo's herald probability written out: each branch's
-    patterns, each pattern's 16 click configurations (detector i clicks when
+def _herald_probability_loop(probs: list, eta: float, p_dark: float) -> float:
+    """The Monte Carlo's herald probability written out: each pattern of the
+    table, each pattern's 16 click configurations (detector i clicks when
     bit i of k is set), a herald when both detectors of an arm click; the
     mixture and its normalisation as exact sums."""
     click = [1.0 - (1.0 - eta) ** n * (1.0 - p_dark) for n in range(3)]
     weights, terms = [], []
-    for weight, dist in branches:
-        for pat, q in dist.items():
-            h = 0.0
-            for k in range(16):
-                clicks = [(k >> i) & 1 == 1 for i in range(4)]
-                if (clicks[0] and clicks[1]) or (clicks[2] and clicks[3]):
-                    term = 1.0
-                    for n, clicked in zip(pat, clicks):
-                        term *= click[n] if clicked else 1.0 - click[n]
-                    h += term
-            weights.append(weight * q)
-            terms.append(weight * q * h)
+    for pat, q in zip(protocol._PATTERNS, probs):
+        h = 0.0
+        for k in range(16):
+            clicks = [(k >> i) & 1 == 1 for i in range(4)]
+            if (clicks[0] and clicks[1]) or (clicks[2] and clicks[3]):
+                term = 1.0
+                for n, clicked in zip(pat, clicks):
+                    term *= click[n] if clicked else 1.0 - click[n]
+                h += term
+        weights.append(q)
+        terms.append(q * h)
     return min(math.fsum(terms) / math.fsum(weights), 1.0)
 
 
@@ -726,17 +722,18 @@ def _herald_probability_loop(branches: list, eta: float, p_dark: float) -> float
 def test_monte_carlo_herald_probability_is_the_predicate_written_out(pa, pb, eta, p_dark,
                                                                      ratio, vis):
     # the same pairs as the closed-form test above; the table-driven mixture
-    # meets the loop to 2 ulps, and the order of the distributions (and of
-    # the branches) leaves it bit-identical
+    # meets the loop to 2 ulps, and the distribution's insertion order
+    # leaves it bit-identical
     dist = {pat: w for pat, u, v in optics._COUNT_WEIGHTS if (w := u + vis * ratio * v) != 0.0}
     report = replace(_ANALYTIC, emission_prob_alice=pa, emission_prob_bob=pb,
                      count_distribution=dist)
-    branches = protocol._branches(report)
-    got = protocol._herald_probability(branches, eta, p_dark)
-    want = _herald_probability_loop(branches, eta, p_dark)
+    probs = protocol._pattern_probabilities(report)
+    got = protocol._herald_probability(probs, eta, p_dark)
+    want = _herald_probability_loop(probs, eta, p_dark)
     assert abs(got - want) <= 2.0 * math.ulp(want)
-    flipped = [(weight, dict(reversed(d.items()))) for weight, d in reversed(branches)]
-    assert protocol._herald_probability(flipped, eta, p_dark) == got
+    flipped = replace(report, count_distribution=dict(reversed(dist.items())))
+    assert protocol._herald_probability(protocol._pattern_probabilities(flipped), eta,
+                                        p_dark) == got
 
 
 # --- scores on arrays against the labeled route ------------------------------

@@ -219,8 +219,36 @@ def test_detection_monte_carlo_never_calls_the_closed_form(monkeypatch):
 
     monkeypatch.setattr(protocol, "_closed_form", never)
     p_dark = 1.0 - math.exp(-2e-4 * 10.0)
-    assert protocol._detection_mc(protocol._branches(rep), 0.5, p_dark, 11, 40_000) \
-        == d.mc_p_detected
+    assert protocol._detection_mc(protocol._pattern_probabilities(rep), 0.5, p_dark, 11,
+                                  40_000) == d.mc_p_detected
+
+
+def test_a_refold_without_trials_drops_the_earlier_estimate():
+    # the Monte Carlo fields come from the fold's own trials: a report folded
+    # again with trials=0 carries no estimate next to its new p_detected
+    with_mc = detector_model(_report(0.6, 0.8), 1.0, 0.0, 10.0, seed=3, trials=20_000)
+    assert with_mc.mc_trials == 20_000 and with_mc.mc_p_detected is not None
+    again = detector_model(with_mc, 0.3, 0.0, 10.0, seed=3)
+    assert (again.mc_p_detected, again.mc_trials, again.mc_sigma) == (None, 0, 0.0)
+    assert "monte_carlo" not in report_to_dict(again)
+
+
+def test_a_folded_report_records_its_detector():
+    rep = _report(0.6, 0.8)
+    folded = detector_model(rep, 0.3, 1e-3, 12.0, seed=7, trials=500)
+    assert folded.config == replace(rep.config, detector=DetectorParams(0.3, 1e-3, 12.0),
+                                    seed=7, mc_trials=500)
+    doc = report_to_dict(folded)
+    assert doc["config"]["detector"] == {"eta": 0.3, "dark_rate": 1e-3, "window": 12.0}
+    assert doc["config"]["seed"] == 7 and doc["monte_carlo"]["trials"] == 500
+    row = dict(zip(*(line.split(",") for line in summary_csv(folded).splitlines())))
+    assert (row["eta"], row["dark_rate"], row["window"], row["seed"]) == \
+        ("0.3", "0.001", "12", "7")
+    # a run folds with its own config's detector, whose config object it keeps
+    cfg = ProtocolConfig(input=InputQubit(0.6, 0.8), detector=DetectorParams(0.3, 1e-3, 12.0),
+                         seed=7, mc_trials=500)
+    assert run(cfg).config is cfg
+    assert report_json(run(cfg)) == report_json(folded)
 
 
 @pytest.mark.parametrize("pattern", [(3, 0, 0, 0), (1, 1, 0)],
@@ -386,7 +414,7 @@ def test_detector_model_rejects_negative_trials(monkeypatch):
     def never(*args):
         raise AssertionError("the model ran before its arguments were checked")
 
-    monkeypatch.setattr(protocol, "_branches", never)
+    monkeypatch.setattr(protocol, "_pattern_probabilities", never)
     with pytest.raises(ValueError, match="budget"):
         detector_model(rep, 0.5, 2e-4, 10.0, seed=1, trials=-5)
 
@@ -400,7 +428,7 @@ def test_detector_model_refuses_a_bad_seed_up_front(monkeypatch, seed):
     def never(*args):
         raise AssertionError("the model ran before its seed was checked")
 
-    monkeypatch.setattr(protocol, "_branches", never)
+    monkeypatch.setattr(protocol, "_pattern_probabilities", never)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         detector_model(rep, 0.5, 2e-4, 10.0, seed=seed, trials=100)
     monkeypatch.undo()
